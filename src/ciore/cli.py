@@ -16,7 +16,7 @@ import sys
 
 from . import fo_prover, prop_prover
 from .axioms import PROPOSITIONAL_SCHEMATA
-from .errors import AtomCapExceeded, InternalError, LogicError, ParseError
+from .errors import AtomCapExceeded, InternalError, LogicError, ParseError, UsageError
 from .fo_semantics import fo_sequent_satisfied, fo_sequent_valid_in, structure_from_json
 from .matrix import (
     CIRC_TABLE,
@@ -31,7 +31,7 @@ from .prop_prover import decide, theorem_suite
 from .randgen import random_formula
 from .sequents import Calculus, Sequent, proof_error
 from .serialize import describe_verdict, proof_from_json, verdict_to_json
-from .syntax import Exists, Forall, subformulas
+from .syntax import Exists, Forall, subformulas, var_index
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -41,13 +41,19 @@ EXIT_DATA = 65
 EXIT_INTERNAL = 70
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -57,9 +63,9 @@ def _build_parser() -> _Parser:
     def common(p: _Parser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--fo", action="store_true", help="use the first-order prover")
-        p.add_argument("--depth", type=int, default=fo_prover.DEFAULT_MAX_DEPTH, help="stage budget of the first-order search")
-        p.add_argument("--nodes", type=int, default=fo_prover.DEFAULT_MAX_NODES, help="node budget of the first-order search")
-        p.add_argument("--atom-cap", type=int, default=None, help="propositional atom cap (default 12, or CIORE_ATOM_CAP)")
+        p.add_argument("--depth", type=_positive_int, default=fo_prover.DEFAULT_MAX_DEPTH, help="stage budget of the first-order search")
+        p.add_argument("--nodes", type=_positive_int, default=fo_prover.DEFAULT_MAX_NODES, help="node budget of the first-order search")
+        p.add_argument("--atom-cap", type=_positive_int, default=None, help="propositional atom cap (default 12, or CIORE_ATOM_CAP)")
 
     p = sub.add_parser("prove", help="prove a sequent or produce a countermodel")
     p.add_argument("sequent")
@@ -106,7 +112,7 @@ def _needs_fo(s: Sequent) -> bool:
 def _parse_goal(text: str, fo: bool) -> Sequent:
     s = parse_sequent(text)
     if _needs_fo(s) and not fo:
-        raise _UsageError("quantified or predicate input needs --fo (or --structure)")
+        raise UsageError("quantified or predicate input needs --fo (or --structure)")
     return s
 
 
@@ -117,9 +123,15 @@ def _emit(data, as_json: bool, text: str | None = None) -> None:
         print(text if text is not None else data)
 
 
-def _load_structure(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return structure_from_json(json.load(fh))
+def _read_json(path: str):
+    """JSON from the file, or from standard input for '-'."""
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 def _cmd_prove(args) -> int:
@@ -137,7 +149,7 @@ def _cmd_prove(args) -> int:
 def _cmd_validity(args) -> int:
     s = _parse_goal(args.sequent, args.fo or bool(args.structure))
     if args.structure:
-        st = _load_structure(args.structure)
+        st = structure_from_json(_read_json(args.structure))
         ok = fo_sequent_valid_in(st, s)
         _emit({"status": "valid" if ok else "invalid"}, args.json, "valid" if ok else "invalid")
         return EXIT_OK if ok else EXIT_NEGATIVE
@@ -156,8 +168,8 @@ def _cmd_validity(args) -> int:
 def _cmd_countermodel(args) -> int:
     s = _parse_goal(args.sequent, args.fo or bool(args.structure))
     if args.structure:
-        st = _load_structure(args.structure)
-        variables = sorted(s.free_variables(), key=lambda n: int(n[1:]))
+        st = structure_from_json(_read_json(args.structure))
+        variables = sorted(s.free_variables(), key=var_index)
         for combo in itertools.product(st.domain, repeat=len(variables)):
             assignment = dict(zip(variables, combo))
             if not fo_sequent_satisfied(st, assignment, s):
@@ -184,15 +196,7 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
-    if args.file == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    try:
-        proof = proof_from_json(json.loads(raw))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    proof = proof_from_json(_read_json(args.file))
 
     chosen = {
         "gciore": [Calculus.GCIORE],
@@ -323,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             "selftest": _cmd_selftest,
         }[args.command]
         return handler(args)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AtomCapExceeded as exc:
@@ -340,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except RecursionError:
+        print("internal error: input nested too deeply for the recursive traversals", file=sys.stderr)
         return EXIT_INTERNAL
 
 

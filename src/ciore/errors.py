@@ -20,5 +20,10 @@ class AtomCapExceeded(LogicError):
     """A validity check would enumerate more atoms than the configured cap."""
 
 
+class UsageError(Exception):
+    """A setting out of its range: a budget or cap that is not a positive
+    integer, from an option or from the environment."""
+
+
 class InternalError(Exception):
     """An impossible state was reached; indicates a bug, surfaced loudly."""

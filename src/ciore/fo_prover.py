@@ -21,9 +21,13 @@ from .fo_semantics import Structure, Triple, fo_sequent_satisfied
 from .matrix import HALF, ONE, ZERO
 from .parsing import format_formula, format_sequent
 from .sequents import (
+    EIGEN_RULES,
+    QUANTIFIER_RULES,
+    RULE_TABLE,
     Calculus,
     DerivedRuleId,
     Proof,
+    Proved,
     RuleId,
     Sequent,
     axiom_proof,
@@ -31,9 +35,9 @@ from .sequents import (
     expand_derived_rule,
     formula_key,
     rule_schema,
+    rules_for,
 )
 from .syntax import (
-    And,
     BoundVar,
     Circ,
     Const,
@@ -44,18 +48,16 @@ from .syntax import (
     FunApp,
     Imp,
     Neg,
-    Or,
     PredAtom,
     PropAtom,
     free_variables,
     fresh_free_variable,
     iff,
     subformulas,
+    var_index,
 )
 
 R = RuleId
-LEFT = "L"
-RIGHT = "R"
 
 DEFAULT_MAX_NODES = 20_000
 DEFAULT_MAX_DEPTH = 400
@@ -98,51 +100,44 @@ assert PHASES[0] is PhaseKind.CIRC_L and PHASES[26] is PhaseKind.COPY
 ONCE, REPEAT, EIGEN = "once", "repeat", "eigen"
 
 
-def _is_plain_circ(phi: Formula) -> bool:
-    return isinstance(phi, Circ) and not isinstance(phi.body, (Forall, Exists))
+#: The rule each phase applies. A phase reduces exactly the formulas on its
+#: rule's side that the rule table assigns that rule (``rules_for``).
+_PHASE_RULE: dict[PhaseKind, RuleId] = {
+    PhaseKind.CIRC_L: R.CIRC_L,
+    PhaseKind.CIRC_R: R.CIRC_R,
+    PhaseKind.NEG_R: R.NEG_R,
+    PhaseKind.NEG_CIRC_L: R.NEG_CIRC_L,
+    PhaseKind.AND_L: R.AND_L,
+    PhaseKind.AND_R: R.AND_R,
+    PhaseKind.OR_L: R.OR_L,
+    PhaseKind.OR_R: R.OR_R,
+    PhaseKind.IMP_L: R.IMP_L,
+    PhaseKind.IMP_R: R.IMP_R,
+    PhaseKind.NEG_OR_L: R.NEG_OR_L,
+    PhaseKind.NEG_OR_R: R.NEG_OR_R,
+    PhaseKind.NEG_AND_L: R.NEG_AND_L,
+    PhaseKind.NEG_AND_R: R.NEG_AND_R2,
+    PhaseKind.NEG_IMP_L: R.NEG_IMP_L,
+    PhaseKind.NEG_IMP_R: R.NEG_IMP_R2,
+    PhaseKind.NEG_NEG_L: R.NEG_NEG_L,
+    PhaseKind.NEG_NEG_R: R.NEG_NEG_R,
+    PhaseKind.FORALL_L: R.FORALL_L,
+    PhaseKind.FORALL_R: R.FORALL_R,
+    PhaseKind.EXISTS_L: R.EXISTS_L,
+    PhaseKind.EXISTS_R: R.EXISTS_R,
+    PhaseKind.CIRC_FORALL_L: R.CIRC_FORALL_L,
+    PhaseKind.CIRC_FORALL_R: R.CIRC_FORALL_R,
+    PhaseKind.CIRC_EXISTS_L: R.CIRC_EXISTS_L,
+    PhaseKind.CIRC_EXISTS_R: R.CIRC_EXISTS_R,
+}
 
 
-def _is_neg_other(phi: Formula) -> bool:
-    # negations the generic right-negation phase owns: everything except the
-    # shapes with a dedicated phase
-    return isinstance(phi, Neg) and not isinstance(phi.body, (Or, And, Imp, Neg))
-
-
-def _neg_of(inner_type: type):
-    return lambda phi: isinstance(phi, Neg) and isinstance(phi.body, inner_type)
-
-
-def _circ_of(inner_type: type):
-    return lambda phi: isinstance(phi, Circ) and isinstance(phi.body, inner_type)
-
-
-_PHASE_TABLE: dict[PhaseKind, tuple[str, object, RuleId, str]] = {
-    PhaseKind.CIRC_L: (LEFT, _is_plain_circ, R.CIRC_L, ONCE),
-    PhaseKind.CIRC_R: (RIGHT, _is_plain_circ, R.CIRC_R, ONCE),
-    PhaseKind.NEG_R: (RIGHT, _is_neg_other, R.NEG_R, ONCE),
-    PhaseKind.NEG_CIRC_L: (LEFT, _neg_of(Circ), R.NEG_CIRC_L, ONCE),
-    PhaseKind.AND_L: (LEFT, lambda f: isinstance(f, And), R.AND_L, ONCE),
-    PhaseKind.AND_R: (RIGHT, lambda f: isinstance(f, And), R.AND_R, ONCE),
-    PhaseKind.OR_L: (LEFT, lambda f: isinstance(f, Or), R.OR_L, ONCE),
-    PhaseKind.OR_R: (RIGHT, lambda f: isinstance(f, Or), R.OR_R, ONCE),
-    PhaseKind.IMP_L: (LEFT, lambda f: isinstance(f, Imp), R.IMP_L, ONCE),
-    PhaseKind.IMP_R: (RIGHT, lambda f: isinstance(f, Imp), R.IMP_R, ONCE),
-    PhaseKind.NEG_OR_L: (LEFT, _neg_of(Or), R.NEG_OR_L, ONCE),
-    PhaseKind.NEG_OR_R: (RIGHT, _neg_of(Or), R.NEG_OR_R, ONCE),
-    PhaseKind.NEG_AND_L: (LEFT, _neg_of(And), R.NEG_AND_L, ONCE),
-    PhaseKind.NEG_AND_R: (RIGHT, _neg_of(And), R.NEG_AND_R2, ONCE),
-    PhaseKind.NEG_IMP_L: (LEFT, _neg_of(Imp), R.NEG_IMP_L, ONCE),
-    PhaseKind.NEG_IMP_R: (RIGHT, _neg_of(Imp), R.NEG_IMP_R2, ONCE),
-    PhaseKind.NEG_NEG_L: (LEFT, _neg_of(Neg), R.NEG_NEG_L, ONCE),
-    PhaseKind.NEG_NEG_R: (RIGHT, _neg_of(Neg), R.NEG_NEG_R, ONCE),
-    PhaseKind.FORALL_L: (LEFT, lambda f: isinstance(f, Forall), R.FORALL_L, REPEAT),
-    PhaseKind.FORALL_R: (RIGHT, lambda f: isinstance(f, Forall), R.FORALL_R, EIGEN),
-    PhaseKind.EXISTS_L: (LEFT, lambda f: isinstance(f, Exists), R.EXISTS_L, EIGEN),
-    PhaseKind.EXISTS_R: (RIGHT, lambda f: isinstance(f, Exists), R.EXISTS_R, REPEAT),
-    PhaseKind.CIRC_FORALL_L: (LEFT, _circ_of(Forall), R.CIRC_FORALL_L, REPEAT),
-    PhaseKind.CIRC_FORALL_R: (RIGHT, _circ_of(Forall), R.CIRC_FORALL_R, REPEAT),
-    PhaseKind.CIRC_EXISTS_L: (LEFT, _circ_of(Exists), R.CIRC_EXISTS_L, EIGEN),
-    PhaseKind.CIRC_EXISTS_R: (RIGHT, _circ_of(Exists), R.CIRC_EXISTS_R, REPEAT),
+#: Rule, side and mode of each phase, read off the rule table once.
+#: Eigenvariable rules fire once with fresh variables, the other quantifier
+#: rules once per available variable, the rest once.
+_PHASE_STEP: dict[PhaseKind, tuple[RuleId, str, str]] = {
+    kind: (rule, RULE_TABLE[rule].side, EIGEN if rule in EIGEN_RULES else REPEAT if rule in QUANTIFIER_RULES else ONCE)
+    for kind, rule in _PHASE_RULE.items()
 }
 
 MarkKey = tuple[Formula, str, PhaseKind]
@@ -214,17 +209,12 @@ def _check_fo_input(s: Sequent) -> None:
                     assert isinstance(t, (FreeVar, BoundVar))
 
 
-def _var_index(name: str) -> int:
-    return int(name[1:])
-
-
 def _phase_principals(leaf: ReductionNode, kind: PhaseKind, available: list[str]) -> list[PrincipalReduction]:
-    side, shape, rule, mode = _PHASE_TABLE[kind]
+    rule, side, mode = _PHASE_STEP[kind]
     found: list[PrincipalReduction] = []
     fresh_cursor = None
-    for phi in sorted(leaf.sequent.side(side), key=formula_key):
-        if not shape(phi):
-            continue
+    reducible = [phi for phi in leaf.sequent.side(side) if rule in rules_for(phi, side)]
+    for phi in sorted(reducible, key=formula_key):
         key: MarkKey = (phi, side, kind)
         if mode == ONCE:
             if key in leaf.marks:
@@ -254,7 +244,7 @@ def _phase_principals(leaf: ReductionNode, kind: PhaseKind, available: list[str]
 
 
 def _expand_leaf(leaf: ReductionNode, kind: PhaseKind, reductions: list[PrincipalReduction], stage: int) -> list[ReductionNode]:
-    _, _, _, mode = _PHASE_TABLE[kind]
+    mode = _PHASE_STEP[kind][2]
     new_marks = set(leaf.marks)
     new_used = dict(leaf.used_vars)
     for red in reductions:
@@ -297,7 +287,7 @@ def build_reduction_tree(
     refutes the goal, nothing can change anymore, or the budget runs out."""
     _check_fo_input(s)
     root = ReductionNode(sequent=s, depth=0, created_at_stage=0)
-    occurring = sorted(s.free_variables(), key=_var_index)
+    occurring = sorted(s.free_variables(), key=var_index)
     available: list[str] = occurring if occurring else ["a1"]
 
     node_count = 1
@@ -335,11 +325,8 @@ def build_reduction_tree(
                 continue
             children = _expand_leaf(leaf, kind, reductions, stage)
             node_count += len(children)
-            for red in reductions:
-                mode = _PHASE_TABLE[kind][3]
-                if mode == EIGEN:
-                    assert red.var is not None
-                    available.append(red.var)
+            if _PHASE_STEP[kind][2] == EIGEN:
+                available.extend(red.var for red in reductions)
             if node_count > max_nodes:
                 return ReductionTree(root, "budget", stage, node_count, tuple(available))
 
@@ -368,7 +355,7 @@ def extract_countermodel(branch: list[ReductionNode], root_sequent: Sequent) -> 
                     raise LogicError(f"predicate {f.name!r} used with two arities")
         variables |= free_variables(phi)
 
-    domain = tuple(sorted(variables, key=_var_index)) or ("a1",)
+    domain = tuple(sorted(variables, key=var_index)) or ("a1",)
 
     predicates: dict[str, Triple] = {}
     for name, arity in sorted(arities.items()):
@@ -419,11 +406,6 @@ def _assemble(node: ReductionNode) -> Proof:
 
 # ---------------------------------------------------------------------------
 # Verdicts
-
-
-@dataclass(frozen=True, slots=True)
-class Proved:
-    proof: Proof
 
 
 @dataclass(frozen=True, slots=True)

@@ -152,8 +152,9 @@ class Structure:
             raise LogicError("domain elements must be distinct")
         elems = set(self.domain)
         for name, triple in self.predicates.items():
-            arity = self.predicate_arity(name)
-            if triple.universe != frozenset(itertools.product(self.domain, repeat=arity)):
+            if not triple.universe or triple.universe != frozenset(
+                itertools.product(self.domain, repeat=self.predicate_arity(name))
+            ):
                 raise LogicError(f"predicate {name!r} must be a triple over the full tuple space")
         for name, table in self.functions.items():
             arities = {len(args) for args in table}
@@ -205,7 +206,7 @@ def eval_term(t: Term, st: Structure, s: Assignment) -> str:
 
 
 def _sorted_vars(names) -> tuple[str, ...]:
-    return tuple(sorted(names, key=lambda n: int(n[1:])))
+    return tuple(sorted(names, key=syntax.var_index))
 
 
 def denote(phi: Formula, st: Structure, variables: tuple[str, ...] | None = None) -> Triple:
@@ -331,6 +332,8 @@ def structure_to_json(st: Structure) -> dict:
 
 def structure_from_json(data: Mapping) -> Structure:
     try:
+        if not isinstance(data["domain"], list):
+            raise LogicError("malformed structure JSON: the domain must be a list")
         domain = tuple(str(x) for x in data["domain"])
         predicates = {}
         for name, parts in data.get("predicates", {}).items():
@@ -342,6 +345,6 @@ def structure_from_json(data: Mapping) -> Structure:
         for name, rows in data.get("functions", {}).items():
             functions[name] = {tuple(row[:-1]): row[-1] for row in rows}
         constants = dict(data.get("constants", {}))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise LogicError(f"malformed structure JSON: {exc}") from exc
     return Structure(domain=domain, predicates=predicates, functions=functions, constants=constants)

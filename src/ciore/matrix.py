@@ -11,11 +11,10 @@ from __future__ import annotations
 import enum
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from . import syntax
-from .errors import AtomCapExceeded, LogicError
+from .errors import AtomCapExceeded, LogicError, UsageError
 from .sequents import Sequent
 from .syntax import And, Circ, Formula, Imp, Neg, Or, PropAtom
 
@@ -96,54 +95,24 @@ def sequent_satisfied(v: Valuation, s: Sequent) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Signed formulas and 3-slot sequents
-
-
-@dataclass(frozen=True, slots=True)
-class SignedFormula:
-    sign: TruthValue
-    formula: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class NSequent:
-    """Three formula slots indexed by the value each member should take."""
-
-    zero: frozenset[Formula]
-    half: frozenset[Formula]
-    one: frozenset[Formula]
-
-    def slot(self, value: TruthValue) -> frozenset[Formula]:
-        return {ZERO: self.zero, HALF: self.half, ONE: self.one}[value]
-
-
-def signed_satisfied(v: Valuation, sf: SignedFormula) -> bool:
-    return eval_formula(sf.formula, v) is sf.sign
-
-
-def nsequent_satisfied(v: Valuation, ns: NSequent) -> bool:
-    return any(
-        eval_formula(phi, v) is value
-        for value in VALUE_ORDER
-        for phi in ns.slot(value)
-    )
-
-
-def nsequent_of_sequent(s: Sequent) -> NSequent:
-    """Slot embedding of an ordinary sequent: the non-designated slot holds
-    the antecedent, both designated slots hold the succedent."""
-    return NSequent(zero=s.ante, half=s.succ, one=s.succ)
-
-
-# ---------------------------------------------------------------------------
 # Exhaustive validity
 
 
 def effective_atom_cap(atom_cap: int | None) -> int:
-    if atom_cap is not None:
-        return atom_cap
-    env = os.environ.get("CIORE_ATOM_CAP")
-    return int(env) if env else DEFAULT_ATOM_CAP
+    """The given cap, else CIORE_ATOM_CAP, else the default; a positive integer."""
+    if atom_cap is None:
+        env = os.environ.get("CIORE_ATOM_CAP")
+        if not env:
+            return DEFAULT_ATOM_CAP
+        try:
+            atom_cap = int(env)
+        except ValueError:
+            atom_cap = 0
+        if atom_cap < 1:
+            raise UsageError(f"CIORE_ATOM_CAP must be a positive integer, got {env!r}")
+    elif atom_cap < 1:
+        raise UsageError(f"the atom cap must be a positive integer, got {atom_cap}")
+    return atom_cap
 
 
 def sequent_atoms(s: Sequent) -> tuple[str, ...]:
@@ -182,25 +151,3 @@ def valuation_to_json(v: Valuation) -> dict[str, str]:
 
 def valuation_from_json(data: Mapping[str, str]) -> dict[str, TruthValue]:
     return {name: TruthValue(value) for name, value in data.items()}
-
-
-# ---------------------------------------------------------------------------
-# Expressiveness conditions: how membership of a formula and its negation in
-# the designated/non-designated sets pins down each single truth value.
-# Used only by tests.
-
-
-def expressiveness_witnesses(phi: Formula, t: TruthValue) -> frozenset[tuple[Formula, str]]:
-    """Conditions (formula, "D"|"N") jointly equivalent to phi taking value t."""
-    if t is ZERO:
-        return frozenset([(phi, "N")])
-    if t is HALF:
-        return frozenset([(phi, "D"), (Neg(phi), "D")])
-    return frozenset([(phi, "D"), (Neg(phi), "N")])
-
-
-def witnesses_hold(v: Valuation, conditions: frozenset[tuple[Formula, str]]) -> bool:
-    return all(
-        satisfies(v, f) if side == "D" else not satisfies(v, f)
-        for f, side in conditions
-    )

@@ -221,10 +221,6 @@ def parse_formula(text: str) -> Formula:
     return _wrap(lambda p: p.formula(frozenset()), text)
 
 
-def parse_term(text: str) -> Term:
-    return _wrap(lambda p: p.term(frozenset()), text)
-
-
 def parse_sequent(text: str) -> Sequent:
     def go(p: _Parser) -> Sequent:
         ante = p.formula_list(stop_kinds=("seq",))

@@ -16,14 +16,18 @@ from typing import Callable, Union
 from .errors import AtomCapExceeded, InternalError, LogicError
 from .matrix import HALF, ONE, ZERO, TruthValue, effective_atom_cap, sequent_atoms, sequent_satisfied
 from .sequents import (
+    LEFT,
+    RIGHT,
     Calculus,
     Proof,
+    Proved,
     RuleId,
     Sequent,
     axiom_proof,
     formula_key,
     premises_from_schema,
     proof_error,
+    rules_for,
 )
 from .syntax import (
     And,
@@ -40,10 +44,7 @@ from .syntax import (
 
 R = RuleId
 
-
-@dataclass(frozen=True, slots=True)
-class Proved:
-    proof: Proof
+_GCIORE_PRIME_RULES = Calculus.GCIORE_PRIME.rules
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,69 +69,24 @@ class SearchNode:
 
 StepHook = Callable[[SearchNode, RuleId, Formula, tuple[Sequent, ...]], None]
 
-_LEFT_RULE_OF = {
-    Or: R.OR_L,
-    And: R.AND_L,
-    Imp: R.IMP_L,
-    Circ: R.CIRC_L,
-}
-_LEFT_NEG_RULE_OF = {
-    Or: R.NEG_OR_L,
-    And: R.NEG_AND_L,
-    Imp: R.NEG_IMP_L,
-    Neg: R.NEG_NEG_L,
-    Circ: R.NEG_CIRC_L,
-}
-_RIGHT_RULE_OF = {
-    Or: R.OR_R,
-    And: R.AND_R,
-    Imp: R.IMP_R,
-    Circ: R.CIRC_R,
-}
-_RIGHT_NEG_RULE_OF = {
-    Or: R.NEG_OR_R2,
-    And: R.NEG_AND_R2,
-    Imp: R.NEG_IMP_R2,
-    Neg: R.NEG_NEG_R,
-}
-
-
-def _decreasing_candidates(s: Sequent) -> list[tuple[Formula, str, RuleId]]:
-    """Principals whose invertible rule strictly shrinks the weight, in
-    canonical order, antecedent first."""
-    out = []
-    for phi in s.sorted_ante():
-        if is_literal(phi):
-            continue
-        if isinstance(phi, Neg):
-            rule = _LEFT_NEG_RULE_OF.get(type(phi.body))
-        else:
-            rule = _LEFT_RULE_OF.get(type(phi))
-        if rule is not None:
-            out.append((phi, "L", rule))
-    for phi in s.sorted_succ():
-        if is_literal(phi):
-            continue
-        if isinstance(phi, Neg):
-            rule = _RIGHT_NEG_RULE_OF.get(type(phi.body))
-        else:
-            rule = _RIGHT_RULE_OF.get(type(phi))
-        if rule is not None:
-            out.append((phi, "R", rule))
-    return out
-
-
-def _in_place_candidates(s: Sequent, marks: frozenset) -> list[Formula]:
-    """Unmarked negations on the right that only the weight-preserving rule
-    handles: negated consistency formulas first, negated atoms last."""
-    circs, literals = [], []
-    for phi in s.sorted_succ():
-        if isinstance(phi, Neg) and phi not in marks:
-            if isinstance(phi.body, Circ):
-                circs.append(phi)
-            elif isinstance(phi.body, PropAtom):
-                literals.append(phi)
-    return circs + literals
+def _next_reduction(s: Sequent, marks: frozenset) -> tuple[Formula, RuleId] | None:
+    """The principal to reduce next and its GCiore' rule: the first one whose
+    rule strictly shrinks the weight, in canonical order, antecedent first;
+    failing that, an unmarked negation on the right for the in-place rule,
+    negated consistency formulas before negated atoms."""
+    for side in (LEFT, RIGHT):
+        decreasing = [
+            (phi, rule)
+            for phi in s.side(side)
+            for rule in rules_for(phi, side)
+            if rule is not R.NEG_R2 and rule in _GCIORE_PRIME_RULES
+        ]
+        if decreasing:
+            return min(decreasing, key=lambda step: formula_key(step[0]))
+    in_place = [phi for phi in s.succ - marks if R.NEG_R2 in rules_for(phi, RIGHT)]
+    if not in_place:
+        return None
+    return min(in_place, key=lambda phi: (is_literal(phi), formula_key(phi))), R.NEG_R2
 
 
 def _countermodel_of_leaf(s: Sequent) -> dict[str, TruthValue]:
@@ -149,14 +105,10 @@ def _decide(s: Sequent, marks: frozenset, on_step: StepHook | None) -> Verdict:
         pivot = min(s.ante & s.succ, key=formula_key)
         return Proved(axiom_proof(pivot, s))
 
-    candidates = _decreasing_candidates(s)
-    if candidates:
-        principal, _side, rule = candidates[0]
-    else:
-        in_place = _in_place_candidates(s, marks)
-        if not in_place:
-            return Refuted(_countermodel_of_leaf(s))
-        principal, rule = in_place[0], R.NEG_R2
+    step = _next_reduction(s, marks)
+    if step is None:
+        return Refuted(_countermodel_of_leaf(s))
+    principal, rule = step
 
     premises = premises_from_schema(s, rule, principal)
     assert premises is not None

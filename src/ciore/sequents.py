@@ -1,4 +1,5 @@
-"""Sequents, the three rule catalogues, proof trees and proof checking.
+"""Sequents, the one rule table of the three calculi, proof trees and proof
+checking.
 
 Sequents are pairs of finite formula sets, so exchange and contraction are
 implicit; weakening stays explicit so printed derivations can be replayed
@@ -12,10 +13,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import LogicError
 from .syntax import (
+    BINARY_TYPES,
+    QUANTIFIER_TYPES,
     And,
     Circ,
     Exists,
@@ -29,6 +32,7 @@ from .syntax import (
     free_variables,
     instantiate,
     is_free_var_name,
+    var_index,
     weight,
 )
 
@@ -209,142 +213,126 @@ class Proof:
             yield from p.nodes()
 
 
+@dataclass(frozen=True, slots=True)
+class Proved:
+    """Verdict of either prover: a cut-free proof of the goal."""
+
+    proof: Proof
+
+
 # ---------------------------------------------------------------------------
-# Rule schemas
+# The rule table
+#
+# Every logical rule is stated once, in the spirit of Smullyan's uniform
+# notation: the side of its principal formula, the principal's connective,
+# the connective directly under it (None: any body), and the formulas each
+# premise adds, in the rule's fixed premise order. The additions are a
+# function of the principal's parts: the operands of the binary connective
+# at or under the top, the body of a unary one, or the instance of a
+# quantifier at the rule's variable. The checker and both provers read this
+# table and nothing else.
 
 Delta = tuple[tuple[Formula, ...], tuple[Formula, ...]]
 
 
-def _binary_parts(principal: Formula, wanted: type) -> tuple[Formula, Formula] | None:
-    if isinstance(principal, wanted):
-        return principal.left, principal.right
-    return None
+@dataclass(frozen=True, slots=True)
+class RuleShape:
+    """One row of the rule table."""
+
+    side: str
+    outer: type
+    inner: type | None
+    premises: Callable[..., list[Delta]]
 
 
-def _neg_binary_parts(principal: Formula, wanted: type) -> tuple[Formula, Formula] | None:
-    if isinstance(principal, Neg) and isinstance(principal.body, wanted):
-        return principal.body.left, principal.body.right
-    return None
+n = Neg
+
+RULE_TABLE: dict[RuleId, RuleShape] = {
+    R.OR_L: RuleShape(LEFT, Or, None, lambda a, b: [((a,), ()), ((b,), ())]),
+    R.OR_R: RuleShape(RIGHT, Or, None, lambda a, b: [((), (a, b))]),
+    R.NEG_OR_L: RuleShape(LEFT, Neg, Or, lambda a, b: [((a, n(a), b, n(b)), ()), ((n(a), n(b)), (a, b))]),
+    R.NEG_OR_R: RuleShape(RIGHT, Neg, Or, lambda a, b: [((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),))]),
+    R.NEG_OR_R2: RuleShape(
+        RIGHT,
+        Neg,
+        Or,
+        lambda a, b: [
+            ((a,), (n(a),)),
+            ((a,), (b,)),
+            ((a,), (n(b),)),
+            ((b,), (a,)),
+            ((b,), (n(a),)),
+            ((b,), (n(b),)),
+        ],
+    ),
+    R.AND_L: RuleShape(LEFT, And, None, lambda a, b: [((a, b), ())]),
+    R.AND_R: RuleShape(RIGHT, And, None, lambda a, b: [((), (a,)), ((), (b,))]),
+    R.NEG_AND_L: RuleShape(
+        LEFT, Neg, And, lambda a, b: [((), (a, b)), ((n(a),), (a,)), ((n(b),), (b,)), ((n(a), n(b)), ())]
+    ),
+    R.NEG_AND_R: RuleShape(RIGHT, Neg, And, lambda a, b: [((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),))]),
+    R.NEG_AND_R2: RuleShape(RIGHT, Neg, And, lambda a, b: [((a, b), (n(a),)), ((a, b), (n(b),))]),
+    R.IMP_L: RuleShape(LEFT, Imp, None, lambda a, b: [((), (a,)), ((b,), ())]),
+    R.IMP_R: RuleShape(RIGHT, Imp, None, lambda a, b: [((a,), (b,))]),
+    R.NEG_IMP_L: RuleShape(LEFT, Neg, Imp, lambda a, b: [((a, n(b)), (b,)), ((a, n(a), n(b)), ())]),
+    R.NEG_IMP_R: RuleShape(RIGHT, Neg, Imp, lambda a, b: [((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),))]),
+    R.NEG_IMP_R2: RuleShape(RIGHT, Neg, Imp, lambda a, b: [((), (a,)), ((b,), (n(a),)), ((b,), (n(b),))]),
+    R.NEG_R: RuleShape(RIGHT, Neg, None, lambda a: [((a,), ())]),
+    # in place: the premise keeps the principal ~a
+    R.NEG_R2: RuleShape(RIGHT, Neg, None, lambda a: [((a,), (n(a),))]),
+    R.NEG_NEG_L: RuleShape(LEFT, Neg, Neg, lambda a: [((a,), ())]),
+    R.NEG_NEG_R: RuleShape(RIGHT, Neg, Neg, lambda a: [((), (a,))]),
+    R.CIRC_L: RuleShape(LEFT, Circ, None, lambda a: [((), (a,)), ((), (n(a),))]),
+    R.CIRC_R: RuleShape(RIGHT, Circ, None, lambda a: [((a, n(a)), ())]),
+    R.NEG_CIRC_L: RuleShape(LEFT, Neg, Circ, lambda a: [((a, n(a)), ())]),
+    R.FORALL_L: RuleShape(LEFT, Forall, None, lambda i: [((i,), ())]),
+    R.FORALL_R: RuleShape(RIGHT, Forall, None, lambda i: [((), (i,))]),
+    R.EXISTS_L: RuleShape(LEFT, Exists, None, lambda i: [((i,), ())]),
+    R.EXISTS_R: RuleShape(RIGHT, Exists, None, lambda i: [((), (i,))]),
+    R.CIRC_FORALL_L: RuleShape(LEFT, Circ, Forall, lambda i: [((Circ(i),), ())]),
+    R.CIRC_FORALL_R: RuleShape(RIGHT, Circ, Forall, lambda i: [((), (Circ(i),))]),
+    R.CIRC_EXISTS_L: RuleShape(LEFT, Circ, Exists, lambda i: [((Circ(i),), ())]),
+    R.CIRC_EXISTS_R: RuleShape(RIGHT, Circ, Exists, lambda i: [((), (Circ(i),))]),
+}
+
+_RULES_BY_SHAPE: dict[tuple[str, type, type | None], tuple[RuleId, ...]] = {}
+for _rule, _shape in RULE_TABLE.items():
+    _key = (_shape.side, _shape.outer, _shape.inner)
+    _RULES_BY_SHAPE[_key] = _RULES_BY_SHAPE.get(_key, ()) + (_rule,)
+
+
+def rules_for(phi: Formula, side: str) -> tuple[RuleId, ...]:
+    """Logical rules that reduce phi on the given side: those stated for its
+    exact (connective, inner connective) shape, else those stated for its
+    connective over any body."""
+    outer = type(phi)
+    if outer is Neg or outer is Circ:
+        exact = _RULES_BY_SHAPE.get((side, outer, type(phi.body)))
+        if exact:
+            return exact
+    return _RULES_BY_SHAPE.get((side, outer, None), ())
 
 
 def rule_schema(rule: RuleId, principal: Formula, var: str | None = None) -> tuple[str, list[Delta]] | None:
     """Side of the principal and the formula additions of each premise, in
     the rule's fixed premise order; None if the principal has the wrong shape."""
-    n = Neg
-    if rule is R.OR_L:
-        if (p := _binary_parts(principal, Or)) is not None:
-            a, b = p
-            return LEFT, [((a,), ()), ((b,), ())]
-    elif rule is R.OR_R:
-        if (p := _binary_parts(principal, Or)) is not None:
-            a, b = p
-            return RIGHT, [((), (a, b))]
-    elif rule is R.NEG_OR_L:
-        if (p := _neg_binary_parts(principal, Or)) is not None:
-            a, b = p
-            return LEFT, [((a, n(a), b, n(b)), ()), ((n(a), n(b)), (a, b))]
-    elif rule is R.NEG_OR_R:
-        if (p := _neg_binary_parts(principal, Or)) is not None:
-            a, b = p
-            return RIGHT, [((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),))]
-    elif rule is R.NEG_OR_R2:
-        if (p := _neg_binary_parts(principal, Or)) is not None:
-            a, b = p
-            return RIGHT, [
-                ((a,), (n(a),)),
-                ((a,), (b,)),
-                ((a,), (n(b),)),
-                ((b,), (a,)),
-                ((b,), (n(a),)),
-                ((b,), (n(b),)),
-            ]
-    elif rule is R.AND_L:
-        if (p := _binary_parts(principal, And)) is not None:
-            a, b = p
-            return LEFT, [((a, b), ())]
-    elif rule is R.AND_R:
-        if (p := _binary_parts(principal, And)) is not None:
-            a, b = p
-            return RIGHT, [((), (a,)), ((), (b,))]
-    elif rule is R.NEG_AND_L:
-        if (p := _neg_binary_parts(principal, And)) is not None:
-            a, b = p
-            return LEFT, [((), (a, b)), ((n(a),), (a,)), ((n(b),), (b,)), ((n(a), n(b)), ())]
-    elif rule is R.NEG_AND_R:
-        if (p := _neg_binary_parts(principal, And)) is not None:
-            a, b = p
-            return RIGHT, [((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),))]
-    elif rule is R.NEG_AND_R2:
-        if (p := _neg_binary_parts(principal, And)) is not None:
-            a, b = p
-            return RIGHT, [((a, b), (n(a),)), ((a, b), (n(b),))]
-    elif rule is R.IMP_L:
-        if (p := _binary_parts(principal, Imp)) is not None:
-            a, b = p
-            return LEFT, [((), (a,)), ((b,), ())]
-    elif rule is R.IMP_R:
-        if (p := _binary_parts(principal, Imp)) is not None:
-            a, b = p
-            return RIGHT, [((a,), (b,))]
-    elif rule is R.NEG_IMP_L:
-        if (p := _neg_binary_parts(principal, Imp)) is not None:
-            a, b = p
-            return LEFT, [((a, n(b)), (b,)), ((a, n(a), n(b)), ())]
-    elif rule is R.NEG_IMP_R:
-        if (p := _neg_binary_parts(principal, Imp)) is not None:
-            a, b = p
-            return RIGHT, [((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),))]
-    elif rule is R.NEG_IMP_R2:
-        if (p := _neg_binary_parts(principal, Imp)) is not None:
-            a, b = p
-            return RIGHT, [((), (a,)), ((b,), (n(a),)), ((b,), (n(b),))]
-    elif rule is R.NEG_R:
-        if isinstance(principal, Neg):
-            return RIGHT, [((principal.body,), ())]
-    elif rule is R.NEG_R2:
-        if isinstance(principal, Neg):
-            return RIGHT, [((principal.body,), (principal,))]
-    elif rule is R.NEG_NEG_L:
-        if isinstance(principal, Neg) and isinstance(principal.body, Neg):
-            return LEFT, [((principal.body.body,), ())]
-    elif rule is R.NEG_NEG_R:
-        if isinstance(principal, Neg) and isinstance(principal.body, Neg):
-            return RIGHT, [((), (principal.body.body,))]
-    elif rule is R.CIRC_L:
-        if isinstance(principal, Circ):
-            a = principal.body
-            return LEFT, [((), (a,)), ((), (n(a),))]
-    elif rule is R.CIRC_R:
-        if isinstance(principal, Circ):
-            a = principal.body
-            return RIGHT, [((a, n(a)), ())]
-    elif rule is R.NEG_CIRC_L:
-        if isinstance(principal, Neg) and isinstance(principal.body, Circ):
-            a = principal.body.body
-            return LEFT, [((a, n(a)), ())]
-    elif rule in QUANTIFIER_RULES:
+    shape = RULE_TABLE.get(rule)
+    if shape is None or not isinstance(principal, shape.outer):
+        return None
+    node = principal
+    if shape.inner is not None:
+        node = principal.body
+        if not isinstance(node, shape.inner):
+            return None
+    if isinstance(node, QUANTIFIER_TYPES):
         if var is None or not is_free_var_name(var):
             return None
-        t = FreeVar(var)
-        if rule is R.FORALL_L and isinstance(principal, Forall):
-            return LEFT, [((instantiate(principal, t),), ())]
-        if rule is R.FORALL_R and isinstance(principal, Forall):
-            return RIGHT, [((), (instantiate(principal, t),))]
-        if rule is R.EXISTS_L and isinstance(principal, Exists):
-            return LEFT, [((instantiate(principal, t),), ())]
-        if rule is R.EXISTS_R and isinstance(principal, Exists):
-            return RIGHT, [((), (instantiate(principal, t),))]
-        if isinstance(principal, Circ):
-            inner = principal.body
-            if rule is R.CIRC_FORALL_L and isinstance(inner, Forall):
-                return LEFT, [((Circ(instantiate(inner, t)),), ())]
-            if rule is R.CIRC_FORALL_R and isinstance(inner, Forall):
-                return RIGHT, [((), (Circ(instantiate(inner, t)),))]
-            if rule is R.CIRC_EXISTS_L and isinstance(inner, Exists):
-                return LEFT, [((Circ(instantiate(inner, t)),), ())]
-            if rule is R.CIRC_EXISTS_R and isinstance(inner, Exists):
-                return RIGHT, [((), (Circ(instantiate(inner, t)),))]
-    return None
+        parts = (instantiate(node, FreeVar(var)),)
+    elif isinstance(node, BINARY_TYPES):
+        parts = (node.left, node.right)
+    else:
+        parts = (node.body,)
+    return shape.side, shape.premises(*parts)
 
 
 def premises_from_schema(conclusion: Sequent, rule: RuleId, principal: Formula, var: str | None = None, keep_principal: bool = False) -> list[Sequent] | None:
@@ -459,86 +447,6 @@ def check_proof(proof: Proof, calculus: Calculus, allow_cut: bool = False) -> bo
 
 
 # ---------------------------------------------------------------------------
-# Backward rule application
-
-_LEFT_RULES = (
-    R.OR_L,
-    R.NEG_OR_L,
-    R.AND_L,
-    R.NEG_AND_L,
-    R.IMP_L,
-    R.NEG_IMP_L,
-    R.NEG_NEG_L,
-    R.CIRC_L,
-    R.NEG_CIRC_L,
-    R.FORALL_L,
-    R.EXISTS_L,
-    R.CIRC_FORALL_L,
-    R.CIRC_EXISTS_L,
-)
-_RIGHT_RULES = (
-    R.OR_R,
-    R.NEG_OR_R,
-    R.NEG_OR_R2,
-    R.AND_R,
-    R.NEG_AND_R,
-    R.NEG_AND_R2,
-    R.IMP_R,
-    R.NEG_IMP_R,
-    R.NEG_IMP_R2,
-    R.NEG_R,
-    R.NEG_R2,
-    R.NEG_NEG_R,
-    R.CIRC_R,
-    R.FORALL_R,
-    R.EXISTS_R,
-    R.CIRC_FORALL_R,
-    R.CIRC_EXISTS_R,
-)
-
-_INSTANTIATING_RULES = frozenset({R.FORALL_L, R.EXISTS_R, R.CIRC_FORALL_L, R.CIRC_FORALL_R, R.CIRC_EXISTS_R})
-
-
-@dataclass(frozen=True, slots=True)
-class BackwardApplication:
-    rule: RuleId
-    principal: Formula
-    var: str | None
-    premises: tuple[Sequent, ...]
-
-
-def _var_index(name: str) -> int:
-    return int(name[1:])
-
-
-def backward_applications(s: Sequent, calculus: Calculus) -> list[BackwardApplication]:
-    """Every logical-rule instance concluding s, in deterministic order:
-    rule enumeration order, then principal in the canonical formula order,
-    then instantiating variable (available ones first, then one fresh)."""
-    from .syntax import fresh_free_variable
-
-    out: list[BackwardApplication] = []
-    available = sorted(s.free_variables(), key=_var_index)
-    fresh = fresh_free_variable(frozenset(available))
-    for rule in RuleId:
-        if rule not in calculus.rules:
-            continue
-        side = LEFT if rule in _LEFT_RULES else RIGHT
-        for principal in sorted(s.side(side), key=formula_key):
-            if rule in QUANTIFIER_RULES:
-                var_choices = available + [fresh] if rule in _INSTANTIATING_RULES else [fresh]
-                for var in var_choices:
-                    premises = premises_from_schema(s, rule, principal, var)
-                    if premises is not None:
-                        out.append(BackwardApplication(rule, principal, var, tuple(premises)))
-            else:
-                premises = premises_from_schema(s, rule, principal)
-                if premises is not None:
-                    out.append(BackwardApplication(rule, principal, None, tuple(premises)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Derived rules and their printed expansions
 
 
@@ -562,30 +470,24 @@ def _schema_mismatch(reason: str) -> LogicError:
 def _expand_neg_binary_prime(
     rule: DerivedRuleId, conclusion: Sequent, premises: Sequence[Proof]
 ) -> Proof:
-    shapes = {
-        DerivedRuleId.NEG_OR_R_PRIME: (Or, R.OR_L, 2),
-        DerivedRuleId.NEG_AND_R_PRIME: (And, R.AND_L, 1),
-        DerivedRuleId.NEG_IMP_R_PRIME: (Imp, R.IMP_L, 2),
-    }
-    binop, left_rule, n_premises = shapes[rule]
-    if len(premises) != n_premises:
-        raise _schema_mismatch(f"{rule.value} takes {n_premises} premises")
+    """NegR on ~(a # b) above the left rule of a # b: the derived rule's
+    premises are that left rule's."""
+    binop = {
+        DerivedRuleId.NEG_OR_R_PRIME: Or,
+        DerivedRuleId.NEG_AND_R_PRIME: And,
+        DerivedRuleId.NEG_IMP_R_PRIME: Imp,
+    }[rule]
     for cand in sorted(conclusion.succ, key=formula_key):
         if not (isinstance(cand, Neg) and isinstance(cand.body, binop)):
             continue
-        a, b = cand.body.left, cand.body.right
-        gamma = conclusion.ante
-        delta = conclusion.succ - {cand}
-        if rule is DerivedRuleId.NEG_OR_R_PRIME:
-            want = [Sequent(gamma | {a}, delta), Sequent(gamma | {b}, delta)]
-        elif rule is DerivedRuleId.NEG_AND_R_PRIME:
-            want = [Sequent(gamma | {a, b}, delta)]
-        else:
-            want = [Sequent(gamma, delta | {a}), Sequent(gamma | {b}, delta)]
-        if [p.sequent for p in premises] != want:
+        (left_rule,) = rules_for(cand.body, LEFT)
+        _, deltas = rule_schema(left_rule, cand.body)
+        if len(premises) != len(deltas):
+            raise _schema_mismatch(f"{rule.value} takes {len(deltas)} premises")
+        rest = Sequent(conclusion.ante, conclusion.succ - {cand})
+        if [p.sequent for p in premises] != [rest.with_ante(*da).with_succ(*ds) for da, ds in deltas]:
             continue
-        mid = Sequent(gamma | {cand.body}, delta)
-        inner = Proof(mid, left_rule, principal=cand.body, premises=tuple(premises))
+        inner = Proof(rest.with_ante(cand.body), left_rule, principal=cand.body, premises=tuple(premises))
         return Proof(conclusion, R.NEG_R, principal=cand, premises=(inner,))
     raise _schema_mismatch("no succedent formula matches the premises")
 
@@ -610,7 +512,7 @@ def _expand_quantifier_intro(rule: DerivedRuleId, conclusion: Sequent, premises:
         if given.right != side_fixed or not isinstance(quantified, Exists):
             raise _schema_mismatch("conclusion must be  exists x phi(x) -> psi  with matching psi")
 
-    candidates = sorted(free_variables(inst_part) - free_variables(side_fixed), key=_var_index)
+    candidates = sorted(free_variables(inst_part) - free_variables(side_fixed), key=var_index)
     from .syntax import fresh_free_variable
 
     candidates.append(fresh_free_variable(conclusion.free_variables() | hyp.sequent.free_variables()))

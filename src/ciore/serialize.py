@@ -13,7 +13,7 @@ from .errors import ParseError
 from .fo_semantics import structure_to_json
 from .matrix import valuation_to_json
 from .parsing import format_formula, format_sequent, parse_formula
-from .sequents import Proof, RuleId, Sequent
+from .sequents import Proof, Proved, RuleId, Sequent
 
 
 def sequent_to_json(s: Sequent) -> dict:
@@ -55,7 +55,7 @@ def proof_from_json(data: Mapping) -> Proof:
 
 
 def verdict_to_json(verdict) -> dict:
-    if isinstance(verdict, prop_prover.Proved) or isinstance(verdict, fo_prover.Proved):
+    if isinstance(verdict, Proved):
         return {"status": "proved", "proof": proof_to_json(verdict.proof)}
     if isinstance(verdict, prop_prover.Refuted):
         return {"status": "refuted", "valuation": valuation_to_json(verdict.valuation)}
@@ -71,7 +71,7 @@ def verdict_to_json(verdict) -> dict:
 
 
 def describe_verdict(verdict) -> str:
-    if isinstance(verdict, (prop_prover.Proved, fo_prover.Proved)):
+    if isinstance(verdict, Proved):
         return f"proved: {format_sequent(verdict.proof.sequent)}"
     if isinstance(verdict, prop_prover.Refuted):
         pairs = ", ".join(f"{k} = {v.value}" for k, v in sorted(verdict.valuation.items()))

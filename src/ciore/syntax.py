@@ -218,6 +218,11 @@ def predicate_symbols(phi: Formula) -> dict[str, int]:
     return {f.name: len(f.args) for f in subformulas(phi) if isinstance(f, PredAtom)}
 
 
+def var_index(name: str) -> int:
+    """Index i of the free variable a_i; sort key of variable lists."""
+    return int(name[1:])
+
+
 def fresh_free_variable(avoid: frozenset[str] | set[str]) -> str:
     """Least-indexed a_i not in avoid; deterministic."""
     i = 1
@@ -290,20 +295,34 @@ def validate(phi: Formula, sig: Signature | None = None) -> None:
 # Substitution
 
 
-def _subst_term(t: Term, name: str, repl: Term) -> Term:
-    if isinstance(t, FreeVar):
-        return repl if t.name == name else t
-    if isinstance(t, FunApp):
-        return FunApp(t.name, tuple(_subst_term(a, name, repl) for a in t.args))
-    return t
-
-
 def _contains_bound(t: Term) -> bool:
     if isinstance(t, BoundVar):
         return True
     if isinstance(t, FunApp):
         return any(_contains_bound(a) for a in t.args)
     return False
+
+
+def _replace_in_term(t: Term, old: FreeVar | BoundVar, new: Term) -> Term:
+    if type(t) is type(old) and t.name == old.name:
+        return new
+    if isinstance(t, FunApp):
+        return FunApp(t.name, tuple(_replace_in_term(a, old, new) for a in t.args))
+    return t
+
+
+def _replace_var(phi: Formula, old: FreeVar | BoundVar, new: Term) -> Formula:
+    """phi with every occurrence of the variable ``old`` replaced by ``new``;
+    the one term-mapping walk behind substitution, binding and instantiation."""
+    if isinstance(phi, PredAtom):
+        return PredAtom(phi.name, tuple(_replace_in_term(a, old, new) for a in phi.args))
+    if isinstance(phi, (Neg, Circ)):
+        return type(phi)(_replace_var(phi.body, old, new))
+    if isinstance(phi, BINARY_TYPES):
+        return type(phi)(_replace_var(phi.left, old, new), _replace_var(phi.right, old, new))
+    if isinstance(phi, QUANTIFIER_TYPES):
+        return type(phi)(phi.var, _replace_var(phi.body, old, new))
+    return phi
 
 
 def substitute(phi: Formula, name: str, t: Term) -> Formula:
@@ -314,48 +333,7 @@ def substitute(phi: Formula, name: str, t: Term) -> Formula:
     """
     if _contains_bound(t):
         raise LogicError("cannot substitute a term containing bound variables")
-    return _substitute_unchecked(phi, name, t)
-
-
-def _substitute_unchecked(phi: Formula, name: str, t: Term) -> Formula:
-    if isinstance(phi, PropAtom):
-        return phi
-    if isinstance(phi, PredAtom):
-        return PredAtom(phi.name, tuple(_subst_term(a, name, t) for a in phi.args))
-    if isinstance(phi, Neg):
-        return Neg(_substitute_unchecked(phi.body, name, t))
-    if isinstance(phi, Circ):
-        return Circ(_substitute_unchecked(phi.body, name, t))
-    if isinstance(phi, And):
-        return And(_substitute_unchecked(phi.left, name, t), _substitute_unchecked(phi.right, name, t))
-    if isinstance(phi, Or):
-        return Or(_substitute_unchecked(phi.left, name, t), _substitute_unchecked(phi.right, name, t))
-    if isinstance(phi, Imp):
-        return Imp(_substitute_unchecked(phi.left, name, t), _substitute_unchecked(phi.right, name, t))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, _substitute_unchecked(phi.body, name, t))
-    return Exists(phi.var, _substitute_unchecked(phi.body, name, t))
-
-
-def _replace_free_by_bound(phi: Formula, name: str, x: str) -> Formula:
-    bv = BoundVar(x)
-    if isinstance(phi, PropAtom):
-        return phi
-    if isinstance(phi, PredAtom):
-        return PredAtom(phi.name, tuple(_subst_term(a, name, bv) for a in phi.args))
-    if isinstance(phi, Neg):
-        return Neg(_replace_free_by_bound(phi.body, name, x))
-    if isinstance(phi, Circ):
-        return Circ(_replace_free_by_bound(phi.body, name, x))
-    if isinstance(phi, And):
-        return And(_replace_free_by_bound(phi.left, name, x), _replace_free_by_bound(phi.right, name, x))
-    if isinstance(phi, Or):
-        return Or(_replace_free_by_bound(phi.left, name, x), _replace_free_by_bound(phi.right, name, x))
-    if isinstance(phi, Imp):
-        return Imp(_replace_free_by_bound(phi.left, name, x), _replace_free_by_bound(phi.right, name, x))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, _replace_free_by_bound(phi.body, name, x))
-    return Exists(phi.var, _replace_free_by_bound(phi.body, name, x))
+    return _replace_var(phi, FreeVar(name), t)
 
 
 def bind(phi: Formula, name: str, x: str, quantifier: type) -> Formula:
@@ -367,35 +345,7 @@ def bind(phi: Formula, name: str, x: str, quantifier: type) -> Formula:
         raise LogicError("quantifier must be Forall or Exists")
     if x in bound_names(phi):
         raise LogicError(f"bound variable {x!r} already occurs in the formula")
-    return quantifier(x, _replace_free_by_bound(phi, name, x))
-
-
-def _replace_bound_term(t: Term, x: str, repl: Term) -> Term:
-    if isinstance(t, BoundVar):
-        return repl if t.name == x else t
-    if isinstance(t, FunApp):
-        return FunApp(t.name, tuple(_replace_bound_term(a, x, repl) for a in t.args))
-    return t
-
-
-def _replace_bound(phi: Formula, x: str, t: Term) -> Formula:
-    if isinstance(phi, PropAtom):
-        return phi
-    if isinstance(phi, PredAtom):
-        return PredAtom(phi.name, tuple(_replace_bound_term(a, x, t) for a in phi.args))
-    if isinstance(phi, Neg):
-        return Neg(_replace_bound(phi.body, x, t))
-    if isinstance(phi, Circ):
-        return Circ(_replace_bound(phi.body, x, t))
-    if isinstance(phi, And):
-        return And(_replace_bound(phi.left, x, t), _replace_bound(phi.right, x, t))
-    if isinstance(phi, Or):
-        return Or(_replace_bound(phi.left, x, t), _replace_bound(phi.right, x, t))
-    if isinstance(phi, Imp):
-        return Imp(_replace_bound(phi.left, x, t), _replace_bound(phi.right, x, t))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, _replace_bound(phi.body, x, t))
-    return Exists(phi.var, _replace_bound(phi.body, x, t))
+    return quantifier(x, _replace_var(phi, FreeVar(name), BoundVar(x)))
 
 
 def instantiate(phi: Formula, t: Term) -> Formula:
@@ -404,22 +354,11 @@ def instantiate(phi: Formula, t: Term) -> Formula:
         raise LogicError("instantiate expects a quantified formula")
     if _contains_bound(t):
         raise LogicError("instantiating term must not contain bound variables")
-    return _replace_bound(phi.body, phi.var, t)
+    return _replace_var(phi.body, BoundVar(phi.var), t)
 
 
 # ---------------------------------------------------------------------------
 # Measures
-
-
-def complexity(phi: Formula) -> int:
-    """Number of connective and quantifier nodes."""
-    if isinstance(phi, (PropAtom, PredAtom)):
-        return 0
-    if isinstance(phi, (Neg, Circ)):
-        return 1 + complexity(phi.body)
-    if isinstance(phi, BINARY_TYPES):
-        return 1 + complexity(phi.left) + complexity(phi.right)
-    return 1 + complexity(phi.body)
 
 
 @lru_cache(maxsize=None)

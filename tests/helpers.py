@@ -10,9 +10,22 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from ciore.fo_semantics import Structure, Triple, eval_term
-from ciore.matrix import AND_TABLE, IMP_TABLE, OR_TABLE, VALUE_ORDER
+from ciore.matrix import (
+    AND_TABLE,
+    HALF,
+    IMP_TABLE,
+    ONE,
+    OR_TABLE,
+    VALUE_ORDER,
+    ZERO,
+    TruthValue,
+    Valuation,
+    eval_formula,
+    satisfies,
+)
 from ciore.sequents import Sequent
 from ciore.syntax import (
     And,
@@ -29,11 +42,88 @@ from ciore.syntax import (
     free_variables,
     fresh_free_variable,
     instantiate,
+    var_index,
 )
 
 
 def var_sorted(names) -> tuple[str, ...]:
-    return tuple(sorted(names, key=lambda n: int(n[1:])))
+    return tuple(sorted(names, key=var_index))
+
+
+# ---------------------------------------------------------------------------
+# Measures
+
+
+def complexity(phi: Formula) -> int:
+    """Number of connective and quantifier nodes."""
+    if isinstance(phi, (PropAtom, PredAtom)):
+        return 0
+    if isinstance(phi, (Neg, Circ)):
+        return 1 + complexity(phi.body)
+    if isinstance(phi, (And, Or, Imp)):
+        return 1 + complexity(phi.left) + complexity(phi.right)
+    return 1 + complexity(phi.body)
+
+
+# ---------------------------------------------------------------------------
+# Signed formulas and 3-slot sequents
+
+
+@dataclass(frozen=True, slots=True)
+class SignedFormula:
+    sign: TruthValue
+    formula: Formula
+
+
+@dataclass(frozen=True, slots=True)
+class NSequent:
+    """Three formula slots indexed by the value each member should take."""
+
+    zero: frozenset[Formula]
+    half: frozenset[Formula]
+    one: frozenset[Formula]
+
+    def slot(self, value: TruthValue) -> frozenset[Formula]:
+        return {ZERO: self.zero, HALF: self.half, ONE: self.one}[value]
+
+
+def signed_satisfied(v: Valuation, sf: SignedFormula) -> bool:
+    return eval_formula(sf.formula, v) is sf.sign
+
+
+def nsequent_satisfied(v: Valuation, ns: NSequent) -> bool:
+    return any(
+        eval_formula(phi, v) is value
+        for value in VALUE_ORDER
+        for phi in ns.slot(value)
+    )
+
+
+def nsequent_of_sequent(s: Sequent) -> NSequent:
+    """Slot embedding of an ordinary sequent: the non-designated slot holds
+    the antecedent, both designated slots hold the succedent."""
+    return NSequent(zero=s.ante, half=s.succ, one=s.succ)
+
+
+# ---------------------------------------------------------------------------
+# Expressiveness conditions: how membership of a formula and its negation in
+# the designated/non-designated sets pins down each single truth value.
+
+
+def expressiveness_witnesses(phi: Formula, t: TruthValue) -> frozenset[tuple[Formula, str]]:
+    """Conditions (formula, "D"|"N") jointly equivalent to phi taking value t."""
+    if t is ZERO:
+        return frozenset([(phi, "N")])
+    if t is HALF:
+        return frozenset([(phi, "D"), (Neg(phi), "D")])
+    return frozenset([(phi, "D"), (Neg(phi), "N")])
+
+
+def witnesses_hold(v: Valuation, conditions: frozenset[tuple[Formula, str]]) -> bool:
+    return all(
+        satisfies(v, f) if side == "D" else not satisfies(v, f)
+        for f, side in conditions
+    )
 
 
 def tuple_space(domain, k: int):
@@ -179,7 +269,15 @@ def make_sequent(ante: tuple[Formula, ...], succ: tuple[Formula, ...]) -> Sequen
 # Random rule instances
 
 from ciore.randgen import random_fo_formula, random_formula  # noqa: E402
-from ciore.sequents import LEFT, RuleId, premises_from_schema, rule_schema  # noqa: E402
+from ciore.sequents import (  # noqa: E402
+    LEFT,
+    RULE_TABLE,
+    Calculus,
+    RuleId,
+    formula_key,
+    premises_from_schema,
+    rule_schema,
+)
 from ciore.syntax import bind, free_variables as _fv  # noqa: E402
 
 _R = RuleId
@@ -302,3 +400,41 @@ def random_fo_rule_instance(rng: random.Random, rule: RuleId):
     premises = premises_from_schema(conclusion, rule, principal, var)
     assert premises is not None
     return conclusion, premises, principal, var
+
+
+# ---------------------------------------------------------------------------
+# Backward rule application
+
+_INSTANTIATING_RULES = frozenset({_R.FORALL_L, _R.EXISTS_R, _R.CIRC_FORALL_L, _R.CIRC_FORALL_R, _R.CIRC_EXISTS_R})
+
+
+@dataclass(frozen=True, slots=True)
+class BackwardApplication:
+    rule: RuleId
+    principal: Formula
+    var: str | None
+    premises: tuple[Sequent, ...]
+
+
+def backward_applications(s: Sequent, calculus: Calculus) -> list[BackwardApplication]:
+    """Every logical-rule instance concluding s, in deterministic order:
+    rule enumeration order, then principal in the canonical formula order,
+    then instantiating variable (available ones first, then one fresh)."""
+    out: list[BackwardApplication] = []
+    available = sorted(s.free_variables(), key=var_index)
+    fresh = fresh_free_variable(frozenset(available))
+    for rule in RuleId:
+        if rule not in calculus.rules:
+            continue
+        for principal in sorted(s.side(RULE_TABLE[rule].side), key=formula_key):
+            if rule in QUANTIFIER_RULES:
+                var_choices = available + [fresh] if rule in _INSTANTIATING_RULES else [fresh]
+                for var in var_choices:
+                    premises = premises_from_schema(s, rule, principal, var)
+                    if premises is not None:
+                        out.append(BackwardApplication(rule, principal, var, tuple(premises)))
+            else:
+                premises = premises_from_schema(s, rule, principal)
+                if premises is not None:
+                    out.append(BackwardApplication(rule, principal, None, tuple(premises)))
+    return out

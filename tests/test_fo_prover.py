@@ -7,6 +7,8 @@ from ciore.fo_prover import (
     PHASES,
     PhaseKind,
     Proved,
+    ReductionNode,
+    _phase_principals,
     Refuted,
     Unknown,
     build_reduction_tree,
@@ -17,8 +19,8 @@ from ciore.fo_prover import (
     fo_regression_suite,
 )
 from ciore.fo_semantics import fo_sequent_satisfied, fo_sequent_valid_in, structure_to_json
-from ciore.parsing import parse_sequent
-from ciore.sequents import Calculus, check_proof, proof_error
+from ciore.parsing import parse_formula, parse_sequent
+from ciore.sequents import Calculus, Sequent, check_proof, proof_error
 from ciore.serialize import proof_to_json, verdict_to_json
 
 from helpers import PROP_LOGICAL_RULES, QUANTIFIER_RULES, all_unary_structures, random_fo_rule_instance
@@ -219,3 +221,41 @@ def test_eigenvariables_fresh_along_tree():
             walk(child, seen_vars)
 
     walk(tree.root, set())
+
+
+# Every compound shape of the first-order language with the phase that
+# reduces it on the left and on the right (None: no phase does).
+_K = PhaseKind
+_SHAPE_PHASES = [
+    ("P(a1)", None, None),
+    ("~P(a1)", None, _K.NEG_R),
+    ("P(a1) & P(a2)", _K.AND_L, _K.AND_R),
+    ("P(a1) | P(a2)", _K.OR_L, _K.OR_R),
+    ("P(a1) -> P(a2)", _K.IMP_L, _K.IMP_R),
+    ("forall x. P(x)", _K.FORALL_L, _K.FORALL_R),
+    ("exists x. P(x)", _K.EXISTS_L, _K.EXISTS_R),
+    ("~(P(a1) & P(a2))", _K.NEG_AND_L, _K.NEG_AND_R),
+    ("~(P(a1) | P(a2))", _K.NEG_OR_L, _K.NEG_OR_R),
+    ("~(P(a1) -> P(a2))", _K.NEG_IMP_L, _K.NEG_IMP_R),
+    ("~~P(a1)", _K.NEG_NEG_L, _K.NEG_NEG_R),
+    ("~o P(a1)", _K.NEG_CIRC_L, _K.NEG_R),
+    ("~(forall x. P(x))", None, _K.NEG_R),
+    ("~(exists x. P(x))", None, _K.NEG_R),
+    ("o P(a1)", _K.CIRC_L, _K.CIRC_R),
+    ("o ~P(a1)", _K.CIRC_L, _K.CIRC_R),
+    ("o o P(a1)", _K.CIRC_L, _K.CIRC_R),
+    ("o (P(a1) & P(a2))", _K.CIRC_L, _K.CIRC_R),
+    ("o (P(a1) | P(a2))", _K.CIRC_L, _K.CIRC_R),
+    ("o (P(a1) -> P(a2))", _K.CIRC_L, _K.CIRC_R),
+    ("o forall x. P(x)", _K.CIRC_FORALL_L, _K.CIRC_FORALL_R),
+    ("o exists x. P(x)", _K.CIRC_EXISTS_L, _K.CIRC_EXISTS_R),
+]
+
+
+@pytest.mark.parametrize("text, left, right", _SHAPE_PHASES)
+def test_each_shape_is_reduced_by_at_most_one_phase(text, left, right):
+    phi = parse_formula(text)
+    for expected, sequent in ((left, Sequent.make((phi,), ())), (right, Sequent.make((), (phi,)))):
+        node = ReductionNode(sequent=sequent, depth=0, created_at_stage=0)
+        reducing = [kind for kind in PHASES if kind is not _K.COPY and _phase_principals(node, kind, ["a1", "a2"])]
+        assert reducing == ([] if expected is None else [expected]), (text, sequent)

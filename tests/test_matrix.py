@@ -6,26 +6,28 @@ from ciore.matrix import (
     ONE,
     VALUE_ORDER,
     ZERO,
-    NSequent,
-    SignedFormula,
     eval_formula,
-    expressiveness_witnesses,
     find_countermodel,
     matrix_valid,
-    nsequent_of_sequent,
-    nsequent_satisfied,
     sequent_satisfied,
-    signed_satisfied,
     valuation_from_json,
     valuation_to_json,
     valuations,
-    witnesses_hold,
 )
 from ciore.parsing import parse_formula, parse_sequent
 from ciore.sequents import Sequent
 from ciore.syntax import Neg, PropAtom
 
-from helpers import formulas_of_complexity
+from helpers import (
+    NSequent,
+    SignedFormula,
+    expressiveness_witnesses,
+    formulas_of_complexity,
+    nsequent_of_sequent,
+    nsequent_satisfied,
+    signed_satisfied,
+    witnesses_hold,
+)
 
 p, q = PropAtom("p"), PropAtom("q")
 

@@ -8,13 +8,25 @@ from ciore.parsing import parse_formula, parse_sequent
 from ciore.prop_prover import (
     Proved,
     Refuted,
+    _next_reduction,
     contradiction_scan,
     decide,
     eliminate_cut,
     theorem_suite,
 )
 from ciore.randgen import random_formula, random_sequent
-from ciore.sequents import Calculus, Proof, RuleId, Sequent, check_proof, proof_respects_gsub, sequent_weight
+from ciore.sequents import (
+    LEFT,
+    RIGHT,
+    Calculus,
+    Proof,
+    RuleId,
+    Sequent,
+    check_proof,
+    proof_respects_gsub,
+    rules_for,
+    sequent_weight,
+)
 from ciore.syntax import And, Circ, PropAtom, iff
 
 seq = parse_sequent
@@ -180,3 +192,35 @@ def test_refuted_valuation_covers_all_atoms_with_zero_default():
     verdict = decide(seq("|- p & q & r"))
     assert isinstance(verdict, Refuted)
     assert set(verdict.valuation) == {"p", "q", "r"}
+
+
+# Every propositional shape with the GCiore' rule the prover reduces it by,
+# on the left and on the right (None: it stays put).
+_SHAPE_RULES = [
+    ("p", None, None),
+    ("~p", None, RuleId.NEG_R2),
+    ("p & q", RuleId.AND_L, RuleId.AND_R),
+    ("p | q", RuleId.OR_L, RuleId.OR_R),
+    ("p -> q", RuleId.IMP_L, RuleId.IMP_R),
+    ("~(p & q)", RuleId.NEG_AND_L, RuleId.NEG_AND_R2),
+    ("~(p | q)", RuleId.NEG_OR_L, RuleId.NEG_OR_R2),
+    ("~(p -> q)", RuleId.NEG_IMP_L, RuleId.NEG_IMP_R2),
+    ("~~p", RuleId.NEG_NEG_L, RuleId.NEG_NEG_R),
+    ("~o p", RuleId.NEG_CIRC_L, RuleId.NEG_R2),
+    ("o p", RuleId.CIRC_L, RuleId.CIRC_R),
+    ("o ~p", RuleId.CIRC_L, RuleId.CIRC_R),
+    ("o o p", RuleId.CIRC_L, RuleId.CIRC_R),
+    ("o (p & q)", RuleId.CIRC_L, RuleId.CIRC_R),
+    ("o (p | q)", RuleId.CIRC_L, RuleId.CIRC_R),
+    ("o (p -> q)", RuleId.CIRC_L, RuleId.CIRC_R),
+]
+
+
+@pytest.mark.parametrize("text, left, right", _SHAPE_RULES)
+def test_each_shape_has_at_most_one_gciore_prime_rule(text, left, right):
+    phi = parse_formula(text)
+    for side, expected, sequent in ((LEFT, left, Sequent.make((phi,), ())), (RIGHT, right, Sequent.make((), (phi,)))):
+        admitted = [rule for rule in rules_for(phi, side) if rule in Calculus.GCIORE_PRIME.rules]
+        assert admitted == ([] if expected is None else [expected]), (text, side)
+        step = _next_reduction(sequent, frozenset())
+        assert step == (None if expected is None else (phi, expected)), (text, side)

@@ -7,13 +7,11 @@ from ciore.matrix import matrix_valid, sequent_atoms, sequent_satisfied, valuati
 from ciore.parsing import parse_formula, parse_sequent
 from ciore.prop_prover import Proved, decide
 from ciore.sequents import (
-    BackwardApplication,
     Calculus,
     DerivedRuleId,
     Proof,
     RuleId,
     Sequent,
-    backward_applications,
     check_proof,
     check_rule_instance,
     expand_derived_rule,
@@ -24,7 +22,7 @@ from ciore.sequents import (
 )
 from ciore.syntax import And, Circ, Imp, Neg, Or, PropAtom, weight
 
-from helpers import PROP_LOGICAL_RULES, random_prop_instance
+from helpers import PROP_LOGICAL_RULES, BackwardApplication, backward_applications, random_prop_instance
 
 R = RuleId
 p, q, r = PropAtom("p"), PropAtom("q"), PropAtom("r")

@@ -19,7 +19,6 @@ from ciore.syntax import (
     PropAtom,
     Signature,
     bind,
-    complexity,
     formula_key,
     free_variables,
     fresh_free_variable,
@@ -31,6 +30,8 @@ from ciore.syntax import (
     validate,
     weight,
 )
+
+from helpers import complexity
 
 p, q = PropAtom("p"), PropAtom("q")
 
