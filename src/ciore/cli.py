@@ -19,9 +19,8 @@ from .axioms import PROPOSITIONAL_SCHEMATA
 from .errors import AtomCapExceeded, InternalError, LogicError, ParseError, UsageError
 from .fo_semantics import fo_sequent_satisfied, fo_sequent_valid_in, structure_from_json
 from .matrix import (
-    CIRC_TABLE,
-    NEG_TABLE,
     TruthValue,
+    eval_formula,
     find_countermodel,
     matrix_valid,
     valuation_to_json,
@@ -31,7 +30,7 @@ from .prop_prover import decide, theorem_suite
 from .randgen import random_formula
 from .sequents import Calculus, Sequent, proof_error
 from .serialize import describe_verdict, proof_from_json, verdict_to_json
-from .syntax import Exists, Forall, subformulas, var_index
+from .syntax import And, Circ, Exists, Forall, Imp, Neg, Or, PropAtom, subformulas, var_index
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -236,20 +235,19 @@ o1=1 oh=0 o0=1
 """.split()
 
 _VAL = {"1": TruthValue.ONE, "h": TruthValue.HALF, "0": TruthValue.ZERO}
+_P, _Q = PropAtom("p"), PropAtom("q")
+_CELL_FORMULAS = {"&": And(_P, _Q), "|": Or(_P, _Q), ">": Imp(_P, _Q), "~": Neg(_P), "o": Circ(_P)}
 
 
 def _selftest_truth_tables() -> list[str]:
-    from .matrix import AND_TABLE, IMP_TABLE, OR_TABLE
-
-    tables = {"&": AND_TABLE, "|": OR_TABLE, ">": IMP_TABLE}
     failures = []
     for cell in _EXPECTED_CELLS:
         lhs, want = cell.split("=")
         if lhs[0] in "~o":
-            table = NEG_TABLE if lhs[0] == "~" else CIRC_TABLE
-            got = table[_VAL[lhs[1]]]
+            op, v = lhs[0], {"p": _VAL[lhs[1]]}
         else:
-            got = tables[lhs[1]][(_VAL[lhs[0]], _VAL[lhs[2]])]
+            op, v = lhs[1], {"p": _VAL[lhs[0]], "q": _VAL[lhs[2]]}
+        got = eval_formula(_CELL_FORMULAS[op], v)
         if got is not _VAL[want]:
             failures.append(f"cell {cell}: got {got.value}")
     return failures

@@ -2,8 +2,9 @@
 
 A predicate denotes a triple: a partition of the tuple space into a true
 part, a false part and an inconsistent part. Formulas denote triples over
-assignment tuples, built with the triple algebra and the quantifier value
-functions.
+assignment tuples: the connectives are the matrix's own truth functions
+(`matrix.evaluate` on the triple's frozensets), the quantifiers the value
+functions below.
 """
 
 from __future__ import annotations
@@ -14,19 +15,14 @@ from typing import Iterator, Mapping
 
 from . import syntax
 from .errors import LogicError
-from .matrix import HALF, ONE, VALUE_ORDER, ZERO, TruthValue
+from .matrix import HALF, ONE, VALUE_ORDER, ZERO, TruthValue, evaluate
 from .sequents import Sequent
 from .syntax import (
-    And,
     BoundVar,
-    Circ,
     Const,
     Forall,
     Formula,
     FreeVar,
-    Imp,
-    Neg,
-    Or,
     PredAtom,
     PropAtom,
     Signature,
@@ -65,49 +61,6 @@ class Triple:
         if x in self.minus:
             return ZERO
         raise LogicError(f"{x!r} is not in the triple's universe")
-
-
-def _same_universe(r: Triple, u: Triple) -> None:
-    if r.universe != u.universe:
-        raise LogicError("triples must share their base set")
-
-
-def triple_and(r: Triple, u: Triple) -> Triple:
-    _same_universe(r, u)
-    return Triple(
-        r.universe,
-        (r.plus & u.plus) | (r.plus & u.circ) | (r.circ & u.plus),
-        r.minus | u.minus,
-        r.circ & u.circ,
-    )
-
-
-def triple_or(r: Triple, u: Triple) -> Triple:
-    _same_universe(r, u)
-    return Triple(
-        r.universe,
-        r.plus | u.plus | (r.circ & u.minus) | (r.minus & u.circ),
-        r.minus & u.minus,
-        r.circ & u.circ,
-    )
-
-
-def triple_imp(r: Triple, u: Triple) -> Triple:
-    _same_universe(r, u)
-    return Triple(
-        r.universe,
-        r.minus | u.plus | (r.plus & u.circ),
-        (r.plus | r.circ) & u.minus,
-        r.circ & u.circ,
-    )
-
-
-def triple_neg(r: Triple) -> Triple:
-    return Triple(r.universe, r.minus, r.plus, r.circ)
-
-
-def triple_circ(r: Triple) -> Triple:
-    return Triple(r.universe, r.plus | r.minus, r.circ, frozenset())
 
 
 def tilde_forall(values: frozenset[TruthValue] | set[TruthValue]) -> TruthValue:
@@ -213,70 +166,69 @@ def denote(phi: Formula, st: Structure, variables: tuple[str, ...] | None = None
     """Triple over assignment tuples for the given variables (by default the
     free variables of phi, least index first).
 
-    Connectives go through the triple algebra; quantifiers evaluate the
-    value set of a fresh-variable instance, pointwise.
+    Connectives go through `matrix.evaluate` on (minus, circ) frozensets;
+    quantifiers evaluate the value set of a fresh-variable instance,
+    pointwise.
     """
     if variables is None:
         variables = _sorted_vars(syntax.free_variables(phi))
     if not syntax.free_variables(phi) <= set(variables):
         raise LogicError("variable list does not cover the formula's free variables")
+    return _denote(phi, st, variables, frozenset(itertools.product(st.domain, repeat=len(variables))))
 
-    universe = frozenset(itertools.product(st.domain, repeat=len(variables)))
 
-    if isinstance(phi, PropAtom):
-        raise LogicError("partial structures interpret predicates, not propositional atoms")
-    if isinstance(phi, PredAtom):
-        if phi.name not in st.predicates:
-            raise LogicError(f"structure does not interpret predicate {phi.name!r}")
-        triple = st.predicates[phi.name]
-        if st.predicate_arity(phi.name) != len(phi.args):
-            raise LogicError(f"predicate {phi.name!r} arity mismatch")
+def _denote(phi: Formula, st: Structure, variables: tuple[str, ...], universe: frozenset) -> Triple:
+    """phi's triple over `universe`, a set of tuples of domain elements for
+    `variables`, which cover phi's free variables."""
+
+    def leaf(psi: Formula) -> tuple[frozenset, frozenset]:
+        if isinstance(psi, PropAtom):
+            raise LogicError("partial structures interpret predicates, not propositional atoms")
         values = {}
-        for combo in universe:
-            s = dict(zip(variables, combo))
-            values[combo] = triple.value_at(tuple(eval_term(t, st, s) for t in phi.args))
-        return Triple.from_values(universe, values)
-    if isinstance(phi, Neg):
-        return triple_neg(denote(phi.body, st, variables))
-    if isinstance(phi, Circ):
-        return triple_circ(denote(phi.body, st, variables))
-    if isinstance(phi, And):
-        return triple_and(denote(phi.left, st, variables), denote(phi.right, st, variables))
-    if isinstance(phi, Or):
-        return triple_or(denote(phi.left, st, variables), denote(phi.right, st, variables))
-    if isinstance(phi, Imp):
-        return triple_imp(denote(phi.left, st, variables), denote(phi.right, st, variables))
+        if isinstance(psi, PredAtom):
+            if psi.name not in st.predicates:
+                raise LogicError(f"structure does not interpret predicate {psi.name!r}")
+            triple = st.predicates[psi.name]
+            if st.predicate_arity(psi.name) != len(psi.args):
+                raise LogicError(f"predicate {psi.name!r} arity mismatch")
+            for combo in universe:
+                s = dict(zip(variables, combo))
+                values[combo] = triple.value_at(tuple(eval_term(t, st, s) for t in psi.args))
+        else:
+            # quantifier: instantiate with a fresh free variable and aggregate
+            fresh = fresh_free_variable(syntax.free_variables(psi) | set(variables))
+            extended = frozenset(combo + (m,) for combo in universe for m in st.domain)
+            sub = _denote(syntax.instantiate(psi, FreeVar(fresh)), st, variables + (fresh,), extended)
+            tilde = tilde_forall if isinstance(psi, Forall) else tilde_exists
+            for combo in universe:
+                values[combo] = tilde({sub.value_at(combo + (m,)) for m in st.domain})
+        part = Triple.from_values(universe, values)
+        return part.minus, part.circ
 
-    # quantifier: instantiate with a fresh free variable and aggregate
-    fresh = fresh_free_variable(syntax.free_variables(phi) | set(variables))
-    body = syntax.instantiate(phi, FreeVar(fresh))
-    sub = denote(body, st, variables + (fresh,))
-    tilde = tilde_forall if isinstance(phi, Forall) else tilde_exists
-    values = {}
-    for combo in universe:
-        attained = {sub.value_at(combo + (m,)) for m in st.domain}
-        values[combo] = tilde(attained)
-    return Triple.from_values(universe, values)
+    minus, circ = evaluate(phi, leaf, universe)
+    return Triple(universe, universe ^ (minus | circ), minus, circ)
 
 
 def denote_value(phi: Formula, st: Structure, s: Assignment) -> TruthValue:
-    """Value of phi at one assignment (must cover its free variables)."""
+    """Value of phi at one assignment (must cover its free variables), from
+    its triple over that one assignment."""
     variables = _sorted_vars(syntax.free_variables(phi))
-    triple = denote(phi, st, variables)
-    return triple.value_at(tuple(s[v] for v in variables))
+    point = tuple(s[v] for v in variables)
+    if not set(point) <= set(st.domain):
+        raise LogicError(f"{point!r} is not in the triple's universe")
+    return _denote(phi, st, variables, frozenset([point])).value_at(point)
 
 
 def satisfies(st: Structure, s: Assignment, phi: Formula) -> bool:
     return denote_value(phi, st, s).designated
 
 
-def valid_in(st: Structure, phi: Formula) -> bool:
-    triple = denote(phi, st)
-    return triple.plus | triple.circ == triple.universe
-
-
 def fo_sequent_satisfied(st: Structure, s: Assignment, seq: Sequent) -> bool:
-    return any(not satisfies(st, s, g) for g in seq.ante) or any(satisfies(st, s, d) for d in seq.succ)
+    # Sorted sides fix which formula decides first, so the cost of a check
+    # does not follow the hash seed's set order.
+    return any(not satisfies(st, s, g) for g in seq.sorted_ante()) or any(
+        satisfies(st, s, d) for d in seq.sorted_succ()
+    )
 
 
 def fo_sequent_valid_in(st: Structure, seq: Sequent) -> bool:

@@ -1,9 +1,10 @@
 """Shared test utilities: independent oracles and random generators.
 
-The denotation oracle here recomputes formula triples from component-set
-formulas (quantifiers via assignment-set filters, connectives pointwise from
-the truth tables), staying independent of the package's triple-algebra
-route.
+The truth tables here are transcribed literally, cell by cell. The
+per-valuation matrix oracle and the denotation oracle (component-set
+formulas: quantifiers via assignment-set filters, connectives pointwise from
+the tables) read them, staying independent of the package's one kernel,
+`matrix.evaluate`.
 """
 
 from __future__ import annotations
@@ -12,19 +13,18 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from ciore.fo_semantics import Structure, Triple, eval_term
+from ciore.fo_semantics import Structure, Triple, denote, eval_term
 from ciore.matrix import (
-    AND_TABLE,
     HALF,
-    IMP_TABLE,
     ONE,
-    OR_TABLE,
     VALUE_ORDER,
     ZERO,
     TruthValue,
     Valuation,
     eval_formula,
-    satisfies,
+    evaluate,
+    sequent_atoms,
+    valuations,
 )
 from ciore.sequents import Sequent
 from ciore.syntax import (
@@ -48,6 +48,69 @@ from ciore.syntax import (
 
 def var_sorted(names) -> tuple[str, ...]:
     return tuple(sorted(names, key=var_index))
+
+
+# ---------------------------------------------------------------------------
+# Literal truth tables and the per-valuation oracle
+
+# All 33 table cells, transcribed row-operand-first: 1, 1/2, 0.
+AND_CELLS = "110 1h0 000"
+OR_CELLS = "111 1h1 110"
+IMP_CELLS = "110 1h0 111"
+NEG_CELLS = "0h1"
+CIRC_CELLS = "101"
+
+CELL_VALUE = {"1": ONE, "h": HALF, "0": ZERO}
+_ROWS = (ONE, HALF, ZERO)
+
+
+def binary_table(cells: str) -> dict[tuple[TruthValue, TruthValue], TruthValue]:
+    return {
+        (left, right): CELL_VALUE[char]
+        for left, row in zip(_ROWS, cells.split())
+        for right, char in zip(_ROWS, row)
+    }
+
+
+def unary_table(cells: str) -> dict[TruthValue, TruthValue]:
+    return {value: CELL_VALUE[char] for value, char in zip(_ROWS, cells)}
+
+
+TABLES = {
+    And: binary_table(AND_CELLS),
+    Or: binary_table(OR_CELLS),
+    Imp: binary_table(IMP_CELLS),
+    Neg: unary_table(NEG_CELLS),
+    Circ: unary_table(CIRC_CELLS),
+}
+
+
+def table_value(phi: Formula, v: Valuation) -> TruthValue:
+    """Value of a propositional formula, read off the literal tables."""
+    if isinstance(phi, PropAtom):
+        return v[phi.name]
+    if isinstance(phi, (Neg, Circ)):
+        return TABLES[type(phi)][table_value(phi.body, v)]
+    return TABLES[type(phi)][table_value(phi.left, v), table_value(phi.right, v)]
+
+
+def oracle_countermodel(s: Sequent) -> dict[str, TruthValue] | None:
+    """First falsifying valuation in `valuations()` order, one valuation at
+    a time on the literal tables."""
+    for v in valuations(sequent_atoms(s)):
+        if all(table_value(g, v).designated for g in s.ante) and not any(
+            table_value(d, v).designated for d in s.succ
+        ):
+            return v
+    return None
+
+
+def kernel_triple(phi: Formula, parts: dict[str, Triple]) -> Triple:
+    """`matrix.evaluate` on triples' frozensets: each atom of phi names a
+    triple in parts, all over one universe."""
+    universe = next(iter(parts.values())).universe
+    minus, circ = evaluate(phi, lambda atom: (parts[atom.name].minus, parts[atom.name].circ), universe)
+    return Triple(universe, universe ^ (minus | circ), minus, circ)
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +184,18 @@ def expressiveness_witnesses(phi: Formula, t: TruthValue) -> frozenset[tuple[For
 
 def witnesses_hold(v: Valuation, conditions: frozenset[tuple[Formula, str]]) -> bool:
     return all(
-        satisfies(v, f) if side == "D" else not satisfies(v, f)
+        eval_formula(f, v).designated is (side == "D")
         for f, side in conditions
     )
 
 
 def tuple_space(domain, k: int):
     return tuple(itertools.product(domain, repeat=k))
+
+
+def valid_in(st: Structure, phi: Formula) -> bool:
+    triple = denote(phi, st)
+    return triple.plus | triple.circ == triple.universe
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +234,7 @@ def denote_components(phi: Formula, st: Structure, variables: tuple[str, ...]) -
         sub = denote_components(phi.body, st, variables)
         return Triple(universe, sub.plus | sub.minus, sub.circ, frozenset())
     if isinstance(phi, (And, Or, Imp)):
-        table = {And: AND_TABLE, Or: OR_TABLE, Imp: IMP_TABLE}[type(phi)]
+        table = TABLES[type(phi)]
         left = denote_components(phi.left, st, variables)
         right = denote_components(phi.right, st, variables)
         values = {s: table[left.value_at(s), right.value_at(s)] for s in universe}

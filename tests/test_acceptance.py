@@ -21,25 +21,8 @@ from ciore.fo_semantics import (
     denote,
     fo_sequent_satisfied,
     fo_sequent_valid_in,
-    triple_and,
-    triple_circ,
-    triple_imp,
-    triple_neg,
-    triple_or,
 )
-from ciore.matrix import (
-    AND_TABLE,
-    CIRC_TABLE,
-    HALF,
-    IMP_TABLE,
-    NEG_TABLE,
-    ONE,
-    OR_TABLE,
-    VALUE_ORDER,
-    ZERO,
-    matrix_valid,
-    sequent_satisfied,
-)
+from ciore.matrix import HALF, ONE, VALUE_ORDER, ZERO, eval_formula, matrix_valid, sequent_satisfied
 from ciore.parsing import parse_sequent
 from ciore.prop_prover import Proved, Refuted, contradiction_scan, decide, eliminate_cut, theorem_suite
 from ciore.randgen import random_formula, random_sequent
@@ -56,6 +39,7 @@ from ciore.syntax import (
     Neg,
     Or,
     PredAtom,
+    PropAtom,
     bind,
     free_variables,
 )
@@ -66,6 +50,7 @@ from helpers import (
     all_unary_structures,
     denote_components,
     formulas_of_complexity,
+    kernel_triple,
     random_fo_rule_instance,
     random_structure,
     sides_upto,
@@ -89,23 +74,26 @@ _CELLS = {
     ">": {"111": ONE, "11h": ONE, "110": ZERO, "1h1": ONE, "1hh": HALF, "1h0": ZERO, "101": ONE, "10h": ONE, "100": ONE},
 }
 _V = {"1": ONE, "h": HALF, "0": ZERO}
+# (left, right) -> value, per binary connective
+_BINARY_CELLS = {op: {(_V[key[1]], _V[key[2]]): want for key, want in cells.items()} for op, cells in _CELLS.items()}
+_NEG_CELLS = {ONE: ZERO, HALF: HALF, ZERO: ONE}
+_CIRC_CELLS = {ONE: ONE, HALF: ZERO, ZERO: ONE}
+_P, _Q = PropAtom("p"), PropAtom("q")
+_BINARY = {"&": And, "|": Or, ">": Imp}
 
 
 def test_criterion_1_truth_tables():
     """All 33 matrix cells match the published tables exactly."""
     started = time.monotonic()
     checked = 0
-    for op, table in (("&", AND_TABLE), ("|", OR_TABLE), (">", IMP_TABLE)):
-        for key, want in _CELLS[op].items():
-            left, right = _V[key[1]], _V[key[2]]
-            assert table[left, right] is want, (op, key)
+    for op, connective in _BINARY.items():
+        for (left, right), want in _BINARY_CELLS[op].items():
+            assert eval_formula(connective(_P, _Q), {"p": left, "q": right}) is want, (op, left, right)
             checked += 1
-    for value, want in ((ONE, ZERO), (HALF, HALF), (ZERO, ONE)):
-        assert NEG_TABLE[value] is want
-        checked += 1
-    for value, want in ((ONE, ONE), (HALF, ZERO), (ZERO, ONE)):
-        assert CIRC_TABLE[value] is want
-        checked += 1
+    for unary, cells in ((Neg, _NEG_CELLS), (Circ, _CIRC_CELLS)):
+        for value, want in cells.items():
+            assert eval_formula(unary(_P), {"p": value}) is want
+            checked += 1
     assert checked == 33
     _report(1, "truth-table conformance", started, 1.0)
 
@@ -223,17 +211,17 @@ def test_criterion_7_triple_algebra_coherence():
         maps = [dict(zip(base, values)) for values in itertools.product(VALUE_ORDER, repeat=size)]
         triples = [Triple.from_values(base, m) for m in maps]
         for r, rm in zip(triples, maps):
-            negated = triple_neg(r)
-            consistent = triple_circ(r)
+            negated = kernel_triple(Neg(_P), {"p": r})
+            consistent = kernel_triple(Circ(_P), {"p": r})
             for x in base:
-                assert negated.value_at(x) is NEG_TABLE[rm[x]]
-                assert consistent.value_at(x) is CIRC_TABLE[rm[x]]
+                assert negated.value_at(x) is _NEG_CELLS[rm[x]]
+                assert consistent.value_at(x) is _CIRC_CELLS[rm[x]]
             assert consistent.circ == frozenset()
             for u, um in zip(triples, maps):
-                for op, table in ((triple_and, AND_TABLE), (triple_or, OR_TABLE), (triple_imp, IMP_TABLE)):
-                    combined = op(r, u)
+                for op, connective in _BINARY.items():
+                    combined = kernel_triple(connective(_P, _Q), {"p": r, "q": u})
                     for x in base:
-                        assert combined.value_at(x) is table[rm[x], um[x]]
+                        assert combined.value_at(x) is _BINARY_CELLS[op][rm[x], um[x]]
     _report(7, "triple algebra is pointwise coherent (|X| <= 3)", started, 30.0)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,14 +19,8 @@ from ciore.fo_semantics import (
     structure_to_json,
     tilde_exists,
     tilde_forall,
-    triple_and,
-    triple_circ,
-    triple_imp,
-    triple_neg,
-    triple_or,
-    valid_in,
 )
-from ciore.matrix import AND_TABLE, HALF, IMP_TABLE, ONE, OR_TABLE, VALUE_ORDER, ZERO
+from ciore.matrix import HALF, ONE, VALUE_ORDER, ZERO
 from ciore.parsing import parse_formula, parse_sequent
 from ciore.syntax import (
     And,
@@ -40,9 +35,23 @@ from ciore.syntax import (
     Neg,
     Or,
     PredAtom,
+    PropAtom,
 )
 
-from helpers import all_unary_structures, denote_components, tuple_space, var_sorted
+from helpers import (
+    AND_CELLS,
+    IMP_CELLS,
+    OR_CELLS,
+    all_unary_structures,
+    binary_table,
+    denote_components,
+    kernel_triple,
+    tuple_space,
+    valid_in,
+    var_sorted,
+)
+
+p, q = PropAtom("p"), PropAtom("q")
 
 
 def _triple(universe, assign):
@@ -51,32 +60,25 @@ def _triple(universe, assign):
 
 def test_triple_neg_and_circ_examples():
     r = _triple({"x", "y"}, {"x": ONE, "y": HALF})
-    negated = triple_neg(r)
+    negated = kernel_triple(Neg(p), {"p": r})
     assert (negated.plus, negated.minus, negated.circ) == (frozenset(), frozenset({"x"}), frozenset({"y"}))
-    consistent = triple_circ(r)
+    consistent = kernel_triple(Circ(p), {"p": r})
     assert (consistent.plus, consistent.minus, consistent.circ) == (frozenset({"x"}), frozenset({"y"}), frozenset())
     assert consistent.circ == frozenset()
 
 
 def test_triple_ops_pointwise_coherence():
     base = ("x", "y")
-    tables = [(triple_and, AND_TABLE), (triple_or, OR_TABLE), (triple_imp, IMP_TABLE)]
+    tables = [(And, binary_table(AND_CELLS)), (Or, binary_table(OR_CELLS)), (Imp, binary_table(IMP_CELLS))]
     all_maps = [dict(zip(base, values)) for values in itertools.product(VALUE_ORDER, repeat=len(base))]
     for left_map in all_maps:
         r = _triple(base, left_map)
         for right_map in all_maps:
             u = _triple(base, right_map)
-            for op, table in tables:
-                combined = op(r, u)
+            for connective, table in tables:
+                combined = kernel_triple(connective(p, q), {"p": r, "q": u})
                 for x in base:
                     assert combined.value_at(x) is table[left_map[x], right_map[x]]
-
-
-def test_triple_base_mismatch():
-    r = _triple({"x"}, {"x": ONE})
-    u = _triple({"y"}, {"y": ONE})
-    with pytest.raises(LogicError):
-        triple_and(r, u)
 
 
 def test_triple_partition_enforced():
@@ -198,6 +200,34 @@ def test_denotation_matches_component_formulas():
             got = denote(phi, st, variables)
             want = denote_components(phi, st, variables)
             assert got == want
+
+
+def test_value_at_one_assignment_matches_denotation():
+    from ciore.randgen import random_fo_formula
+    from ciore.syntax import free_variables
+
+    for st in all_unary_structures(2):
+        for phi in _small_fo_formulas():
+            variables = var_sorted(free_variables(phi))
+            want = denote_components(phi, st, variables)
+            for point in itertools.product(st.domain, repeat=len(variables)):
+                assert denote_value(phi, st, dict(zip(variables, point))) is want.value_at(point), (phi, point)
+    rng = random.Random(11)
+    domain = ("m0", "m1", "m2")
+    for _ in range(40):
+        predicates = {
+            name: Triple.from_values(space, {row: rng.choice(VALUE_ORDER) for row in space})
+            for name, space in (("P", tuple_space(domain, 1)), ("R", tuple_space(domain, 2)))
+        }
+        st = Structure(domain=domain, predicates=predicates)
+        for _ in range(5):
+            phi = random_fo_formula(rng, {"P": 1, "R": 2}, ["a1", "a2", "a3"], 3)
+            variables = var_sorted(free_variables(phi))
+            want = denote(phi, st, variables)
+            for point in itertools.product(domain, repeat=len(variables)):
+                assert denote_value(phi, st, dict(zip(variables, point))) is want.value_at(point), (phi, point)
+    with pytest.raises(LogicError):
+        denote_value(parse_formula("P(a1) | ~P(a1)"), _example_structure(), {"a1": "outside"})
 
 
 def test_denotation_ignores_padding_variables():

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from ciore.errors import AtomCapExceeded, LogicError
 from ciore.matrix import (
+    DEFAULT_ATOM_CAP,
     HALF,
     ONE,
     VALUE_ORDER,
@@ -9,57 +12,51 @@ from ciore.matrix import (
     eval_formula,
     find_countermodel,
     matrix_valid,
+    sequent_atoms,
     sequent_satisfied,
     valuation_from_json,
     valuation_to_json,
     valuations,
 )
 from ciore.parsing import parse_formula, parse_sequent
+from ciore.randgen import random_sequent
 from ciore.sequents import Sequent
 from ciore.syntax import Neg, PropAtom
 
 from helpers import (
+    AND_CELLS,
+    CIRC_CELLS,
+    IMP_CELLS,
+    NEG_CELLS,
+    OR_CELLS,
     NSequent,
     SignedFormula,
+    binary_table,
     expressiveness_witnesses,
     formulas_of_complexity,
     nsequent_of_sequent,
     nsequent_satisfied,
+    oracle_countermodel,
     signed_satisfied,
+    unary_table,
     witnesses_hold,
 )
 
 p, q = PropAtom("p"), PropAtom("q")
 
-# All 33 table cells, transcribed row-operand-first: 1, 1/2, 0.
-AND_CELLS = "110 1h0 000"
-OR_CELLS = "111 1h1 110"
-IMP_CELLS = "110 1h0 111"
-NEG_CELLS = "0h1"
-CIRC_CELLS = "101"
-
-_CHAR = {"1": ONE, "h": HALF, "0": ZERO}
-
-
-def _binary_cells(op: str, cells: str):
-    rows = cells.split()
-    for i, left in enumerate(VALUE_ORDER[::-1]):
-        for j, right in enumerate(VALUE_ORDER[::-1]):
-            yield left, right, _CHAR[rows[i][j]]
-
 
 @pytest.mark.parametrize("op,cells", [("&", AND_CELLS), ("|", OR_CELLS), ("->", IMP_CELLS)])
 def test_binary_tables(op, cells):
     phi = parse_formula(f"p {op} q")
-    for left, right, expected in _binary_cells(op, cells):
+    for (left, right), expected in binary_table(cells).items():
         assert eval_formula(phi, {"p": left, "q": right}) is expected
 
 
 def test_unary_tables():
-    for value, expected in zip(VALUE_ORDER[::-1], NEG_CELLS):
-        assert eval_formula(parse_formula("~p"), {"p": value}) is _CHAR[expected]
-    for value, expected in zip(VALUE_ORDER[::-1], CIRC_CELLS):
-        assert eval_formula(parse_formula("o p"), {"p": value}) is _CHAR[expected]
+    for value, expected in unary_table(NEG_CELLS).items():
+        assert eval_formula(parse_formula("~p"), {"p": value}) is expected
+    for value, expected in unary_table(CIRC_CELLS).items():
+        assert eval_formula(parse_formula("o p"), {"p": value}) is expected
 
 
 def test_eval_examples():
@@ -96,6 +93,37 @@ def test_first_countermodel_is_enumeration_least():
     # |- p->q, q, so the first falsifier is (1/2, 0) where 1/2 -> 0 = 0
     cm = find_countermodel(parse_sequent("|- p -> q, q"))
     assert cm == {"p": HALF, "q": ZERO}
+
+
+def test_countermodel_matches_per_valuation_oracle():
+    rng = random.Random(3)
+    sequents = [Sequent.make((), ())]
+    for n in range(1, 8):
+        names = [f"v{i}" for i in range(n)]
+        sequents += [random_sequent(rng, names, 3, 3) for _ in range(60)]
+    assert {len(sequent_atoms(s)) for s in sequents} == set(range(8))
+    for s in sequents:
+        assert find_countermodel(s) == oracle_countermodel(s), s
+    assert find_countermodel(Sequent.make((), ())) == {}
+
+
+@pytest.mark.parametrize("text", ["P(a1) |- p", "p |- forall x. P(x)", "|- o exists x. P(x), p | ~p"])
+def test_countermodel_search_is_propositional(text):
+    with pytest.raises(LogicError):
+        find_countermodel(parse_sequent(text))
+
+
+def test_twelve_atoms_at_the_default_cap():
+    excluded_middles = " & ".join(f"(v{i} | ~v{i})" for i in range(12))
+    s = parse_sequent(f"v0, o v1 |- {excluded_middles}")
+    assert len(sequent_atoms(s)) == DEFAULT_ATOM_CAP == 12
+    assert matrix_valid(s)
+
+
+def test_twenty_atoms_past_the_default_cap():
+    names = [f"v{i:02}" for i in range(20)]
+    s = parse_sequent("|- " + " | ".join(names))
+    assert find_countermodel(s, atom_cap=20) == oracle_countermodel(s) == dict.fromkeys(names, ZERO)
 
 
 def test_atom_cap():
