@@ -3,9 +3,12 @@
 Backward saturation with the invertible calculus: every applied rule is
 invertible, so validity is preserved in both directions and the procedure
 either closes every branch (cut-free proof) or reads a countermodel off a
-saturated leaf. Weight-decreasing principals are preferred; the one
-weight-preserving rule (reducing a negated formula on the right in place)
-is applied at most once per formula per branch, tracked by marks.
+saturated leaf. Each step reduces, among the principals whose rule lowers
+the weight, the least by (premise count, antecedent first, formula_key):
+Smullyan's alpha-before-beta order. Only when none is left does the one
+weight-preserving rule (a negation on the right, reduced in place) apply,
+at most once per formula per branch, tracked by marks. Every other step
+lowers the weight, so the search ends whatever the order.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .matrix import HALF, ONE, ZERO, TruthValue, effective_atom_cap, sequent_ato
 from .sequents import (
     LEFT,
     RIGHT,
+    RULE_TABLE,
     Calculus,
     Proof,
     Proved,
@@ -44,7 +48,13 @@ from .syntax import (
 
 R = RuleId
 
-_GCIORE_PRIME_RULES = Calculus.GCIORE_PRIME.rules
+# Premise count of each weight-decreasing GCiore' rule (all but NEG_R2),
+# read off its table row applied to placeholder parts.
+_DECREASING_PREMISE_COUNT = {
+    rule: len(shape.premises(*[PropAtom("_")] * shape.premises.__code__.co_argcount))
+    for rule, shape in RULE_TABLE.items()
+    if rule in Calculus.GCIORE_PRIME.rules and rule is not R.NEG_R2
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,19 +80,22 @@ class SearchNode:
 StepHook = Callable[[SearchNode, RuleId, Formula, tuple[Sequent, ...]], None]
 
 def _next_reduction(s: Sequent, marks: frozenset) -> tuple[Formula, RuleId] | None:
-    """The principal to reduce next and its GCiore' rule: the first one whose
-    rule strictly shrinks the weight, in canonical order, antecedent first;
+    """The principal to reduce next and its GCiore' rule: among the rules
+    that strictly shrink the weight, on either side, the least by (premise
+    count, antecedent before succedent, formula_key of the principal);
     failing that, an unmarked negation on the right for the in-place rule,
     negated consistency formulas before negated atoms."""
-    for side in (LEFT, RIGHT):
-        decreasing = [
-            (phi, rule)
-            for phi in s.side(side)
-            for rule in rules_for(phi, side)
-            if rule is not R.NEG_R2 and rule in _GCIORE_PRIME_RULES
-        ]
-        if decreasing:
-            return min(decreasing, key=lambda step: formula_key(step[0]))
+    best, best_key = None, None
+    for side_rank, side in enumerate((LEFT, RIGHT)):
+        for phi in s.side(side):
+            for rule in rules_for(phi, side):
+                count = _DECREASING_PREMISE_COUNT.get(rule)
+                if count is not None:
+                    key = (count, side_rank, formula_key(phi))
+                    if best_key is None or key < best_key:
+                        best, best_key = (phi, rule), key
+    if best is not None:
+        return best
     in_place = [phi for phi in s.succ - marks if R.NEG_R2 in rules_for(phi, RIGHT)]
     if not in_place:
         return None

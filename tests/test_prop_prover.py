@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ciore.errors import AtomCapExceeded, LogicError
-from ciore.matrix import HALF, matrix_valid, sequent_atoms, sequent_satisfied
+from ciore.matrix import HALF, find_countermodel, matrix_valid, sequent_atoms, sequent_satisfied
 from ciore.parsing import parse_formula, parse_sequent
 from ciore.prop_prover import (
     Proved,
@@ -23,11 +23,13 @@ from ciore.sequents import (
     RuleId,
     Sequent,
     check_proof,
+    formula_key,
+    premises_from_schema,
     proof_respects_gsub,
     rules_for,
     sequent_weight,
 )
-from ciore.syntax import And, Circ, PropAtom, iff
+from ciore.syntax import And, Circ, Formula, PropAtom, iff
 
 seq = parse_sequent
 p, q = PropAtom("p"), PropAtom("q")
@@ -70,17 +72,21 @@ def test_decide_rejects_quantifiers_and_caps_atoms():
 
 
 def test_decide_agrees_with_matrix_oracle():
-    rng = random.Random(2718)
-    for _ in range(300):
-        s = random_sequent(rng, ("p", "q", "r", "s"), 3)
-        verdict = decide(s)
-        if isinstance(verdict, Proved):
-            assert matrix_valid(s)
-            assert not verdict.proof.uses_cut()
-        else:
-            assert not matrix_valid(s)
-            assert not sequent_satisfied(verdict.valuation, s)
-            assert set(verdict.valuation) == set(sequent_atoms(s))
+    # 300 sequents of depth 3 with at most two formulas a side over 4 atoms,
+    # and 300 over the 6 atoms of the prop benchmark's random goals
+    for atoms, seed in ((("p", "q", "r", "s"), 2718), (tuple(f"p{i}" for i in range(6)), 6)):
+        rng = random.Random(seed)
+        for _ in range(300):
+            s = random_sequent(rng, atoms, 3)
+            verdict = decide(s)
+            if isinstance(verdict, Proved):
+                assert matrix_valid(s)
+                assert not verdict.proof.uses_cut()
+                assert check_proof(verdict.proof, Calculus.GCIORE_PRIME, allow_cut=False)
+            else:
+                assert not matrix_valid(s)
+                assert not sequent_satisfied(verdict.valuation, s)
+                assert set(verdict.valuation) == set(sequent_atoms(s))
 
 
 def test_decide_is_deterministic():
@@ -224,3 +230,54 @@ def test_each_shape_has_at_most_one_gciore_prime_rule(text, left, right):
         assert admitted == ([] if expected is None else [expected]), (text, side)
         step = _next_reduction(sequent, frozenset())
         assert step == (None if expected is None else (phi, expected)), (text, side)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_excluded_middle_chain_has_linear_proof(n):
+    # |- f | ~f with f = p0 | o p1 | ... | o p(n-1): taking the one-premise
+    # rules first keeps the proof linear in n
+    f = " | ".join(["p0"] + [f"o p{i}" for i in range(1, n)])
+    s = seq(f"|- ({f}) | ~({f})")
+    verdict = decide(s)
+    assert isinstance(verdict, Proved)
+    assert sum(1 for _ in verdict.proof.nodes()) == 22 * n - 18
+    assert not verdict.proof.uses_cut()
+    assert check_proof(verdict.proof, Calculus.GCIORE_PRIME, allow_cut=False)
+    if n <= 7:
+        assert find_countermodel(s) is None
+
+
+def _decreasing_candidates(s: Sequent) -> list[tuple[tuple, Formula, RuleId]]:
+    # every GCiore' step other than the in-place rule whose premises all
+    # weigh less than s, keyed by (premise count, side, formula_key)
+    out = []
+    for rank, side in enumerate((LEFT, RIGHT)):
+        for phi in s.side(side):
+            for rule in rules_for(phi, side):
+                if rule is RuleId.NEG_R2 or rule not in Calculus.GCIORE_PRIME.rules:
+                    continue
+                prems = premises_from_schema(s, rule, phi)
+                assert all(sequent_weight(prem) < sequent_weight(s) for prem in prems)
+                out.append(((len(prems), rank, formula_key(phi)), phi, rule))
+    return out
+
+
+def test_next_reduction_takes_fewest_premises_then_left_then_formula_key():
+    rng = random.Random(4242)
+    nodes = []
+    for _ in range(60):
+        s = random_sequent(rng, ("p", "q", "r"), 3, 3)
+        nodes.append((s, frozenset()))
+        decide(s, on_step=lambda node, rule, principal, prems: nodes.append((node.sequent, node.marks)))
+    in_place = 0
+    for s, marks in nodes:
+        step = _next_reduction(s, marks)
+        candidates = _decreasing_candidates(s)
+        if candidates:
+            _, phi, rule = min(candidates, key=lambda c: c[0])
+            assert step == (phi, rule), s
+        else:
+            in_place += step is not None
+            assert step is None or step[1] is RuleId.NEG_R2, s
+    assert in_place > 0
+
