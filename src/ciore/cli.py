@@ -9,7 +9,6 @@ input error, 70 internal error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
@@ -17,7 +16,7 @@ import sys
 from . import fo_prover, prop_prover
 from .axioms import PROPOSITIONAL_SCHEMATA
 from .errors import AtomCapExceeded, InternalError, LogicError, ParseError, UsageError
-from .fo_semantics import fo_sequent_satisfied, fo_sequent_valid_in, structure_from_json
+from .fo_semantics import falsifying_assignment, fo_sequent_valid_in, structure_from_json
 from .matrix import (
     TruthValue,
     eval_formula,
@@ -30,7 +29,7 @@ from .prop_prover import decide, theorem_suite
 from .randgen import random_formula
 from .sequents import Calculus, Sequent, proof_error
 from .serialize import describe_verdict, proof_from_json, verdict_to_json
-from .syntax import And, Circ, Exists, Forall, Imp, Neg, Or, PropAtom, subformulas, var_index
+from .syntax import And, Circ, Imp, Neg, Or, PropAtom, is_propositional
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -100,17 +99,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _needs_fo(s: Sequent) -> bool:
-    from .syntax import PredAtom
-
-    return any(
-        isinstance(f, (Forall, Exists, PredAtom)) for phi in s.ante | s.succ for f in subformulas(phi)
-    )
-
-
 def _parse_goal(text: str, fo: bool) -> Sequent:
     s = parse_sequent(text)
-    if _needs_fo(s) and not fo:
+    if not fo and not all(is_propositional(phi) for phi in s.ante | s.succ):
         raise UsageError("quantified or predicate input needs --fo (or --structure)")
     return s
 
@@ -168,12 +159,10 @@ def _cmd_countermodel(args) -> int:
     s = _parse_goal(args.sequent, args.fo or bool(args.structure))
     if args.structure:
         st = structure_from_json(_read_json(args.structure))
-        variables = sorted(s.free_variables(), key=var_index)
-        for combo in itertools.product(st.domain, repeat=len(variables)):
-            assignment = dict(zip(variables, combo))
-            if not fo_sequent_satisfied(st, assignment, s):
-                print(json.dumps({"assignment": assignment}, sort_keys=True))
-                return EXIT_NEGATIVE
+        assignment = falsifying_assignment(st, s)
+        if assignment is not None:
+            print(json.dumps({"assignment": assignment}, sort_keys=True))
+            return EXIT_NEGATIVE
         print("valid in the given structure")
         return EXIT_OK
     if args.fo:

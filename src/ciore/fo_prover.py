@@ -1,17 +1,18 @@
 """Bounded saturation prover for the first-order calculus.
 
-The search tree grows in stages that cycle through 27 reduction phases, one
-per connective shape and side. Sequents only ever grow along a branch;
-formulas already reduced are remembered by marks, and the left quantifier
-instantiation phases come back to a formula once per available variable.
+The search tree grows in stages that cycle through ``PHASES``: the 26 rules
+of the rule table the search applies, one per connective shape and side,
+then one idle stage. Sequents only ever grow along a branch; formulas
+already reduced are remembered by marks, and the left quantifier
+instantiation rules come back to a formula once per available variable.
 A tree whose leaves all share a formula across sides compiles to a cut-free
-proof; a branch that a full phase cycle leaves untouched yields a candidate
-countermodel, which is only reported after it verifiably falsifies the goal.
+proof; a branch that a full cycle of stages leaves untouched yields a
+candidate countermodel, which is only reported after it verifiably
+falsifies the goal.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import Union
@@ -62,91 +63,57 @@ R = RuleId
 DEFAULT_MAX_NODES = 20_000
 DEFAULT_MAX_DEPTH = 400
 
-
-class PhaseKind(enum.Enum):
-    CIRC_L = "(o=>)"
-    CIRC_R = "(=>o)"
-    NEG_R = "(=>~)"
-    NEG_CIRC_L = "(~o=>)"
-    AND_L = "(&=>)"
-    AND_R = "(=>&)"
-    OR_L = "(|=>)"
-    OR_R = "(=>|)"
-    IMP_L = "(->=>)"
-    IMP_R = "(=>->)"
-    NEG_OR_L = "(~|=>)"
-    NEG_OR_R = "(=>~|)"
-    NEG_AND_L = "(~&=>)"
-    NEG_AND_R = "(=>~&)"
-    NEG_IMP_L = "(~->=>)"
-    NEG_IMP_R = "(=>~->)"
-    NEG_NEG_L = "(~~=>)"
-    NEG_NEG_R = "(=>~~)"
-    FORALL_L = "(forall=>)"
-    FORALL_R = "(=>forall)"
-    EXISTS_L = "(exists=>)"
-    EXISTS_R = "(=>exists)"
-    CIRC_FORALL_L = "(oforall=>)"
-    CIRC_FORALL_R = "(=>oforall)"
-    CIRC_EXISTS_L = "(oexists=>)"
-    CIRC_EXISTS_R = "(=>oexists)"
-    COPY = "(copy)"
-
-
-#: Cyclic stage order; stage k runs PHASES[k % 27].
-PHASES = list(PhaseKind)
-assert PHASES[0] is PhaseKind.CIRC_L and PHASES[26] is PhaseKind.COPY
+#: Cyclic stage order; stage k applies PHASES[k % 27], and None is the idle
+#: stage that closes each cycle. A phase reduces exactly the formulas on its
+#: rule's side that the rule table assigns that rule (``rules_for``).
+PHASES: tuple[RuleId | None, ...] = (
+    R.CIRC_L,
+    R.CIRC_R,
+    R.NEG_R,
+    R.NEG_CIRC_L,
+    R.AND_L,
+    R.AND_R,
+    R.OR_L,
+    R.OR_R,
+    R.IMP_L,
+    R.IMP_R,
+    R.NEG_OR_L,
+    R.NEG_OR_R,
+    R.NEG_AND_L,
+    R.NEG_AND_R2,
+    R.NEG_IMP_L,
+    R.NEG_IMP_R2,
+    R.NEG_NEG_L,
+    R.NEG_NEG_R,
+    R.FORALL_L,
+    R.FORALL_R,
+    R.EXISTS_L,
+    R.EXISTS_R,
+    R.CIRC_FORALL_L,
+    R.CIRC_FORALL_R,
+    R.CIRC_EXISTS_L,
+    R.CIRC_EXISTS_R,
+    None,
+)
+_CYCLE = len(PHASES)
 
 ONCE, REPEAT, EIGEN = "once", "repeat", "eigen"
 
-
-#: The rule each phase applies. A phase reduces exactly the formulas on its
-#: rule's side that the rule table assigns that rule (``rules_for``).
-_PHASE_RULE: dict[PhaseKind, RuleId] = {
-    PhaseKind.CIRC_L: R.CIRC_L,
-    PhaseKind.CIRC_R: R.CIRC_R,
-    PhaseKind.NEG_R: R.NEG_R,
-    PhaseKind.NEG_CIRC_L: R.NEG_CIRC_L,
-    PhaseKind.AND_L: R.AND_L,
-    PhaseKind.AND_R: R.AND_R,
-    PhaseKind.OR_L: R.OR_L,
-    PhaseKind.OR_R: R.OR_R,
-    PhaseKind.IMP_L: R.IMP_L,
-    PhaseKind.IMP_R: R.IMP_R,
-    PhaseKind.NEG_OR_L: R.NEG_OR_L,
-    PhaseKind.NEG_OR_R: R.NEG_OR_R,
-    PhaseKind.NEG_AND_L: R.NEG_AND_L,
-    PhaseKind.NEG_AND_R: R.NEG_AND_R2,
-    PhaseKind.NEG_IMP_L: R.NEG_IMP_L,
-    PhaseKind.NEG_IMP_R: R.NEG_IMP_R2,
-    PhaseKind.NEG_NEG_L: R.NEG_NEG_L,
-    PhaseKind.NEG_NEG_R: R.NEG_NEG_R,
-    PhaseKind.FORALL_L: R.FORALL_L,
-    PhaseKind.FORALL_R: R.FORALL_R,
-    PhaseKind.EXISTS_L: R.EXISTS_L,
-    PhaseKind.EXISTS_R: R.EXISTS_R,
-    PhaseKind.CIRC_FORALL_L: R.CIRC_FORALL_L,
-    PhaseKind.CIRC_FORALL_R: R.CIRC_FORALL_R,
-    PhaseKind.CIRC_EXISTS_L: R.CIRC_EXISTS_L,
-    PhaseKind.CIRC_EXISTS_R: R.CIRC_EXISTS_R,
-}
-
-
-#: Rule, side and mode of each phase, read off the rule table once.
+#: Side and mode of each phase's rule, read off the rule table once.
 #: Eigenvariable rules fire once with fresh variables, the other quantifier
 #: rules once per available variable, the rest once.
-_PHASE_STEP: dict[PhaseKind, tuple[RuleId, str, str]] = {
-    kind: (rule, RULE_TABLE[rule].side, EIGEN if rule in EIGEN_RULES else REPEAT if rule in QUANTIFIER_RULES else ONCE)
-    for kind, rule in _PHASE_RULE.items()
+_PHASE_STEP: dict[RuleId, tuple[str, str]] = {
+    rule: (RULE_TABLE[rule].side, EIGEN if rule in EIGEN_RULES else REPEAT if rule in QUANTIFIER_RULES else ONCE)
+    for rule in PHASES
+    if rule is not None
 }
 
-MarkKey = tuple[Formula, str, PhaseKind]
+MarkKey = tuple[Formula, RuleId]
 
 
 @dataclass(frozen=True, slots=True)
 class PrincipalReduction:
     principal: Formula
-    side: str
     rule: RuleId
     var: str | None
     options: tuple[tuple[tuple[Formula, ...], tuple[Formula, ...]], ...]
@@ -155,29 +122,16 @@ class PrincipalReduction:
 @dataclass
 class ReductionNode:
     sequent: Sequent
-    depth: int
     created_at_stage: int
-    phase: PhaseKind | None = None  # phase of the reduction that created this node
+    phase: RuleId | None = None  # rule of the reduction that created this node
     marks: frozenset[MarkKey] = frozenset()
     used_vars: dict[MarkKey, frozenset[str]] = field(default_factory=dict)
-    kind: PhaseKind | None = None  # phase of the expansion below this node
     principals: tuple[PrincipalReduction, ...] = ()
     children: list["ReductionNode"] = field(default_factory=list)
-    last_expanded_stage: int = 0
 
     @property
     def closed(self) -> bool:
         return self.sequent.closed_by_axiom
-
-    def leaves(self):
-        if not self.children:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
-
-    def count(self) -> int:
-        return 1 + sum(c.count() for c in self.children)
 
 
 @dataclass
@@ -186,8 +140,7 @@ class ReductionTree:
     status: str  # "closed" | "refuted" | "stalled" | "budget"
     stages: int
     node_count: int
-    available: tuple[str, ...]
-    refuting_leaf: ReductionNode | None = None
+    countermodel: tuple[Structure, dict[str, str]] | None = None  # set when refuted
 
 
 def _check_fo_input(s: Sequent) -> None:
@@ -209,73 +162,52 @@ def _check_fo_input(s: Sequent) -> None:
                     assert isinstance(t, (FreeVar, BoundVar))
 
 
-def _phase_principals(leaf: ReductionNode, kind: PhaseKind, available: list[str]) -> list[PrincipalReduction]:
-    rule, side, mode = _PHASE_STEP[kind]
+def _phase_principals(leaf: ReductionNode, rule: RuleId, available: list[str]) -> list[PrincipalReduction]:
+    side, mode = _PHASE_STEP[rule]
     found: list[PrincipalReduction] = []
     fresh_cursor = None
     reducible = [phi for phi in leaf.sequent.side(side) if rule in rules_for(phi, side)]
     for phi in sorted(reducible, key=formula_key):
-        key: MarkKey = (phi, side, kind)
-        if mode == ONCE:
-            if key in leaf.marks:
-                continue
-            schema = rule_schema(rule, phi)
-            assert schema is not None
-            found.append(PrincipalReduction(phi, side, rule, None, tuple(schema[1])))
-        elif mode == REPEAT:
+        key: MarkKey = (phi, rule)
+        if mode == REPEAT:
             used = leaf.used_vars.get(key, frozenset())
             var = next((v for v in available if v not in used), None)
             if var is None:
                 continue
-            schema = rule_schema(rule, phi, var)
-            assert schema is not None
-            found.append(PrincipalReduction(phi, side, rule, var, tuple(schema[1])))
-        else:  # EIGEN: once, with the next variables beyond the available ones
-            if key in leaf.marks:
-                continue
+        elif key in leaf.marks:
+            continue
+        elif mode == EIGEN:  # the next variables beyond the available ones
             if fresh_cursor is None:
                 fresh_cursor = set(available)
             var = fresh_free_variable(fresh_cursor)
             fresh_cursor.add(var)
-            schema = rule_schema(rule, phi, var)
-            assert schema is not None
-            found.append(PrincipalReduction(phi, side, rule, var, tuple(schema[1])))
+        else:
+            var = None
+        schema = rule_schema(rule, phi, var)
+        assert schema is not None
+        found.append(PrincipalReduction(phi, rule, var, tuple(schema[1])))
     return found
 
 
-def _expand_leaf(leaf: ReductionNode, kind: PhaseKind, reductions: list[PrincipalReduction], stage: int) -> list[ReductionNode]:
-    mode = _PHASE_STEP[kind][2]
+def _expand_leaf(leaf: ReductionNode, rule: RuleId, reductions: list[PrincipalReduction], stage: int) -> list[ReductionNode]:
     new_marks = set(leaf.marks)
     new_used = dict(leaf.used_vars)
     for red in reductions:
-        key: MarkKey = (red.principal, red.side, kind)
-        if mode == REPEAT:
+        key: MarkKey = (red.principal, rule)
+        if _PHASE_STEP[rule][1] == REPEAT:
             assert red.var is not None
             new_used[key] = new_used.get(key, frozenset()) | {red.var}
         else:
             new_marks.add(key)
+    marks = frozenset(new_marks)
 
-    leaf.kind = kind
     leaf.principals = tuple(reductions)
-    leaf.last_expanded_stage = stage
-    children = []
-    for choice in itertools.product(*(range(len(red.options)) for red in reductions)):
+    for choice in itertools.product(*(red.options for red in reductions)):
         seq = leaf.sequent
-        for red, ci in zip(reductions, choice):
-            add_ante, add_succ = red.options[ci]
+        for add_ante, add_succ in choice:
             seq = seq.with_ante(*add_ante).with_succ(*add_succ)
-        children.append(
-            ReductionNode(
-                sequent=seq,
-                depth=leaf.depth + 1,
-                created_at_stage=stage,
-                phase=kind,
-                marks=frozenset(new_marks),
-                used_vars=new_used,
-            )
-        )
-    leaf.children = children
-    return children
+        leaf.children.append(ReductionNode(seq, stage, rule, marks, new_used))
+    return leaf.children
 
 
 def build_reduction_tree(
@@ -286,69 +218,64 @@ def build_reduction_tree(
     """Grow the staged reduction tree until it closes, a saturated branch
     refutes the goal, nothing can change anymore, or the budget runs out."""
     _check_fo_input(s)
-    root = ReductionNode(sequent=s, depth=0, created_at_stage=0)
+    root = ReductionNode(sequent=s, created_at_stage=0)
     occurring = sorted(s.free_variables(), key=var_index)
     available: list[str] = occurring if occurring else ["a1"]
 
+    # The open leaves, left to right; eigenvariables are handed out in this order.
+    frontier = [] if root.closed else [root]
     node_count = 1
     stage = 0
-    failed_leaves: set[int] = set()  # ids of saturated leaves whose extraction failed
     while True:
-        open_leaves = [leaf for leaf in root.leaves() if not leaf.closed]
-        if not open_leaves:
-            return ReductionTree(root, "closed", stage, node_count, tuple(available))
+        if not frontier:
+            return ReductionTree(root, "closed", stage, node_count)
 
-        for leaf in open_leaves:
-            if stage - max(leaf.last_expanded_stage, leaf.created_at_stage) >= 27:
-                if id(leaf) in failed_leaves:
-                    continue
-                candidate = extract_countermodel([leaf], s)
-                if candidate is not None:
-                    return ReductionTree(root, "refuted", stage, node_count, tuple(available), refuting_leaf=leaf)
-                failed_leaves.add(id(leaf))
-        if all(
-            stage - max(leaf.last_expanded_stage, leaf.created_at_stage) >= 27
-            for leaf in open_leaves
-        ):
-            return ReductionTree(root, "stalled", stage, node_count, tuple(available))
+        # Every stage is checked, so a leaf ends its first idle cycle at exactly
+        # one of them and its countermodel is extracted once.
+        for leaf in frontier:
+            if stage - leaf.created_at_stage == _CYCLE:
+                countermodel = extract_countermodel(leaf.sequent, s)
+                if countermodel is not None:
+                    return ReductionTree(root, "refuted", stage, node_count, countermodel)
+        if all(stage - leaf.created_at_stage >= _CYCLE for leaf in frontier):
+            return ReductionTree(root, "stalled", stage, node_count)
 
         stage += 1
         if stage > max_depth or node_count > max_nodes:
-            return ReductionTree(root, "budget", stage, node_count, tuple(available))
+            return ReductionTree(root, "budget", stage, node_count)
 
-        kind = PHASES[stage % 27]
-        if kind is PhaseKind.COPY:
+        rule = PHASES[stage % _CYCLE]
+        if rule is None:
             continue
-        for leaf in open_leaves:
-            reductions = _phase_principals(leaf, kind, available)
+        grown: list[ReductionNode] = []
+        for leaf in frontier:
+            reductions = _phase_principals(leaf, rule, available)
             if not reductions:
+                grown.append(leaf)
                 continue
-            children = _expand_leaf(leaf, kind, reductions, stage)
+            children = _expand_leaf(leaf, rule, reductions, stage)
             node_count += len(children)
-            if _PHASE_STEP[kind][2] == EIGEN:
+            grown.extend(child for child in children if not child.closed)
+            if _PHASE_STEP[rule][1] == EIGEN:
                 available.extend(red.var for red in reductions)
             if node_count > max_nodes:
-                return ReductionTree(root, "budget", stage, node_count, tuple(available))
+                return ReductionTree(root, "budget", stage, node_count)
+        frontier = grown
 
 
 # ---------------------------------------------------------------------------
-# Countermodel extraction (from a saturated open branch)
+# Countermodel extraction (from a saturated open leaf)
 
 
-def extract_countermodel(branch: list[ReductionNode], root_sequent: Sequent) -> tuple[Structure, dict[str, str]] | None:
-    """Recipe: domain = the branch's free variables; a predicate holds (1)
+def extract_countermodel(leaf: Sequent, goal: Sequent) -> tuple[Structure, dict[str, str]] | None:
+    """Recipe: domain = the leaf's free variables; a predicate holds (1)
     where only the atom sits on the left, is inconsistent (1/2) where atom
     and negated atom both do, and fails (0) elsewhere. The result is only
-    returned if it verifiably falsifies the root sequent."""
-    gamma: frozenset[Formula] = frozenset()
-    delta: frozenset[Formula] = frozenset()
-    for node in branch:
-        gamma |= node.sequent.ante
-        delta |= node.sequent.succ
-
+    returned if it verifiably falsifies the goal. Sequents only grow along
+    a branch, so the leaf holds every formula of its branch."""
     variables: set[str] = set()
     arities: dict[str, int] = {}
-    for phi in gamma | delta:
+    for phi in leaf.ante | leaf.succ:
         for f in subformulas(phi):
             if isinstance(f, PredAtom):
                 if arities.setdefault(f.name, len(f.args)) != len(f.args):
@@ -363,15 +290,15 @@ def extract_countermodel(branch: list[ReductionNode], root_sequent: Sequent) -> 
         values = {}
         for combo in space:
             atom = PredAtom(name, tuple(FreeVar(v) for v in combo))
-            if atom in gamma:
-                values[combo] = HALF if Neg(atom) in gamma else ONE
+            if atom in leaf.ante:
+                values[combo] = HALF if Neg(atom) in leaf.ante else ONE
             else:
                 values[combo] = ZERO
         predicates[name] = Triple.from_values(space, values)
 
     structure = Structure(domain=domain, predicates=predicates)
     assignment = {v: v for v in domain}
-    if fo_sequent_satisfied(structure, assignment, root_sequent):
+    if fo_sequent_satisfied(structure, assignment, goal):
         return None
     return structure, assignment
 
@@ -431,10 +358,8 @@ def decide_fo(s: Sequent, max_nodes: int = DEFAULT_MAX_NODES, max_depth: int = D
             raise InternalError("assembled proof failed checking")
         return Proved(proof)
     if tree.status == "refuted":
-        assert tree.refuting_leaf is not None
-        extracted = extract_countermodel([tree.refuting_leaf], s)
-        assert extracted is not None
-        return Refuted(*extracted)
+        assert tree.countermodel is not None
+        return Refuted(*tree.countermodel)
     report = (
         f"search {tree.status}: {tree.node_count} nodes, {tree.stages} stages "
         f"(budget {max_nodes} nodes / {max_depth} stages); no closed tree and no verified countermodel"
@@ -449,23 +374,20 @@ def decide_fo(s: Sequent, max_nodes: int = DEFAULT_MAX_NODES, max_depth: int = D
 def dump_tree(tree: ReductionTree) -> str:
     lines = [f"status={tree.status} stages={tree.stages} nodes={tree.node_count}"]
 
-    def walk(node: ReductionNode) -> None:
-        indent = "  " * node.depth
+    def walk(node: ReductionNode, indent: str) -> None:
         phase = node.phase.value if node.phase else "start"
         flags = []
         if not node.children:
             flags.append("closed" if node.closed else "open")
             if node.marks:
-                shown = sorted(
-                    f"{side}:{kind.value}:{format_formula(f)}" for (f, side, kind) in node.marks
-                )
+                shown = sorted(f"{rule.value}:{format_formula(f)}" for f, rule in node.marks)
                 flags.append("marks: " + "; ".join(shown))
         suffix = f" [{'; '.join(flags)}]" if flags else ""
         lines.append(f"{indent}k={phase} {format_sequent(node.sequent)}{suffix}")
         for child in node.children:
-            walk(child)
+            walk(child, indent + "  ")
 
-    walk(tree.root)
+    walk(tree.root, "")
     return "\n".join(lines)
 
 

@@ -231,12 +231,19 @@ def fo_sequent_satisfied(st: Structure, s: Assignment, seq: Sequent) -> bool:
     )
 
 
-def fo_sequent_valid_in(st: Structure, seq: Sequent) -> bool:
+def falsifying_assignment(st: Structure, seq: Sequent) -> dict[str, str] | None:
+    """The first assignment of the sequent's free variables that falsifies
+    it, variables in index order and values in domain order; None if none does."""
     variables = _sorted_vars(seq.free_variables())
-    return all(
-        fo_sequent_satisfied(st, dict(zip(variables, combo)), seq)
-        for combo in itertools.product(st.domain, repeat=len(variables))
-    )
+    for combo in itertools.product(st.domain, repeat=len(variables)):
+        assignment = dict(zip(variables, combo))
+        if not fo_sequent_satisfied(st, assignment, seq):
+            return assignment
+    return None
+
+
+def fo_sequent_valid_in(st: Structure, seq: Sequent) -> bool:
+    return falsifying_assignment(st, seq) is None
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +289,13 @@ def structure_to_json(st: Structure) -> dict:
     return out
 
 
+def _element(value) -> str:
+    """A function value or a constant of a structure file: a domain element's name."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a domain element name")
+    return value
+
+
 def structure_from_json(data: Mapping) -> Structure:
     try:
         if not isinstance(data["domain"], list):
@@ -295,8 +309,8 @@ def structure_from_json(data: Mapping) -> Structure:
             predicates[name] = Triple(plus | minus | circ, plus, minus, circ)
         functions = {}
         for name, rows in data.get("functions", {}).items():
-            functions[name] = {tuple(row[:-1]): row[-1] for row in rows}
-        constants = dict(data.get("constants", {}))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            functions[name] = {tuple(row[:-1]): _element(row[-1]) for row in rows}
+        constants = {name: _element(value) for name, value in data.get("constants", {}).items()}
+    except (KeyError, TypeError, AttributeError, ValueError, IndexError) as exc:
         raise LogicError(f"malformed structure JSON: {exc}") from exc
     return Structure(domain=domain, predicates=predicates, functions=functions, constants=constants)

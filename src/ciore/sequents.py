@@ -30,6 +30,8 @@ from .syntax import (
     Or,
     formula_key,
     free_variables,
+    fresh_free_variable,
+    gsub,
     instantiate,
     is_free_var_name,
     var_index,
@@ -513,8 +515,6 @@ def _expand_quantifier_intro(rule: DerivedRuleId, conclusion: Sequent, premises:
             raise _schema_mismatch("conclusion must be  exists x phi(x) -> psi  with matching psi")
 
     candidates = sorted(free_variables(inst_part) - free_variables(side_fixed), key=var_index)
-    from .syntax import fresh_free_variable
-
     candidates.append(fresh_free_variable(conclusion.free_variables() | hyp.sequent.free_variables()))
     var = next(
         (
@@ -587,8 +587,6 @@ def axiom_proof(phi: Formula, target: Sequent) -> Proof:
 
 
 def gsub_of_sequent(s: Sequent) -> frozenset[Formula]:
-    from .syntax import gsub
-
     return reduce(lambda acc, f: acc | gsub(f), s.ante | s.succ, frozenset())
 
 

@@ -221,6 +221,9 @@ def test_too_deep_input_is_internal_error_not_refutation(capsys):
         '{"domain": ["m0"], "predicates": []}',
         '{"domain": ["m0"], "constants": "ab"}',
         '{"domain": ["m0"], "predicates": {"P": {"plus": [], "minus": [], "circ": []}}}',
+        '{"domain": ["m0"], "functions": {"f": [[]]}}',
+        '{"domain": ["m0"], "functions": {"f": [["m0", ["m0"]]]}}',
+        '{"domain": ["m0"], "constants": {"c": ["m0"]}}',
         '{"domain": ',
     ],
 )
@@ -305,6 +308,9 @@ _STRUCTURE_FILES = st.sampled_from(
         '{"domain": ["m0"], "predicates": []}',
         '{"domain": ["m0"], "constants": "ab"}',
         '{"domain": ["m0"], "predicates": {"P": {"plus": [], "minus": [], "circ": []}}}',
+        '{"domain": ["m0"], "functions": {"f": [[]]}}',
+        '{"domain": ["m0"], "functions": {"f": [["m0", ["m0"]]]}}',
+        '{"domain": ["m0"], "constants": {"c": ["m0"]}}',
         "[]",
         "{",
     ]

@@ -5,7 +5,6 @@ import pytest
 from ciore.errors import LogicError
 from ciore.fo_prover import (
     PHASES,
-    PhaseKind,
     Proved,
     ReductionNode,
     _phase_principals,
@@ -20,7 +19,7 @@ from ciore.fo_prover import (
 )
 from ciore.fo_semantics import fo_sequent_satisfied, fo_sequent_valid_in, structure_to_json
 from ciore.parsing import parse_formula, parse_sequent
-from ciore.sequents import Calculus, Sequent, check_proof, proof_error
+from ciore.sequents import Calculus, RuleId, Sequent, check_proof, proof_error
 from ciore.serialize import proof_to_json, verdict_to_json
 
 from helpers import PROP_LOGICAL_RULES, QUANTIFIER_RULES, all_unary_structures, random_fo_rule_instance
@@ -29,10 +28,11 @@ seq = parse_sequent
 
 
 def test_phase_cycle_shape():
-    assert len(PHASES) == 27
-    assert PHASES[0] is PhaseKind.CIRC_L
-    assert PHASES[2] is PhaseKind.NEG_R
-    assert PHASES[-1] is PhaseKind.COPY
+    rules = PHASES[:-1]
+    assert len(rules) == len(set(rules)) == 26
+    assert all(rule in Calculus.GQCIORE.rules for rule in rules)
+    assert PHASES[-1] is None
+    assert PHASES[0] is RuleId.CIRC_L and PHASES[2] is RuleId.NEG_R
 
 
 def test_tree_trivial_closure():
@@ -47,9 +47,28 @@ def test_tree_closes_consistency_exists():
 
 
 def test_tree_develops_open_branch():
-    tree = build_reduction_tree(seq("exists x. P(x) |- forall x. P(x)"))
+    s = seq("exists x. P(x) |- forall x. P(x)")
+    tree = build_reduction_tree(s)
     assert tree.status == "refuted"
-    assert tree.refuting_leaf is not None and not tree.refuting_leaf.closed
+    assert tree.countermodel is not None
+    assert not fo_sequent_satisfied(*tree.countermodel, s)
+
+
+def test_frontier_runs_left_to_right():
+    # eigenvariables are handed out in leaf order: the left branch gets a2
+    tree = build_reduction_tree(seq("(exists x. P(x)) | (exists y. R(y, y)) |-"))
+    assert dump_tree(tree) == "\n".join(
+        [
+            "status=refuted stages=47 nodes=5",
+            "k=start (exists x. P(x)) | (exists y. R(y, y)) |-",
+            "  k=OrL (exists x. P(x)) | (exists y. R(y, y)), exists x. P(x) |-",
+            "    k=ExistsL P(a2), (exists x. P(x)) | (exists y. R(y, y)), exists x. P(x) |- "
+            "[open; marks: ExistsL:exists x. P(x); OrL:(exists x. P(x)) | (exists y. R(y, y))]",
+            "  k=OrL (exists x. P(x)) | (exists y. R(y, y)), exists y. R(y, y) |-",
+            "    k=ExistsL R(a3, a3), (exists x. P(x)) | (exists y. R(y, y)), exists y. R(y, y) |- "
+            "[open; marks: ExistsL:exists y. R(y, y); OrL:(exists x. P(x)) | (exists y. R(y, y))]",
+        ]
+    )
 
 
 def test_tree_rejects_constants_functions_prop_atoms():
@@ -117,29 +136,31 @@ def test_budget_exhaustion_reports_unknown():
 
 
 def test_extract_countermodel_simple_cases():
-    tree = build_reduction_tree(seq("|- P(a1)"))
-    assert tree.status == "refuted"
-    extracted = extract_countermodel([tree.refuting_leaf], seq("|- P(a1)"))
+    root = seq("|- P(a1)")
+    extracted = extract_countermodel(root, root)
     assert extracted is not None
     structure, assignment = extracted
     assert structure.domain == ("a1",)
     assert structure.predicates["P"].minus == frozenset({("a1",)})
     assert assignment == {"a1": "a1"}
+    tree = build_reduction_tree(root)
+    assert tree.status == "refuted" and tree.countermodel == extracted
 
     root = seq("P(a1), ~P(a1) |- Q(a1)")
-    tree = build_reduction_tree(root)
-    assert tree.status == "refuted"
-    structure, assignment = extract_countermodel([tree.refuting_leaf], root)
+    structure, assignment = extract_countermodel(root, root)
     assert structure.predicates["P"].circ == frozenset({("a1",)})
     assert structure.predicates["Q"].minus == frozenset({("a1",)})
 
+    leaf = seq("P(a2), exists x. P(x) |- forall x. P(x), P(a3)")
+    structure, assignment = extract_countermodel(leaf, seq("exists x. P(x) |- forall x. P(x)"))
+    assert structure.domain == ("a2", "a3")
+    assert structure.predicates["P"].plus == frozenset({("a2",)})
+    assert structure.predicates["P"].minus == frozenset({("a3",)})
+
 
 def test_extract_countermodel_rejects_unfaithful_branch():
-    # a branch that does not actually falsify the goal is rejected, not returned
-    root = seq("|- P(a1)")
-    tree = build_reduction_tree(root)
-    wrong_goal = seq("P(a1) |-")
-    assert extract_countermodel([tree.refuting_leaf], wrong_goal) is None
+    # a leaf that does not actually falsify the goal is rejected, not returned
+    assert extract_countermodel(seq("|- P(a1)"), seq("P(a1) |-")) is None
 
 
 def test_determinism_of_trees_and_verdicts():
@@ -213,7 +234,7 @@ def test_eigenvariables_fresh_along_tree():
     tree = build_reduction_tree(seq("exists x. P(x), exists y. Q(y) |- forall x. P(x)"))
 
     def walk(node, seen_vars):
-        if node.kind is not None:
+        if node.children:
             for red in node.principals:
                 if red.rule.value in ("ForallR", "ExistsL", "CircExistsL"):
                     assert red.var not in node.sequent.free_variables()
@@ -225,7 +246,7 @@ def test_eigenvariables_fresh_along_tree():
 
 # Every compound shape of the first-order language with the phase that
 # reduces it on the left and on the right (None: no phase does).
-_K = PhaseKind
+_K = RuleId
 _SHAPE_PHASES = [
     ("P(a1)", None, None),
     ("~P(a1)", None, _K.NEG_R),
@@ -234,9 +255,9 @@ _SHAPE_PHASES = [
     ("P(a1) -> P(a2)", _K.IMP_L, _K.IMP_R),
     ("forall x. P(x)", _K.FORALL_L, _K.FORALL_R),
     ("exists x. P(x)", _K.EXISTS_L, _K.EXISTS_R),
-    ("~(P(a1) & P(a2))", _K.NEG_AND_L, _K.NEG_AND_R),
+    ("~(P(a1) & P(a2))", _K.NEG_AND_L, _K.NEG_AND_R2),
     ("~(P(a1) | P(a2))", _K.NEG_OR_L, _K.NEG_OR_R),
-    ("~(P(a1) -> P(a2))", _K.NEG_IMP_L, _K.NEG_IMP_R),
+    ("~(P(a1) -> P(a2))", _K.NEG_IMP_L, _K.NEG_IMP_R2),
     ("~~P(a1)", _K.NEG_NEG_L, _K.NEG_NEG_R),
     ("~o P(a1)", _K.NEG_CIRC_L, _K.NEG_R),
     ("~(forall x. P(x))", None, _K.NEG_R),
@@ -256,6 +277,6 @@ _SHAPE_PHASES = [
 def test_each_shape_is_reduced_by_at_most_one_phase(text, left, right):
     phi = parse_formula(text)
     for expected, sequent in ((left, Sequent.make((phi,), ())), (right, Sequent.make((), (phi,)))):
-        node = ReductionNode(sequent=sequent, depth=0, created_at_stage=0)
-        reducing = [kind for kind in PHASES if kind is not _K.COPY and _phase_principals(node, kind, ["a1", "a2"])]
+        node = ReductionNode(sequent=sequent, created_at_stage=0)
+        reducing = [rule for rule in PHASES if rule is not None and _phase_principals(node, rule, ["a1", "a2"])]
         assert reducing == ([] if expected is None else [expected]), (text, sequent)

@@ -12,6 +12,7 @@ from ciore.fo_semantics import (
     denote_value,
     enumerate_structures,
     eval_term,
+    falsifying_assignment,
     fo_sequent_satisfied,
     fo_sequent_valid_in,
     satisfies,
@@ -154,6 +155,11 @@ def test_satisfaction_and_validity():
     generalization = parse_sequent("exists x. P(x) |- forall x. P(x)")
     assert not fo_sequent_valid_in(refuter, generalization)
     assert not fo_sequent_satisfied(refuter, {}, generalization)
+
+    # the first falsifying assignment: variables in index order (a2 before
+    # a10), values in domain order
+    assert falsifying_assignment(refuter, instantiation) is None
+    assert falsifying_assignment(refuter, parse_sequent("|- P(a2) & P(a10)")) == {"a2": "0", "a10": "1"}
 
 
 def test_quantifier_axioms_valid_everywhere():
