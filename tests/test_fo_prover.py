@@ -273,7 +273,21 @@ _SHAPE_PHASES = [
 ]
 
 
-@pytest.mark.parametrize("text, left, right", _SHAPE_PHASES)
+# Case ids keep the names the cases had when phases were a `PhaseKind`
+# enum, whose negated-& and negated--> right phases were NEG_AND_R and
+# NEG_IMP_R; the rules themselves are checked as `RuleId`s.
+_PHASE_KIND_NAME = {_K.NEG_AND_R2: "NEG_AND_R", _K.NEG_IMP_R2: "NEG_IMP_R"}
+
+
+def _phase_id(rule):
+    return "None" if rule is None else "PhaseKind." + _PHASE_KIND_NAME.get(rule, rule.name)
+
+
+@pytest.mark.parametrize(
+    "text, left, right",
+    _SHAPE_PHASES,
+    ids=[f"{text}-{_phase_id(left)}-{_phase_id(right)}" for text, left, right in _SHAPE_PHASES],
+)
 def test_each_shape_is_reduced_by_at_most_one_phase(text, left, right):
     phi = parse_formula(text)
     for expected, sequent in ((left, Sequent.make((phi,), ())), (right, Sequent.make((), (phi,)))):
