@@ -289,13 +289,6 @@ def structure_to_json(st: Structure) -> dict:
     return out
 
 
-def _element(value) -> str:
-    """A function value or a constant of a structure file: a domain element's name."""
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a domain element name")
-    return value
-
-
 def structure_from_json(data: Mapping) -> Structure:
     try:
         if not isinstance(data["domain"], list):
@@ -309,8 +302,8 @@ def structure_from_json(data: Mapping) -> Structure:
             predicates[name] = Triple(plus | minus | circ, plus, minus, circ)
         functions = {}
         for name, rows in data.get("functions", {}).items():
-            functions[name] = {tuple(row[:-1]): _element(row[-1]) for row in rows}
-        constants = {name: _element(value) for name, value in data.get("constants", {}).items()}
+            functions[name] = {tuple(row[:-1]): row[-1] for row in rows}
+        constants = dict(data.get("constants", {}))
+        return Structure(domain=domain, predicates=predicates, functions=functions, constants=constants)
     except (KeyError, TypeError, AttributeError, ValueError, IndexError) as exc:
         raise LogicError(f"malformed structure JSON: {exc}") from exc
-    return Structure(domain=domain, predicates=predicates, functions=functions, constants=constants)

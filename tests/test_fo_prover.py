@@ -150,6 +150,8 @@ def test_extract_countermodel_simple_cases():
     structure, assignment = extract_countermodel(root, root)
     assert structure.predicates["P"].circ == frozenset({("a1",)})
     assert structure.predicates["Q"].minus == frozenset({("a1",)})
+    tree = build_reduction_tree(root)
+    assert tree.status == "refuted" and tree.countermodel == (structure, assignment)
 
     leaf = seq("P(a2), exists x. P(x) |- forall x. P(x), P(a3)")
     structure, assignment = extract_countermodel(leaf, seq("exists x. P(x) |- forall x. P(x)"))
