@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .syntax import And, Circ, Exists, Forall, Formula, Imp, Neg, Or, Term, iff, instantiate
+from .syntax import And, Circ, Formula, Imp, Neg, Or, iff
 
 Schema2 = Callable[[Formula, Formula], Formula]
 
@@ -96,19 +96,3 @@ PROPOSITIONAL_SCHEMATA: dict[str, Callable[[Formula, Formula, Formula], Formula]
     "co2": _co2,
     "co3": _co3,
 }
-
-
-def quantifier_axioms(quantified_exists: Formula, quantified_forall: Formula, t: Term) -> dict[str, Formula]:
-    """The four quantifier schemata instantiated at a term t.
-
-    quantified_exists / quantified_forall are the formulas  exists x phi(x)
-    and  forall x phi(x)  over the same body.
-    """
-    if not isinstance(quantified_exists, Exists) or not isinstance(quantified_forall, Forall):
-        raise ValueError("expected an existential and a universal closure of the same body")
-    return {
-        "Ax11": Imp(instantiate(quantified_exists, t), quantified_exists),
-        "Ax12": Imp(quantified_forall, instantiate(quantified_forall, t)),
-        "Ax13": iff(Circ(quantified_exists), Exists(quantified_exists.var, Circ(quantified_exists.body))),
-        "Ax14": iff(Circ(quantified_forall), Exists(quantified_forall.var, Circ(quantified_forall.body))),
-    }

@@ -5,6 +5,9 @@ of the rule table the search applies, one per connective shape and side,
 then one idle stage. Sequents only ever grow along a branch; formulas
 already reduced are remembered by marks, and the left quantifier
 instantiation rules come back to a formula once per available variable.
+Each node indexes its candidate formulas by phase, so a stage reads one
+bucket per open leaf, and a stage no open leaf has a candidate for is
+passed over at once while still counted.
 A tree whose leaves all share a formula across sides compiles to a cut-free
 proof; a branch that a full cycle of stages leaves untouched yields a
 candidate countermodel, which is only reported after it verifiably
@@ -13,7 +16,9 @@ falsifies the goal.
 
 from __future__ import annotations
 
+import collections
 import itertools
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -23,8 +28,9 @@ from .matrix import HALF, ONE, ZERO
 from .parsing import format_formula, format_sequent
 from .sequents import (
     EIGEN_RULES,
+    LEFT,
     QUANTIFIER_RULES,
-    RULE_TABLE,
+    RIGHT,
     Calculus,
     DerivedRuleId,
     Proof,
@@ -52,7 +58,6 @@ from .syntax import (
     PredAtom,
     PropAtom,
     free_variables,
-    fresh_free_variable,
     iff,
     subformulas,
     var_index,
@@ -99,16 +104,40 @@ _CYCLE = len(PHASES)
 
 ONCE, REPEAT, EIGEN = "once", "repeat", "eigen"
 
-#: Side and mode of each phase's rule, read off the rule table once.
-#: Eigenvariable rules fire once with fresh variables, the other quantifier
-#: rules once per available variable, the rest once.
-_PHASE_STEP: dict[RuleId, tuple[str, str]] = {
-    rule: (RULE_TABLE[rule].side, EIGEN if rule in EIGEN_RULES else REPEAT if rule in QUANTIFIER_RULES else ONCE)
-    for rule in PHASES
+#: Position in PHASES and mode of each phase's rule. Eigenvariable rules
+#: fire once with fresh variables, the other quantifier rules once per
+#: available variable, the rest once.
+_PHASE_STEP: dict[RuleId, tuple[int, str]] = {
+    rule: (pos, EIGEN if rule in EIGEN_RULES else REPEAT if rule in QUANTIFIER_RULES else ONCE)
+    for pos, rule in enumerate(PHASES)
     if rule is not None
 }
 
+#: A phase's candidate index: phase position -> the formulas on that phase
+#: rule's side that ``rules_for`` assigns to the rule; empty buckets are absent.
+Candidates = dict[int, tuple[Formula, ...]]
+
+#: A mark: the formula and the rule that reduced it. ONCE and EIGEN marks
+#: are a set; a REPEAT mark counts the variables it has used, which are
+#: always the first ones of the append-only ``available`` list.
 MarkKey = tuple[Formula, RuleId]
+
+
+def _indexed(candidates: Candidates, ante: Iterable[Formula], succ: Iterable[Formula]) -> Candidates:
+    """The candidate index with the formulas of ante and succ added."""
+    out = dict(candidates)
+    for side, formulas in ((LEFT, ante), (RIGHT, succ)):
+        for phi in formulas:
+            for rule in rules_for(phi, side):
+                step = _PHASE_STEP.get(rule)
+                if step is not None:
+                    out[step[0]] = out.get(step[0], ()) + (phi,)
+    return out
+
+
+def _fresh_names(taken: Collection[str]) -> Iterator[str]:
+    """a1, a2, ... without the names in taken, in index order."""
+    return (name for name in map("a{}".format, itertools.count(1)) if name not in taken)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +154,14 @@ class ReductionNode:
     created_at_stage: int
     phase: RuleId | None = None  # rule of the reduction that created this node
     marks: frozenset[MarkKey] = frozenset()
-    used_vars: dict[MarkKey, frozenset[str]] = field(default_factory=dict)
+    used_vars: dict[MarkKey, int] = field(default_factory=dict)  # REPEAT marks
     principals: tuple[PrincipalReduction, ...] = ()
     children: list["ReductionNode"] = field(default_factory=list)
+    candidates: Candidates = field(default=None, repr=False)  # computed from the sequent when absent
+
+    def __post_init__(self) -> None:
+        if self.candidates is None:
+            self.candidates = _indexed({}, self.sequent.ante, self.sequent.succ)
 
     @property
     def closed(self) -> bool:
@@ -162,25 +196,26 @@ def _check_fo_input(s: Sequent) -> None:
                     assert isinstance(t, (FreeVar, BoundVar))
 
 
-def _phase_principals(leaf: ReductionNode, rule: RuleId, available: list[str]) -> list[PrincipalReduction]:
-    side, mode = _PHASE_STEP[rule]
+def _phase_principals(
+    leaf: ReductionNode, rule: RuleId, available: list[str], fresh: Iterator[str] | None = None
+) -> list[PrincipalReduction]:
+    """The reductions the phase of rule makes on leaf, in formula_key order.
+    Eigenvariables are drawn from fresh, which the loop shares across all
+    leaves; by default, the names missing from available."""
+    pos, mode = _PHASE_STEP[rule]
+    bucket = leaf.candidates.get(pos, ())
+    if mode == REPEAT:
+        pending = [phi for phi in bucket if leaf.used_vars.get((phi, rule), 0) < len(available)]
+    else:
+        pending = [phi for phi in bucket if (phi, rule) not in leaf.marks]
+    if mode == EIGEN and fresh is None:
+        fresh = _fresh_names(available)
     found: list[PrincipalReduction] = []
-    fresh_cursor = None
-    reducible = [phi for phi in leaf.sequent.side(side) if rule in rules_for(phi, side)]
-    for phi in sorted(reducible, key=formula_key):
-        key: MarkKey = (phi, rule)
+    for phi in sorted(pending, key=formula_key):
         if mode == REPEAT:
-            used = leaf.used_vars.get(key, frozenset())
-            var = next((v for v in available if v not in used), None)
-            if var is None:
-                continue
-        elif key in leaf.marks:
-            continue
-        elif mode == EIGEN:  # the next variables beyond the available ones
-            if fresh_cursor is None:
-                fresh_cursor = set(available)
-            var = fresh_free_variable(fresh_cursor)
-            fresh_cursor.add(var)
+            var = available[leaf.used_vars.get((phi, rule), 0)]
+        elif mode == EIGEN:
+            var = next(fresh)
         else:
             var = None
         schema = rule_schema(rule, phi, var)
@@ -190,23 +225,25 @@ def _phase_principals(leaf: ReductionNode, rule: RuleId, available: list[str]) -
 
 
 def _expand_leaf(leaf: ReductionNode, rule: RuleId, reductions: list[PrincipalReduction], stage: int) -> list[ReductionNode]:
+    repeat = _PHASE_STEP[rule][1] == REPEAT
     new_marks = set(leaf.marks)
     new_used = dict(leaf.used_vars)
     for red in reductions:
         key: MarkKey = (red.principal, rule)
-        if _PHASE_STEP[rule][1] == REPEAT:
-            assert red.var is not None
-            new_used[key] = new_used.get(key, frozenset()) | {red.var}
+        if repeat:
+            new_used[key] = new_used.get(key, 0) + 1
         else:
             new_marks.add(key)
     marks = frozenset(new_marks)
 
     leaf.principals = tuple(reductions)
+    parent = leaf.sequent
     for choice in itertools.product(*(red.options for red in reductions)):
-        seq = leaf.sequent
+        seq = parent
         for add_ante, add_succ in choice:
             seq = seq.with_ante(*add_ante).with_succ(*add_succ)
-        leaf.children.append(ReductionNode(seq, stage, rule, marks, new_used))
+        candidates = _indexed(leaf.candidates, seq.ante - parent.ante, seq.succ - parent.succ)
+        leaf.children.append(ReductionNode(seq, stage, rule, marks, new_used, candidates=candidates))
     return leaf.children
 
 
@@ -221,46 +258,63 @@ def build_reduction_tree(
     root = ReductionNode(sequent=s, created_at_stage=0)
     occurring = sorted(s.free_variables(), key=var_index)
     available: list[str] = occurring if occurring else ["a1"]
+    fresh = _fresh_names(frozenset(available))  # every name it yields is appended to available
 
     # The open leaves, left to right; eigenvariables are handed out in this order.
     frontier = [] if root.closed else [root]
+    # Recomputed only when the frontier changes: the phase positions some
+    # open leaf has candidates for, the newest leaf's stage, and the stages
+    # that made leaves, oldest first.
+    active = set(root.candidates)
+    newest = 0
+    grew_at = collections.deque([0])
     node_count = 1
     stage = 0
     while True:
         if not frontier:
             return ReductionTree(root, "closed", stage, node_count)
 
-        # Every stage is checked, so a leaf ends its first idle cycle at exactly
-        # one of them and its countermodel is extracted once.
-        for leaf in frontier:
-            if stage - leaf.created_at_stage == _CYCLE:
-                countermodel = extract_countermodel(leaf.sequent, s)
-                if countermodel is not None:
-                    return ReductionTree(root, "refuted", stage, node_count, countermodel)
-        if all(stage - leaf.created_at_stage >= _CYCLE for leaf in frontier):
+        # A leaf ends its first idle cycle exactly one cycle after the stage
+        # that made it, so its countermodel is extracted once.
+        if grew_at and stage - grew_at[0] == _CYCLE:
+            grew_at.popleft()
+            for leaf in frontier:
+                if stage - leaf.created_at_stage == _CYCLE:
+                    countermodel = extract_countermodel(leaf.sequent, s)
+                    if countermodel is not None:
+                        return ReductionTree(root, "refuted", stage, node_count, countermodel)
+        if stage - newest >= _CYCLE:
             return ReductionTree(root, "stalled", stage, node_count)
 
         stage += 1
         if stage > max_depth or node_count > max_nodes:
             return ReductionTree(root, "budget", stage, node_count)
 
-        rule = PHASES[stage % _CYCLE]
-        if rule is None:
+        pos = stage % _CYCLE
+        if pos not in active:  # the idle phase, or no open leaf has a candidate
             continue
+        rule = PHASES[pos]
+        eigen = _PHASE_STEP[rule][1] == EIGEN
+        counted = node_count
         grown: list[ReductionNode] = []
         for leaf in frontier:
-            reductions = _phase_principals(leaf, rule, available)
+            reductions = pos in leaf.candidates and _phase_principals(leaf, rule, available, fresh)
             if not reductions:
                 grown.append(leaf)
                 continue
             children = _expand_leaf(leaf, rule, reductions, stage)
             node_count += len(children)
             grown.extend(child for child in children if not child.closed)
-            if _PHASE_STEP[rule][1] == EIGEN:
+            if eigen:
                 available.extend(red.var for red in reductions)
             if node_count > max_nodes:
                 return ReductionTree(root, "budget", stage, node_count)
+        if node_count == counted:
+            continue
         frontier = grown
+        active = set().union(*(leaf.candidates for leaf in frontier))
+        newest = max((leaf.created_at_stage for leaf in frontier), default=stage)
+        grew_at.append(stage)
 
 
 # ---------------------------------------------------------------------------

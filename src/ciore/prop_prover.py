@@ -30,7 +30,6 @@ from .sequents import (
     axiom_proof,
     formula_key,
     premises_from_schema,
-    proof_error,
     rules_for,
 )
 from .syntax import (
@@ -156,25 +155,6 @@ def decide(s: Sequent, atom_cap: int | None = None, on_step: StepHook | None = N
             raise InternalError("refuting valuation fails to falsify the sequent")
         return Refuted(v)
     return verdict
-
-
-def eliminate_cut(proof: Proof) -> Proof:
-    """Cut-free proof of the same end-sequent, by re-deciding it."""
-    errors = [proof_error(proof, calc, allow_cut=True) for calc in (Calculus.GCIORE, Calculus.GCIORE_PRIME)]
-    if all(err is not None for err in errors):
-        raise LogicError(f"not a valid proof in either propositional calculus: {errors[0]}")
-    verdict = decide(proof.sequent)
-    if isinstance(verdict, Refuted):
-        raise InternalError(
-            "a checked proof's end-sequent was refuted; the checker or the prover is unsound"
-        )
-    return verdict.proof
-
-
-def contradiction_scan(phi: Formula) -> Verdict:
-    """Decide  |- phi & ~phi ; the calculus proves no contradictions, so
-    this must come back refuted for every phi."""
-    return decide(Sequent.make((), (And(phi, Neg(phi)),)))
 
 
 def theorem_suite(a: Formula | None = None, b: Formula | None = None) -> list[tuple[str, Sequent]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .errors import LogicError
@@ -31,11 +30,9 @@ from .syntax import (
     formula_key,
     free_variables,
     fresh_free_variable,
-    gsub,
     instantiate,
     is_free_var_name,
     var_index,
-    weight,
 )
 
 LEFT = "L"
@@ -80,10 +77,6 @@ class Sequent:
         for phi in self.ante | self.succ:
             out |= free_variables(phi)
         return out
-
-
-def sequent_weight(s: Sequent) -> int:
-    return sum(weight(phi) for phi in s.ante) + sum(weight(phi) for phi in s.succ)
 
 
 class RuleId(enum.Enum):
@@ -416,16 +409,6 @@ def rule_instance_error(
     return "premises do not match the rule schema at this principal"
 
 
-def check_rule_instance(
-    rule: RuleId,
-    conclusion: Sequent,
-    premises: Sequence[Sequent],
-    principal: Formula | None = None,
-    var: str | None = None,
-) -> bool:
-    return rule_instance_error(rule, conclusion, premises, principal, var) is None
-
-
 def proof_error(proof: Proof, calculus: Calculus, allow_cut: bool = False, _path: str = "root") -> str | None:
     """Path and reason of the first invalid node, or None for a valid proof."""
     rule = proof.rule
@@ -584,14 +567,3 @@ def weaken_to(proof: Proof, target: Sequent) -> Proof:
 def axiom_proof(phi: Formula, target: Sequent) -> Proof:
     """Axiom on phi weakened up to the target sequent."""
     return weaken_to(_axiom(phi), target)
-
-
-def gsub_of_sequent(s: Sequent) -> frozenset[Formula]:
-    return reduce(lambda acc, f: acc | gsub(f), s.ante | s.succ, frozenset())
-
-
-def proof_respects_gsub(proof: Proof) -> bool:
-    """Every formula anywhere in the proof is a generalized subformula of the
-    end-sequent (holds for cut-free proofs)."""
-    allowed = gsub_of_sequent(proof.sequent)
-    return all(node.sequent.ante | node.sequent.succ <= allowed for node in proof.nodes())

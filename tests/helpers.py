@@ -506,3 +506,77 @@ def backward_applications(s: Sequent, calculus: Calculus) -> list[BackwardApplic
                 if premises is not None:
                     out.append(BackwardApplication(rule, principal, None, tuple(premises)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Checks and procedures that only tests use
+
+from typing import Sequence  # noqa: E402
+
+from ciore.errors import InternalError, LogicError  # noqa: E402
+from ciore.prop_prover import Refuted, Verdict, decide  # noqa: E402
+from ciore.sequents import Proof, proof_error, rule_instance_error  # noqa: E402
+from ciore.syntax import Term, gsub, iff, weight  # noqa: E402
+
+
+def sequent_weight(s: Sequent) -> int:
+    return sum(weight(phi) for phi in s.ante) + sum(weight(phi) for phi in s.succ)
+
+
+def check_rule_instance(
+    rule: RuleId,
+    conclusion: Sequent,
+    premises: Sequence[Sequent],
+    principal: Formula | None = None,
+    var: str | None = None,
+) -> bool:
+    return rule_instance_error(rule, conclusion, premises, principal, var) is None
+
+
+def gsub_of_sequent(s: Sequent) -> frozenset[Formula]:
+    out: frozenset[Formula] = frozenset()
+    for phi in s.ante | s.succ:
+        out |= gsub(phi)
+    return out
+
+
+def proof_respects_gsub(proof: Proof) -> bool:
+    """Every formula anywhere in the proof is a generalized subformula of the
+    end-sequent (holds for cut-free proofs)."""
+    allowed = gsub_of_sequent(proof.sequent)
+    return all(node.sequent.ante | node.sequent.succ <= allowed for node in proof.nodes())
+
+
+def eliminate_cut(proof: Proof) -> Proof:
+    """Cut-free proof of the same end-sequent, by re-deciding it."""
+    errors = [proof_error(proof, calc, allow_cut=True) for calc in (Calculus.GCIORE, Calculus.GCIORE_PRIME)]
+    if all(err is not None for err in errors):
+        raise LogicError(f"not a valid proof in either propositional calculus: {errors[0]}")
+    verdict = decide(proof.sequent)
+    if isinstance(verdict, Refuted):
+        raise InternalError(
+            "a checked proof's end-sequent was refuted; the checker or the prover is unsound"
+        )
+    return verdict.proof
+
+
+def contradiction_scan(phi: Formula) -> Verdict:
+    """Decide  |- phi & ~phi ; the calculus proves no contradictions, so
+    this must come back refuted for every phi."""
+    return decide(Sequent.make((), (And(phi, Neg(phi)),)))
+
+
+def quantifier_axioms(quantified_exists: Formula, quantified_forall: Formula, t: Term) -> dict[str, Formula]:
+    """The four quantifier schemata instantiated at a term t.
+
+    quantified_exists / quantified_forall are the formulas  exists x phi(x)
+    and  forall x phi(x)  over the same body.
+    """
+    if not isinstance(quantified_exists, Exists) or not isinstance(quantified_forall, Forall):
+        raise ValueError("expected an existential and a universal closure of the same body")
+    return {
+        "Ax11": Imp(instantiate(quantified_exists, t), quantified_exists),
+        "Ax12": Imp(quantified_forall, instantiate(quantified_forall, t)),
+        "Ax13": iff(Circ(quantified_exists), Exists(quantified_exists.var, Circ(quantified_exists.body))),
+        "Ax14": iff(Circ(quantified_forall), Exists(quantified_forall.var, Circ(quantified_forall.body))),
+    }

@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from ciore.axioms import PROPOSITIONAL_SCHEMATA, quantifier_axioms
+from ciore.axioms import PROPOSITIONAL_SCHEMATA
 from ciore.fo_prover import (
     Proved as FoProved,
     Refuted as FoRefuted,
@@ -24,9 +24,9 @@ from ciore.fo_semantics import (
 )
 from ciore.matrix import HALF, ONE, VALUE_ORDER, ZERO, eval_formula, matrix_valid, sequent_satisfied
 from ciore.parsing import parse_sequent
-from ciore.prop_prover import Proved, Refuted, contradiction_scan, decide, eliminate_cut, theorem_suite
+from ciore.prop_prover import Proved, Refuted, decide, theorem_suite
 from ciore.randgen import random_formula, random_sequent
-from ciore.sequents import Calculus, Proof, RuleId, Sequent, check_proof, proof_respects_gsub
+from ciore.sequents import Calculus, Proof, RuleId, Sequent, check_proof
 from ciore.syntax import (
     And,
     BoundVar,
@@ -48,9 +48,13 @@ from helpers import (
     PROP_LOGICAL_RULES,
     QUANTIFIER_RULES,
     all_unary_structures,
+    contradiction_scan,
     denote_components,
+    eliminate_cut,
     formulas_of_complexity,
     kernel_triple,
+    proof_respects_gsub,
+    quantifier_axioms,
     random_fo_rule_instance,
     random_structure,
     sides_upto,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,7 +20,8 @@ from ciore.fo_prover import (
 )
 from ciore.fo_semantics import fo_sequent_satisfied, fo_sequent_valid_in, structure_to_json
 from ciore.parsing import parse_formula, parse_sequent
-from ciore.sequents import Calculus, RuleId, Sequent, check_proof, proof_error
+from ciore.randgen import random_fo_formula
+from ciore.sequents import RULE_TABLE, Calculus, RuleId, Sequent, check_proof, formula_key, proof_error, rules_for
 from ciore.serialize import proof_to_json, verdict_to_json
 
 from helpers import PROP_LOGICAL_RULES, QUANTIFIER_RULES, all_unary_structures, random_fo_rule_instance
@@ -69,6 +71,75 @@ def test_frontier_runs_left_to_right():
             "[open; marks: ExistsL:exists y. R(y, y); OrL:(exists x. P(x)) | (exists y. R(y, y))]",
         ]
     )
+
+
+def test_eigenvariables_skip_the_goals_variables():
+    # the goal has a2 and a4: eigenvariables fill the gaps first, then go on
+    # past a4, in frontier order (left branch before right) at each stage
+    tree = build_reduction_tree(seq("P(a2), (exists x. P(x)) | (exists y. Q(y)) |- forall z. R(z, a4)"))
+    expanded = []
+
+    def walk(node):
+        if node.children:
+            expanded.append(node)
+        for child in node.children:
+            walk(child)
+
+    walk(tree.root)
+    expanded.sort(key=lambda node: node.children[0].created_at_stage)  # stable: left to right within a stage
+    handed_out = [
+        (red.rule, red.var) for node in expanded for red in node.principals if red.rule in (RuleId.FORALL_R, RuleId.EXISTS_L)
+    ]
+    assert handed_out == [
+        (RuleId.FORALL_R, "a1"),
+        (RuleId.FORALL_R, "a3"),
+        (RuleId.EXISTS_L, "a5"),
+        (RuleId.EXISTS_L, "a6"),
+    ]
+
+
+def _nodes(node):
+    yield node
+    for child in node.children:
+        yield from _nodes(child)
+
+
+def test_candidate_index_matches_the_rule_table():
+    # every node's bucket for a phase holds exactly the formulas of the
+    # phase rule's side that rules_for assigns to the rule; no bucket is empty
+    rng = random.Random(606)
+    checked = 0
+    for _ in range(100):
+        pool = ["a1", "a2", "a3"][: rng.randint(1, 3)]
+        side = lambda: [random_fo_formula(rng, {"P": 1, "R": 2}, pool, 3) for _ in range(rng.randint(0, 2))]
+        goal = Sequent.make(side(), side() or [random_fo_formula(rng, {"P": 1, "R": 2}, pool, 3)])
+        for node in _nodes(build_reduction_tree(goal, max_nodes=300, max_depth=120).root):
+            assert all(node.candidates.values())
+            for pos, rule in enumerate(PHASES):
+                if rule is None:
+                    assert pos not in node.candidates
+                    continue
+                side_name = RULE_TABLE[rule].side
+                expected = sorted(
+                    (phi for phi in node.sequent.side(side_name) if rule in rules_for(phi, side_name)), key=formula_key
+                )
+                assert sorted(node.candidates.get(pos, ()), key=formula_key) == expected
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize(
+    "max_nodes, stages, nodes, digest",
+    [(2000, 177, 2003, "6acda1d33d7a65cb"), (5000, 183, 5001, "1d019133f8db6d4b")],
+    ids=["2000-nodes", "5000-nodes"],
+)
+def test_slow_goal_trees_are_pinned(max_nodes, stages, nodes, digest):
+    # the slowest known random goal, cut at smaller node budgets: the loop's
+    # shortcuts (candidate index, skipped idle stages, variable cursors)
+    # must keep these trees byte for byte
+    tree = build_reduction_tree(seq("|- exists x2. forall x1. ~(P(x1) & P(x2) -> P(x2))"), max_nodes=max_nodes)
+    assert (tree.status, tree.stages, tree.node_count) == ("budget", stages, nodes)
+    assert hashlib.sha256(dump_tree(tree).encode()).hexdigest()[:16] == digest
 
 
 def test_tree_rejects_constants_functions_prop_atoms():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ciore.axioms import PROPOSITIONAL_SCHEMATA, quantifier_axioms
+from ciore.axioms import PROPOSITIONAL_SCHEMATA
 from ciore.errors import LogicError
 from ciore.fo_semantics import (
     Structure,
@@ -47,6 +47,7 @@ from helpers import (
     binary_table,
     denote_components,
     kernel_triple,
+    quantifier_axioms,
     tuple_space,
     valid_in,
     var_sorted,

@@ -9,9 +9,7 @@ from ciore.prop_prover import (
     Proved,
     Refuted,
     _next_reduction,
-    contradiction_scan,
     decide,
-    eliminate_cut,
     theorem_suite,
 )
 from ciore.randgen import random_formula, random_sequent
@@ -25,11 +23,11 @@ from ciore.sequents import (
     check_proof,
     formula_key,
     premises_from_schema,
-    proof_respects_gsub,
     rules_for,
-    sequent_weight,
 )
 from ciore.syntax import And, Circ, Formula, PropAtom, iff
+
+from helpers import contradiction_scan, eliminate_cut, proof_respects_gsub, sequent_weight
 
 seq = parse_sequent
 p, q = PropAtom("p"), PropAtom("q")

@@ -13,16 +13,21 @@ from ciore.sequents import (
     RuleId,
     Sequent,
     check_proof,
-    check_rule_instance,
     expand_derived_rule,
     proof_error,
-    proof_respects_gsub,
     rule_instance_error,
-    sequent_weight,
 )
 from ciore.syntax import And, Circ, Imp, Neg, Or, PropAtom, weight
 
-from helpers import PROP_LOGICAL_RULES, BackwardApplication, backward_applications, random_prop_instance
+from helpers import (
+    PROP_LOGICAL_RULES,
+    BackwardApplication,
+    backward_applications,
+    check_rule_instance,
+    proof_respects_gsub,
+    random_prop_instance,
+    sequent_weight,
+)
 
 R = RuleId
 p, q, r = PropAtom("p"), PropAtom("q"), PropAtom("r")
