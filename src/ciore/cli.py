@@ -38,6 +38,9 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
 
+#: Exit code of each verdict status, shared by both provers' verdicts.
+_VERDICT_EXIT = {"proved": EXIT_OK, "refuted": EXIT_NEGATIVE, "unknown": EXIT_UNKNOWN}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -128,12 +131,10 @@ def _cmd_prove(args) -> int:
     s = _parse_goal(args.sequent, args.fo)
     if args.fo:
         verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
-        code = {fo_prover.Proved: EXIT_OK, fo_prover.Refuted: EXIT_NEGATIVE, fo_prover.Unknown: EXIT_UNKNOWN}[type(verdict)]
     else:
         verdict = decide(s, atom_cap=args.atom_cap)
-        code = EXIT_OK if isinstance(verdict, prop_prover.Proved) else EXIT_NEGATIVE
     _emit(verdict_to_json(verdict), args.json, describe_verdict(verdict))
-    return code
+    return _VERDICT_EXIT[verdict.status]
 
 
 def _cmd_validity(args) -> int:
@@ -145,10 +146,11 @@ def _cmd_validity(args) -> int:
         return EXIT_OK if ok else EXIT_NEGATIVE
     if args.fo:
         verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
-        if isinstance(verdict, fo_prover.Unknown):
-            _emit({"status": "unknown", "report": verdict.report}, args.json, f"unknown: {verdict.report}")
-            return EXIT_UNKNOWN
-        ok = isinstance(verdict, fo_prover.Proved)
+        code = _VERDICT_EXIT[verdict.status]
+        if code == EXIT_UNKNOWN:
+            _emit(verdict_to_json(verdict), args.json, describe_verdict(verdict))
+            return code
+        ok = code == EXIT_OK
     else:
         ok = matrix_valid(s, atom_cap=args.atom_cap)
     _emit({"status": "valid" if ok else "invalid"}, args.json, "valid" if ok else "invalid")
@@ -167,14 +169,14 @@ def _cmd_countermodel(args) -> int:
         return EXIT_OK
     if args.fo:
         verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
-        if isinstance(verdict, fo_prover.Refuted):
+        code = _VERDICT_EXIT[verdict.status]
+        if code == EXIT_NEGATIVE:
             print(json.dumps(verdict_to_json(verdict), indent=2, sort_keys=True))
-            return EXIT_NEGATIVE
-        if isinstance(verdict, fo_prover.Unknown):
-            print(f"unknown: {verdict.report}")
-            return EXIT_UNKNOWN
-        print("valid")
-        return EXIT_OK
+        elif code == EXIT_UNKNOWN:
+            print(describe_verdict(verdict))
+        else:
+            print("valid")
+        return code
     cm = find_countermodel(s, atom_cap=args.atom_cap)
     if cm is None:
         print("valid")

@@ -20,7 +20,7 @@ import collections
 import itertools
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import InternalError, LogicError
 from .fo_semantics import Structure, Triple, fo_sequent_satisfied
@@ -57,9 +57,10 @@ from .syntax import (
     Neg,
     PredAtom,
     PropAtom,
-    free_variables,
     iff,
+    predicate_arities,
     subformulas,
+    terms,
     var_index,
 )
 
@@ -178,22 +179,16 @@ class ReductionTree:
 
 
 def _check_fo_input(s: Sequent) -> None:
-    arities: dict[str, int] = {}
-    for phi in s.ante | s.succ:
-        for f in subformulas(phi):
-            if isinstance(f, PropAtom):
-                raise LogicError("the first-order prover takes predicate atoms only")
-            if isinstance(f, PredAtom):
-                if arities.setdefault(f.name, len(f.args)) != len(f.args):
-                    raise LogicError(f"predicate {f.name!r} used with two arities")
-                stack = list(f.args)
-                while stack:
-                    t = stack.pop()
-                    if isinstance(t, FunApp):
-                        raise LogicError("the first-order prover does not handle function symbols")
-                    if isinstance(t, Const):
-                        raise LogicError("the first-order prover does not handle constants")
-                    assert isinstance(t, (FreeVar, BoundVar))
+    formulas = s.ante | s.succ
+    predicate_arities(formulas)  # raises on a predicate used with two arities
+    for phi in formulas:
+        if any(type(f) is PropAtom for f in subformulas(phi)):
+            raise LogicError("the first-order prover takes predicate atoms only")
+        for t in terms(phi):
+            if type(t) is FunApp:
+                raise LogicError("the first-order prover does not handle function symbols")
+            if type(t) is Const:
+                raise LogicError("the first-order prover does not handle constants")
 
 
 def _phase_principals(
@@ -327,19 +322,10 @@ def extract_countermodel(leaf: Sequent, goal: Sequent) -> tuple[Structure, dict[
     and negated atom both do, and fails (0) elsewhere. The result is only
     returned if it verifiably falsifies the goal. Sequents only grow along
     a branch, so the leaf holds every formula of its branch."""
-    variables: set[str] = set()
-    arities: dict[str, int] = {}
-    for phi in leaf.ante | leaf.succ:
-        for f in subformulas(phi):
-            if isinstance(f, PredAtom):
-                if arities.setdefault(f.name, len(f.args)) != len(f.args):
-                    raise LogicError(f"predicate {f.name!r} used with two arities")
-        variables |= free_variables(phi)
-
-    domain = tuple(sorted(variables, key=var_index)) or ("a1",)
+    domain = tuple(sorted(leaf.free_variables(), key=var_index)) or ("a1",)
 
     predicates: dict[str, Triple] = {}
-    for name, arity in sorted(arities.items()):
+    for name, arity in sorted(predicate_arities(leaf.ante | leaf.succ).items()):
         space = tuple(itertools.product(domain, repeat=arity))
         values = {}
         for combo in space:
@@ -391,12 +377,14 @@ def _assemble(node: ReductionNode) -> Proof:
 
 @dataclass(frozen=True, slots=True)
 class Refuted:
+    status: ClassVar[str] = "refuted"
     structure: Structure
     assignment: dict[str, str]
 
 
 @dataclass(frozen=True, slots=True)
 class Unknown:
+    status: ClassVar[str] = "unknown"
     report: str
 
 

@@ -25,7 +25,6 @@ from .syntax import (
     FreeVar,
     PredAtom,
     PropAtom,
-    Signature,
     Term,
     fresh_free_variable,
 )
@@ -125,14 +124,6 @@ class Structure:
     def predicate_arity(self, name: str) -> int:
         triple = self.predicates[name]
         return len(next(iter(triple.universe)))
-
-    @property
-    def signature(self) -> Signature:
-        return Signature(
-            predicates={name: self.predicate_arity(name) for name in self.predicates},
-            functions={name: len(next(iter(table))) for name, table in self.functions.items()},
-            constants=frozenset(self.constants),
-        )
 
 
 Assignment = Mapping[str, str]

@@ -144,10 +144,7 @@ def effective_atom_cap(atom_cap: int | None) -> int:
 
 
 def sequent_atoms(s: Sequent) -> tuple[str, ...]:
-    names: set[str] = set()
-    for phi in s.ante | s.succ:
-        names |= syntax.atoms(phi)
-    return tuple(sorted(names))
+    return tuple(sorted(frozenset().union(*map(syntax.atoms, s.ante | s.succ))))
 
 
 def valuations(names: tuple[str, ...]) -> Iterator[dict[str, TruthValue]]:
@@ -183,7 +180,3 @@ def matrix_valid(s: Sequent, atom_cap: int | None = None) -> bool:
 
 def valuation_to_json(v: Valuation) -> dict[str, str]:
     return {name: v[name].value for name in sorted(v)}
-
-
-def valuation_from_json(data: Mapping[str, str]) -> dict[str, TruthValue]:
-    return {name: TruthValue(value) for name, value in data.items()}

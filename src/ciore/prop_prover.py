@@ -14,7 +14,7 @@ lowers the weight, so the search ends whatever the order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 from .errors import AtomCapExceeded, InternalError, LogicError
 from .matrix import HALF, ONE, ZERO, TruthValue, effective_atom_cap, sequent_atoms, sequent_satisfied
@@ -58,6 +58,7 @@ _DECREASING_PREMISE_COUNT = {
 
 @dataclass(frozen=True, slots=True)
 class Refuted:
+    status: ClassVar[str] = "refuted"
     valuation: dict[str, TruthValue]
 
 
@@ -138,9 +139,8 @@ def _decide(s: Sequent, marks: frozenset, on_step: StepHook | None) -> Verdict:
 
 def decide(s: Sequent, atom_cap: int | None = None, on_step: StepHook | None = None) -> Verdict:
     """Prove the sequent cut-free or refute it with a valuation."""
-    for phi in s.ante | s.succ:
-        if not is_propositional(phi):
-            raise LogicError("the propositional prover takes quantifier-free input")
+    if not all(map(is_propositional, s.ante | s.succ)):
+        raise LogicError("the propositional prover takes quantifier-free input")
     names = sequent_atoms(s)
     cap = effective_atom_cap(atom_cap)
     if len(names) > cap:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import LogicError
 from .syntax import (
@@ -73,10 +73,7 @@ class Sequent:
         return bool(self.ante & self.succ)
 
     def free_variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for phi in self.ante | self.succ:
-            out |= free_variables(phi)
-        return out
+        return frozenset().union(*map(free_variables, self.ante | self.succ))
 
 
 class RuleId(enum.Enum):
@@ -212,6 +209,7 @@ class Proof:
 class Proved:
     """Verdict of either prover: a cut-free proof of the goal."""
 
+    status: ClassVar[str] = "proved"
     proof: Proof
 
 

@@ -23,10 +23,17 @@ def sequent_to_json(s: Sequent) -> dict:
     }
 
 
+def _list(data: Mapping, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise ParseError(f"malformed proof JSON: {key!r} must be a list, got {value!r}")
+    return value
+
+
 def sequent_from_json(data: Mapping) -> Sequent:
     return Sequent.make(
-        (parse_formula(t) for t in data["ante"]),
-        (parse_formula(t) for t in data["succ"]),
+        (parse_formula(t) for t in _list(data, "ante")),
+        (parse_formula(t) for t in _list(data, "succ")),
     )
 
 
@@ -44,30 +51,33 @@ def proof_from_json(data: Mapping) -> Proof:
     try:
         rule = RuleId(data["rule"])
         principal = parse_formula(data["principal"]) if data.get("principal") else None
-        var = data.get("side") or None
-        premises = tuple(proof_from_json(p) for p in data["premises"])
+        var = data.get("side")
+        if not (var is None or isinstance(var, str)):
+            raise ParseError(f"malformed proof JSON: 'side' must be a string or null, got {var!r}")
+        premises = tuple(proof_from_json(p) for p in _list(data, "premises"))
         sequent = sequent_from_json(data["sequent"])
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed proof JSON: {exc}") from exc
-    return Proof(sequent=sequent, rule=rule, principal=principal, var=var, premises=premises)
+    return Proof(sequent=sequent, rule=rule, principal=principal, var=var or None, premises=premises)
 
 
 def verdict_to_json(verdict) -> dict:
     if isinstance(verdict, Proved):
-        return {"status": "proved", "proof": proof_to_json(verdict.proof)}
-    if isinstance(verdict, prop_prover.Refuted):
-        return {"status": "refuted", "valuation": valuation_to_json(verdict.valuation)}
-    if isinstance(verdict, fo_prover.Refuted):
-        return {
-            "status": "refuted",
+        body = {"proof": proof_to_json(verdict.proof)}
+    elif isinstance(verdict, prop_prover.Refuted):
+        body = {"valuation": valuation_to_json(verdict.valuation)}
+    elif isinstance(verdict, fo_prover.Refuted):
+        body = {
             "structure": structure_to_json(verdict.structure),
             "assignment": dict(sorted(verdict.assignment.items())),
         }
-    if isinstance(verdict, fo_prover.Unknown):
-        return {"status": "unknown", "report": verdict.report}
-    raise TypeError(f"not a verdict: {verdict!r}")
+    elif isinstance(verdict, fo_prover.Unknown):
+        body = {"report": verdict.report}
+    else:
+        raise TypeError(f"not a verdict: {verdict!r}")
+    return {"status": verdict.status, **body}
 
 
 def describe_verdict(verdict) -> str:

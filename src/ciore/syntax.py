@@ -9,9 +9,9 @@ avoidance beyond the preconditions enforced here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import LogicError
 
@@ -137,45 +137,48 @@ BINARY_TYPES = (And, Or, Imp)
 QUANTIFIER_TYPES = (Forall, Exists)
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
-    """Predicate/function/constant symbols with their arities.
-
-    Names must be unique across the three kinds, arities positive.
-    """
-
-    predicates: dict[str, int] = field(default_factory=dict)
-    functions: dict[str, int] = field(default_factory=dict)
-    constants: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        names = list(self.predicates) + list(self.functions) + list(self.constants)
-        if len(names) != len(set(names)):
-            raise LogicError("signature names must be unique across predicates, functions and constants")
-        for name, arity in list(self.predicates.items()) + list(self.functions.items()):
-            if arity < 1:
-                raise LogicError(f"arity of {name!r} must be positive, got {arity}")
-
-
 def iff(a: Formula, b: Formula) -> Formula:
     """a <-> b, spelled out as (a -> b) & (b -> a)."""
     return And(Imp(a, b), Imp(b, a))
 
 
 # ---------------------------------------------------------------------------
-# Traversals
+# Traversals: one preorder walk over formulas and one over terms, which every
+# structural query below reads. The formula classes have no subclasses.
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
     """Yield phi and every subformula occurrence, preorder."""
-    yield phi
-    if isinstance(phi, (Neg, Circ)):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, BINARY_TYPES):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, QUANTIFIER_TYPES):
-        yield from subformulas(phi.body)
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        yield f
+        kind = type(f)
+        if kind is And or kind is Or or kind is Imp:
+            stack += (f.right, f.left)
+        elif kind is Neg or kind is Circ or kind is Forall or kind is Exists:
+            stack.append(f.body)
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """Yield t and every term occurrence inside it, preorder."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if type(t) is FunApp:
+            stack += reversed(t.args)
+
+
+def terms(phi: Formula) -> Iterator[Term]:
+    """Yield every term occurrence in phi's atoms, preorder."""
+    for f in subformulas(phi):
+        if type(f) is PredAtom:
+            for t in f.args:
+                if type(t) is FunApp:
+                    yield from subterms(t)
+                else:
+                    yield t
 
 
 def is_propositional(phi: Formula) -> bool:
@@ -194,28 +197,18 @@ def atoms(phi: Formula) -> frozenset[str]:
     return frozenset(f.name for f in subformulas(phi) if isinstance(f, PropAtom))
 
 
-def term_free_variables(t: Term) -> frozenset[str]:
-    if isinstance(t, FreeVar):
-        return frozenset((t.name,))
-    if isinstance(t, FunApp):
-        out: frozenset[str] = frozenset()
-        for arg in t.args:
-            out |= term_free_variables(arg)
-        return out
-    return frozenset()
-
-
 def free_variables(phi: Formula) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for f in subformulas(phi):
-        if isinstance(f, PredAtom):
-            for t in f.args:
-                out |= term_free_variables(t)
-    return out
+    return frozenset(t.name for t in terms(phi) if type(t) is FreeVar)
 
 
-def predicate_symbols(phi: Formula) -> dict[str, int]:
-    return {f.name: len(f.args) for f in subformulas(phi) if isinstance(f, PredAtom)}
+def predicate_arities(formulas: Iterable[Formula]) -> dict[str, int]:
+    """Arity of each predicate occurring in the formulas."""
+    arities: dict[str, int] = {}
+    for phi in formulas:
+        for f in subformulas(phi):
+            if type(f) is PredAtom and arities.setdefault(f.name, len(f.args)) != len(f.args):
+                raise LogicError(f"predicate {f.name!r} used with two arities")
+    return arities
 
 
 def var_index(name: str) -> int:
@@ -235,60 +228,12 @@ def bound_names(phi: Formula) -> frozenset[str]:
     """All bound-variable names occurring in phi, binders included."""
     out: set[str] = set()
     for f in subformulas(phi):
-        if isinstance(f, QUANTIFIER_TYPES):
+        kind = type(f)
+        if kind is Forall or kind is Exists:
             out.add(f.var)
-        elif isinstance(f, PredAtom):
-            stack = list(f.args)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, BoundVar):
-                    out.add(t.name)
-                elif isinstance(t, FunApp):
-                    stack.extend(t.args)
+        elif kind is PredAtom:
+            out.update(t.name for t in terms(f) if type(t) is BoundVar)
     return frozenset(out)
-
-
-def validate(phi: Formula, sig: Signature | None = None) -> None:
-    """Check bound-variable discipline and, given a signature, arities.
-
-    Every BoundVar must sit under a binder of the same name and the same
-    name must not be rebound by a nested quantifier.
-    """
-
-    def term_ok(t: Term, scope: frozenset[str]) -> None:
-        if isinstance(t, BoundVar) and t.name not in scope:
-            raise LogicError(f"bound variable {t.name!r} occurs outside any {t.name}-binder")
-        if isinstance(t, FunApp):
-            if sig is not None:
-                if t.name not in sig.functions:
-                    raise LogicError(f"unknown function symbol {t.name!r}")
-                if sig.functions[t.name] != len(t.args):
-                    raise LogicError(f"function {t.name!r} expects {sig.functions[t.name]} arguments")
-            for arg in t.args:
-                term_ok(arg, scope)
-        if isinstance(t, Const) and sig is not None and t.name not in sig.constants:
-            raise LogicError(f"unknown constant {t.name!r}")
-
-    def walk(f: Formula, scope: frozenset[str]) -> None:
-        if isinstance(f, PredAtom):
-            if sig is not None:
-                if f.name not in sig.predicates:
-                    raise LogicError(f"unknown predicate symbol {f.name!r}")
-                if sig.predicates[f.name] != len(f.args):
-                    raise LogicError(f"predicate {f.name!r} expects {sig.predicates[f.name]} arguments")
-            for t in f.args:
-                term_ok(t, scope)
-        elif isinstance(f, (Neg, Circ)):
-            walk(f.body, scope)
-        elif isinstance(f, BINARY_TYPES):
-            walk(f.left, scope)
-            walk(f.right, scope)
-        elif isinstance(f, QUANTIFIER_TYPES):
-            if f.var in scope:
-                raise LogicError(f"nested quantifiers rebind {f.var!r}")
-            walk(f.body, scope | {f.var})
-
-    walk(phi, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +241,7 @@ def validate(phi: Formula, sig: Signature | None = None) -> None:
 
 
 def _contains_bound(t: Term) -> bool:
-    if isinstance(t, BoundVar):
-        return True
-    if isinstance(t, FunApp):
-        return any(_contains_bound(a) for a in t.args)
-    return False
+    return any(type(s) is BoundVar for s in subterms(t))
 
 
 def _replace_in_term(t: Term, old: FreeVar | BoundVar, new: Term) -> Term:
@@ -358,101 +299,27 @@ def instantiate(phi: Formula, t: Term) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Measures
-
-
-@lru_cache(maxsize=None)
-def weight(phi: Formula) -> int:
-    """Termination measure driving the propositional decision procedure.
-
-    Literals weigh 0; a binary compound weighs one more than its parts; the
-    consistency and negation cases charge for the negated copies they will
-    spawn when decomposed:
-
-      w(b # c)    = w(b) + w(c) + 1
-      w(o b)      = w(b) + w(~b) + 1
-      w(~~b)      = w(~b) + 1
-      w(~o b)     = w(o b) + 1
-      w(~(b # c)) = w(b) + w(~b) + w(c) + w(~c) + 2
-    """
-    if not is_propositional(phi):
-        raise LogicError("weight is defined for propositional formulas only")
-    if is_literal(phi):
-        return 0
-    if isinstance(phi, BINARY_TYPES):
-        return weight(phi.left) + weight(phi.right) + 1
-    if isinstance(phi, Circ):
-        return weight(phi.body) + weight(Neg(phi.body)) + 1
-    # phi is a negation of a non-atom
-    inner = phi.body
-    if isinstance(inner, Neg):
-        return weight(inner) + 1
-    if isinstance(inner, Circ):
-        return weight(inner) + 1
-    return weight(inner.left) + weight(Neg(inner.left)) + weight(inner.right) + weight(Neg(inner.right)) + 2
-
-
-@lru_cache(maxsize=None)
-def gsub(phi: Formula) -> frozenset[Formula]:
-    """Generalized subformulas: the closure that bounds cut-free proofs.
-
-    Least set with: phi in gsub(phi); gsub(b) within gsub(~b); subformulas of
-    a binary compound; negations of the parts under a negated binary
-    compound; gsub(~b) within gsub(o b).
-    """
-    if isinstance(phi, (PropAtom, PredAtom)):
-        return frozenset((phi,))
-    if isinstance(phi, BINARY_TYPES):
-        return frozenset((phi,)) | gsub(phi.left) | gsub(phi.right)
-    if isinstance(phi, Circ):
-        return frozenset((phi,)) | gsub(Neg(phi.body))
-    if isinstance(phi, Neg):
-        inner = phi.body
-        out = frozenset((phi,)) | gsub(inner)
-        if isinstance(inner, BINARY_TYPES):
-            out |= gsub(Neg(inner.left)) | gsub(Neg(inner.right))
-        return out
-    raise LogicError("gsub is defined for propositional formulas only")
-
-
-# ---------------------------------------------------------------------------
-# Canonical ordering (structural: constructor tag, then recursive), used for
-# every deterministic enumeration in the package.
+# Canonical ordering (structural: constructor tag, then the parts in
+# preorder), used for every deterministic enumeration in the package.
 
 _TERM_TAGS = {FreeVar: 0, BoundVar: 1, Const: 2, FunApp: 3}
 _FORMULA_TAGS = {PropAtom: 0, PredAtom: 1, Neg: 2, Circ: 3, And: 4, Or: 5, Imp: 6, Forall: 7, Exists: 8}
-
-
-def _key_term(t: Term, out: list) -> None:
-    out.append((_TERM_TAGS[type(t)], getattr(t, "name", "")))
-    if isinstance(t, FunApp):
-        for a in t.args:
-            _key_term(a, out)
 
 
 @lru_cache(maxsize=None)
 def formula_key(phi: Formula) -> tuple:
     """Total order key on formulas; preorder flattening of the syntax tree."""
     out: list = []
-
-    def walk(f: Formula) -> None:
-        tag = _FORMULA_TAGS[type(f)]
-        if isinstance(f, PropAtom):
+    for f in subformulas(phi):
+        kind = type(f)
+        tag = _FORMULA_TAGS[kind]
+        if kind is PredAtom:
             out.append((tag, f.name))
-        elif isinstance(f, PredAtom):
+            out += [(_TERM_TAGS[type(t)], t.name) for t in terms(f)]
+        elif kind is PropAtom:
             out.append((tag, f.name))
-            for t in f.args:
-                _key_term(t, out)
-        elif isinstance(f, (Neg, Circ)):
-            out.append((tag, ""))
-            walk(f.body)
-        elif isinstance(f, BINARY_TYPES):
-            out.append((tag, ""))
-            walk(f.left)
-            walk(f.right)
-        else:
+        elif kind is Forall or kind is Exists:
             out.append((tag, f.var))
-            walk(f.body)
-
-    walk(phi)
+        else:
+            out.append((tag, ""))
     return tuple(out)

@@ -511,12 +511,153 @@ def backward_applications(s: Sequent, calculus: Calculus) -> list[BackwardApplic
 # ---------------------------------------------------------------------------
 # Checks and procedures that only tests use
 
-from typing import Sequence  # noqa: E402
+from dataclasses import field  # noqa: E402
+from functools import lru_cache  # noqa: E402
+from typing import Mapping, Sequence  # noqa: E402
 
 from ciore.errors import InternalError, LogicError  # noqa: E402
 from ciore.prop_prover import Refuted, Verdict, decide  # noqa: E402
 from ciore.sequents import Proof, proof_error, rule_instance_error  # noqa: E402
-from ciore.syntax import Term, gsub, iff, weight  # noqa: E402
+from ciore.syntax import (  # noqa: E402
+    BINARY_TYPES,
+    QUANTIFIER_TYPES,
+    BoundVar,
+    Const,
+    FunApp,
+    Term,
+    iff,
+    is_literal,
+    is_propositional,
+)
+
+
+@lru_cache(maxsize=None)
+def weight(phi: Formula) -> int:
+    """Termination measure of the propositional decision procedure.
+
+    Literals weigh 0; a binary compound weighs one more than its parts; the
+    consistency and negation cases charge for the negated copies they will
+    spawn when decomposed:
+
+      w(b # c)    = w(b) + w(c) + 1
+      w(o b)      = w(b) + w(~b) + 1
+      w(~~b)      = w(~b) + 1
+      w(~o b)     = w(o b) + 1
+      w(~(b # c)) = w(b) + w(~b) + w(c) + w(~c) + 2
+    """
+    if not is_propositional(phi):
+        raise LogicError("weight is defined for propositional formulas only")
+    if is_literal(phi):
+        return 0
+    if isinstance(phi, BINARY_TYPES):
+        return weight(phi.left) + weight(phi.right) + 1
+    if isinstance(phi, Circ):
+        return weight(phi.body) + weight(Neg(phi.body)) + 1
+    # phi is a negation of a non-atom
+    inner = phi.body
+    if isinstance(inner, Neg):
+        return weight(inner) + 1
+    if isinstance(inner, Circ):
+        return weight(inner) + 1
+    return weight(inner.left) + weight(Neg(inner.left)) + weight(inner.right) + weight(Neg(inner.right)) + 2
+
+
+@lru_cache(maxsize=None)
+def gsub(phi: Formula) -> frozenset[Formula]:
+    """Generalized subformulas: the closure that bounds cut-free proofs.
+
+    Least set with: phi in gsub(phi); gsub(b) within gsub(~b); subformulas of
+    a binary compound; negations of the parts under a negated binary
+    compound; gsub(~b) within gsub(o b).
+    """
+    if isinstance(phi, (PropAtom, PredAtom)):
+        return frozenset((phi,))
+    if isinstance(phi, BINARY_TYPES):
+        return frozenset((phi,)) | gsub(phi.left) | gsub(phi.right)
+    if isinstance(phi, Circ):
+        return frozenset((phi,)) | gsub(Neg(phi.body))
+    if isinstance(phi, Neg):
+        inner = phi.body
+        out = frozenset((phi,)) | gsub(inner)
+        if isinstance(inner, BINARY_TYPES):
+            out |= gsub(Neg(inner.left)) | gsub(Neg(inner.right))
+        return out
+    raise LogicError("gsub is defined for propositional formulas only")
+
+
+@dataclass(frozen=True, slots=True)
+class Signature:
+    """Predicate/function/constant symbols with their arities.
+
+    Names must be unique across the three kinds, arities positive.
+    """
+
+    predicates: dict[str, int] = field(default_factory=dict)
+    functions: dict[str, int] = field(default_factory=dict)
+    constants: frozenset[str] = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        names = list(self.predicates) + list(self.functions) + list(self.constants)
+        if len(names) != len(set(names)):
+            raise LogicError("signature names must be unique across predicates, functions and constants")
+        for name, arity in list(self.predicates.items()) + list(self.functions.items()):
+            if arity < 1:
+                raise LogicError(f"arity of {name!r} must be positive, got {arity}")
+
+
+def structure_signature(st: Structure) -> Signature:
+    return Signature(
+        predicates={name: st.predicate_arity(name) for name in st.predicates},
+        functions={name: len(next(iter(table))) for name, table in st.functions.items()},
+        constants=frozenset(st.constants),
+    )
+
+
+def validate(phi: Formula, sig: Signature | None = None) -> None:
+    """Check bound-variable discipline and, given a signature, arities.
+
+    Every BoundVar must sit under a binder of the same name and the same
+    name must not be rebound by a nested quantifier.
+    """
+
+    def term_ok(t: Term, scope: frozenset[str]) -> None:
+        if isinstance(t, BoundVar) and t.name not in scope:
+            raise LogicError(f"bound variable {t.name!r} occurs outside any {t.name}-binder")
+        if isinstance(t, FunApp):
+            if sig is not None:
+                if t.name not in sig.functions:
+                    raise LogicError(f"unknown function symbol {t.name!r}")
+                if sig.functions[t.name] != len(t.args):
+                    raise LogicError(f"function {t.name!r} expects {sig.functions[t.name]} arguments")
+            for arg in t.args:
+                term_ok(arg, scope)
+        if isinstance(t, Const) and sig is not None and t.name not in sig.constants:
+            raise LogicError(f"unknown constant {t.name!r}")
+
+    def walk(f: Formula, scope: frozenset[str]) -> None:
+        if isinstance(f, PredAtom):
+            if sig is not None:
+                if f.name not in sig.predicates:
+                    raise LogicError(f"unknown predicate symbol {f.name!r}")
+                if sig.predicates[f.name] != len(f.args):
+                    raise LogicError(f"predicate {f.name!r} expects {sig.predicates[f.name]} arguments")
+            for t in f.args:
+                term_ok(t, scope)
+        elif isinstance(f, (Neg, Circ)):
+            walk(f.body, scope)
+        elif isinstance(f, BINARY_TYPES):
+            walk(f.left, scope)
+            walk(f.right, scope)
+        elif isinstance(f, QUANTIFIER_TYPES):
+            if f.var in scope:
+                raise LogicError(f"nested quantifiers rebind {f.var!r}")
+            walk(f.body, scope | {f.var})
+
+    walk(phi, frozenset())
+
+
+def valuation_from_json(data: Mapping[str, str]) -> dict[str, TruthValue]:
+    return {name: TruthValue(value) for name, value in data.items()}
 
 
 def sequent_weight(s: Sequent) -> int:
@@ -580,3 +721,120 @@ def quantifier_axioms(quantified_exists: Formula, quantified_forall: Formula, t:
         "Ax13": iff(Circ(quantified_exists), Exists(quantified_exists.var, Circ(quantified_exists.body))),
         "Ax14": iff(Circ(quantified_forall), Exists(quantified_forall.var, Circ(quantified_forall.body))),
     }
+
+
+# ---------------------------------------------------------------------------
+# Recursive references for the package's iterative walks over formulas and
+# terms, and random formulas with every kind of term
+
+
+def reference_subformulas(phi: Formula):
+    yield phi
+    if isinstance(phi, (Neg, Circ)):
+        yield from reference_subformulas(phi.body)
+    elif isinstance(phi, BINARY_TYPES):
+        yield from reference_subformulas(phi.left)
+        yield from reference_subformulas(phi.right)
+    elif isinstance(phi, QUANTIFIER_TYPES):
+        yield from reference_subformulas(phi.body)
+
+
+def _reference_term_free_variables(t: Term) -> frozenset[str]:
+    if isinstance(t, FreeVar):
+        return frozenset((t.name,))
+    if isinstance(t, FunApp):
+        out: frozenset[str] = frozenset()
+        for arg in t.args:
+            out |= _reference_term_free_variables(arg)
+        return out
+    return frozenset()
+
+
+def reference_free_variables(phi: Formula) -> frozenset[str]:
+    out: frozenset[str] = frozenset()
+    for f in reference_subformulas(phi):
+        if isinstance(f, PredAtom):
+            for t in f.args:
+                out |= _reference_term_free_variables(t)
+    return out
+
+
+def reference_bound_names(phi: Formula) -> frozenset[str]:
+    out: set[str] = set()
+    for f in reference_subformulas(phi):
+        if isinstance(f, QUANTIFIER_TYPES):
+            out.add(f.var)
+        elif isinstance(f, PredAtom):
+            stack = list(f.args)
+            while stack:
+                t = stack.pop()
+                if isinstance(t, BoundVar):
+                    out.add(t.name)
+                elif isinstance(t, FunApp):
+                    stack.extend(t.args)
+    return frozenset(out)
+
+
+_TERM_TAGS = {FreeVar: 0, BoundVar: 1, Const: 2, FunApp: 3}
+_FORMULA_TAGS = {PropAtom: 0, PredAtom: 1, Neg: 2, Circ: 3, And: 4, Or: 5, Imp: 6, Forall: 7, Exists: 8}
+
+
+def _reference_key_term(t: Term, out: list) -> None:
+    out.append((_TERM_TAGS[type(t)], getattr(t, "name", "")))
+    if isinstance(t, FunApp):
+        for a in t.args:
+            _reference_key_term(a, out)
+
+
+def reference_formula_key(phi: Formula) -> tuple:
+    out: list = []
+
+    def walk(f: Formula) -> None:
+        tag = _FORMULA_TAGS[type(f)]
+        if isinstance(f, PropAtom):
+            out.append((tag, f.name))
+        elif isinstance(f, PredAtom):
+            out.append((tag, f.name))
+            for t in f.args:
+                _reference_key_term(t, out)
+        elif isinstance(f, (Neg, Circ)):
+            out.append((tag, ""))
+            walk(f.body)
+        elif isinstance(f, BINARY_TYPES):
+            out.append((tag, ""))
+            walk(f.left)
+            walk(f.right)
+        else:
+            out.append((tag, f.var))
+            walk(f.body)
+
+    walk(phi)
+    return tuple(out)
+
+
+def random_term(rng: random.Random, depth: int) -> Term:
+    """A free or bound variable, a constant or, above depth 0, a function
+    application of one to three arguments."""
+    kind = rng.randrange(4 if depth > 0 else 3)
+    if kind == 0:
+        return FreeVar(rng.choice(("a1", "a2", "a3")))
+    if kind == 1:
+        return BoundVar(rng.choice(("x", "y", "z")))
+    if kind == 2:
+        return Const(rng.choice(("c", "d")))
+    return FunApp(rng.choice(("f", "g")), tuple(random_term(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+
+
+def random_term_formula(rng: random.Random, depth: int) -> Formula:
+    """Any formula shape, over propositional atoms and predicate atoms whose
+    arguments are random terms; bound variables need not sit under a binder."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return PropAtom(rng.choice(("p", "q")))
+        return PredAtom(rng.choice(("P", "Q")), tuple(random_term(rng, 2) for _ in range(rng.randint(1, 3))))
+    shape = rng.randrange(7)
+    if shape < 2:
+        return (Neg, Circ)[shape](random_term_formula(rng, depth - 1))
+    if shape < 5:
+        return (And, Or, Imp)[shape - 2](random_term_formula(rng, depth - 1), random_term_formula(rng, depth - 1))
+    return (Forall, Exists)[shape - 5](rng.choice(("x", "y", "z")), random_term_formula(rng, depth - 1))

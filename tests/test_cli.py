@@ -235,6 +235,30 @@ def test_malformed_structure_is_input_error(tmp_path, capsys, text):
         assert code == 65 and out == "", (command, err)
 
 
+@pytest.mark.parametrize(
+    "goal,field,value",
+    [
+        ("forall x. P(x) |- P(a1)", "side", 5),
+        ("forall x. P(x) |- P(a1)", "side", ["a1"]),
+        ("forall x. P(x) |- P(a1)", "side", []),
+        ("p |- p", "ante", "p"),
+        ("p |- p", "succ", "p"),
+        ("p |- p", "premises", {}),
+    ],
+)
+def test_malformed_proof_field_is_input_error(tmp_path, capsys, goal, field, value):
+    # a field of the wrong JSON type is neither a crash nor read as a list
+    # (a string's characters as formulas, an object's keys as premises)
+    fo = ["--fo"] if "P(" in goal else []
+    code, out, _ = run(capsys, "prove", "--json", *fo, goal)
+    proof = json.loads(out)["proof"]
+    (proof["sequent"] if field in ("ante", "succ") else proof)[field] = value
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(proof))
+    code, out, err = run(capsys, "check-proof", *fo, str(path))
+    assert code == 65 and out == "", err
+
+
 def test_undecodable_json_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff\xfe{")

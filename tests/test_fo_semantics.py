@@ -48,6 +48,7 @@ from helpers import (
     denote_components,
     kernel_triple,
     quantifier_axioms,
+    structure_signature,
     tuple_space,
     valid_in,
     var_sorted,
@@ -284,7 +285,7 @@ def test_structure_signature():
         functions={"f": {("0",): "0", ("1",): "0"}},
         constants={"c": "1"},
     )
-    sig = st.signature
+    sig = structure_signature(st)
     assert sig.predicates == {"R": 2}
     assert sig.functions == {"f": 1}
     assert sig.constants == frozenset({"c"})

@@ -14,7 +14,6 @@ from ciore.matrix import (
     matrix_valid,
     sequent_atoms,
     sequent_satisfied,
-    valuation_from_json,
     valuation_to_json,
     valuations,
 )
@@ -39,6 +38,7 @@ from helpers import (
     oracle_countermodel,
     signed_satisfied,
     unary_table,
+    valuation_from_json,
     witnesses_hold,
 )
 

@@ -17,7 +17,7 @@ from ciore.sequents import (
     proof_error,
     rule_instance_error,
 )
-from ciore.syntax import And, Circ, Imp, Neg, Or, PropAtom, weight
+from ciore.syntax import And, Circ, Imp, Neg, Or, PropAtom
 
 from helpers import (
     PROP_LOGICAL_RULES,
@@ -27,6 +27,7 @@ from helpers import (
     proof_respects_gsub,
     random_prop_instance,
     sequent_weight,
+    weight,
 )
 
 R = RuleId

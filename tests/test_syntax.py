@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ciore.errors import LogicError
@@ -17,21 +19,31 @@ from ciore.syntax import (
     Or,
     PredAtom,
     PropAtom,
-    Signature,
+    atoms,
     bind,
+    bound_names,
     formula_key,
     free_variables,
     fresh_free_variable,
-    gsub,
     instantiate,
     is_literal,
+    is_propositional,
     subformulas,
     substitute,
+)
+
+from helpers import (
+    Signature,
+    complexity,
+    gsub,
+    random_term_formula,
+    reference_bound_names,
+    reference_formula_key,
+    reference_free_variables,
+    reference_subformulas,
     validate,
     weight,
 )
-
-from helpers import complexity
 
 p, q = PropAtom("p"), PropAtom("q")
 
@@ -191,3 +203,25 @@ def test_formula_key_total_order():
     keys = [formula_key(f) for f in pool]
     assert len(set(keys)) == len(keys)
     assert sorted(pool, key=formula_key) == sorted(pool, key=formula_key)
+
+
+def test_walks_agree_with_the_recursive_references():
+    rng = random.Random(11)
+    for _ in range(3000):
+        phi = random_term_formula(rng, 5)
+        assert list(subformulas(phi)) == list(reference_subformulas(phi))
+        assert formula_key(phi) == reference_formula_key(phi)
+        assert free_variables(phi) == reference_free_variables(phi)
+        assert bound_names(phi) == reference_bound_names(phi)
+
+
+def test_walks_do_not_recurse():
+    # built directly: the parser and the formula hash still recurse
+    phi = PredAtom("P", (FreeVar("a1"),))
+    for _ in range(5000):
+        phi = Neg(phi)
+    assert sum(1 for _ in subformulas(phi)) == 5001
+    assert free_variables(phi) == frozenset({"a1"})
+    assert bound_names(phi) == frozenset()
+    assert atoms(phi) == frozenset()
+    assert not is_propositional(phi)
