@@ -113,6 +113,10 @@ class RuleId(enum.Enum):
     CIRC_EXISTS_L = "CircExistsL"
     CIRC_EXISTS_R = "CircExistsR"
 
+    # Enum.__hash__ is Python code that hashes the name, run on every mark
+    # and rule-table lookup; members are singletons, so identity serves.
+    __hash__ = object.__hash__
+
 
 R = RuleId
 

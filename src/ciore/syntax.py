@@ -1,6 +1,7 @@
 """Abstract syntax for the propositional and first-order languages.
 
-Terms and formulas are immutable; free and bound variables live in disjoint
+Terms and formulas are immutable and interned (one node per distinct
+term or formula, see `_interned`); free and bound variables live in disjoint
 namespaces (free variables are ``a1, a2, ...``, bound variables are anything
 else, conventionally ``x, y, x1, ...``), so substitution never needs capture
 avoidance beyond the preconditions enforced here.
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 from .errors import LogicError
@@ -23,11 +23,62 @@ def is_free_var_name(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006):
+# equal constructions return one node, so set and dict lookups on formulas
+# resolve by identity, and no hash or key walks a subtree twice. The tables
+# hold every node built for the life of the process.
+
+
+class _Node:
+    """What every term and formula node holds besides its fields: its hash,
+    set at construction, and its formula_key, set on first request."""
+
+    __slots__ = ("_hash", "_key")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, so they
+        # return the interned node and never overwrite it
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _interned(cls):
+    """Make cls a frozen dataclass whose constructor returns the one node with
+    the given fields. A new node is validated (``__post_init__``) before it
+    enters the table, so an invalid construction leaves no entry. The stored
+    hash is the hash of the field tuple, the frozen dataclass hash, so
+    frozenset order is that of uninterned nodes. ``__eq__`` stays the
+    dataclass one; equal nodes are identical, so it runs only on collisions."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    init, names, nodes = cls.__init__, cls.__match_args__, {}
+
+    def __new__(kind, *fields, **named):
+        if named:
+            fields += tuple(named.pop(name) for name in names[len(fields) :] if name in named)
+            if named:
+                raise TypeError(f"{kind.__name__}() got unexpected keyword arguments {sorted(named)}")
+        node = nodes.get(fields)
+        if node is None:
+            node = object.__new__(kind)
+            init(node, *fields)
+            object.__setattr__(node, "_hash", hash(fields))
+            node = nodes.setdefault(fields, node)  # a node another thread built first wins
+        return node
+
+    cls.__new__ = staticmethod(__new__)
+    cls.__hash__ = _Node.__hash__
+    del cls.__init__  # __new__ has set the fields; object.__init__ ignores the arguments
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True, slots=True)
-class FreeVar:
+@_interned
+class FreeVar(_Node):
     name: str
 
     def __post_init__(self):
@@ -35,8 +86,8 @@ class FreeVar:
             raise LogicError(f"free variable names look like a1, a2, ...: {self.name!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BoundVar:
+@_interned
+class BoundVar(_Node):
     name: str
 
     def __post_init__(self):
@@ -44,13 +95,13 @@ class BoundVar:
             raise LogicError(f"bound variable name {self.name!r} clashes with the free-variable namespace")
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
+@_interned
+class Const(_Node):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class FunApp:
+@_interned
+class FunApp(_Node):
     name: str
     args: tuple[Term, ...]
 
@@ -66,13 +117,13 @@ Term = Union[FreeVar, BoundVar, Const, FunApp]
 # Formulas
 
 
-@dataclass(frozen=True, slots=True)
-class PropAtom:
+@_interned
+class PropAtom(_Node):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class PredAtom:
+@_interned
+class PredAtom(_Node):
     name: str
     args: tuple[Term, ...]
 
@@ -81,38 +132,38 @@ class PredAtom:
             raise LogicError(f"predicate {self.name!r} needs at least one argument")
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+@_interned
+class Neg(_Node):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Circ:
+@_interned
+class Circ(_Node):
     """Consistency connective: marks a formula as behaving classically."""
 
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+@_interned
+class And(_Node):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+@_interned
+class Or(_Node):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Imp:
+@_interned
+class Imp(_Node):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Forall:
+@_interned
+class Forall(_Node):
     var: str
     body: Formula
 
@@ -121,8 +172,8 @@ class Forall:
             raise LogicError(f"quantified variable {self.var!r} must not use the free-variable namespace")
 
 
-@dataclass(frozen=True, slots=True)
-class Exists:
+@_interned
+class Exists(_Node):
     var: str
     body: Formula
 
@@ -306,9 +357,13 @@ _TERM_TAGS = {FreeVar: 0, BoundVar: 1, Const: 2, FunApp: 3}
 _FORMULA_TAGS = {PropAtom: 0, PredAtom: 1, Neg: 2, Circ: 3, And: 4, Or: 5, Imp: 6, Forall: 7, Exists: 8}
 
 
-@lru_cache(maxsize=None)
 def formula_key(phi: Formula) -> tuple:
-    """Total order key on formulas; preorder flattening of the syntax tree."""
+    """Total order key on formulas; preorder flattening of the syntax tree,
+    computed once per node."""
+    try:
+        return phi._key
+    except AttributeError:
+        pass
     out: list = []
     for f in subformulas(phi):
         kind = type(f)
@@ -322,4 +377,6 @@ def formula_key(phi: Formula) -> tuple:
             out.append((tag, f.var))
         else:
             out.append((tag, ""))
-    return tuple(out)
+    key = tuple(out)
+    object.__setattr__(phi, "_key", key)
+    return key

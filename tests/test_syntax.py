@@ -1,9 +1,12 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 
 from ciore.errors import LogicError
-from ciore.parsing import parse_formula
+from ciore.parsing import format_formula, parse_formula
 from ciore.syntax import (
     And,
     BoundVar,
@@ -30,6 +33,7 @@ from ciore.syntax import (
     is_propositional,
     subformulas,
     substitute,
+    terms,
 )
 
 from helpers import (
@@ -216,12 +220,65 @@ def test_walks_agree_with_the_recursive_references():
 
 
 def test_walks_do_not_recurse():
-    # built directly: the parser and the formula hash still recurse
+    # built directly: the parser still recurses
     phi = PredAtom("P", (FreeVar("a1"),))
     for _ in range(5000):
         phi = Neg(phi)
+    assert hash(phi) == hash((phi.body,))
+    assert len(formula_key(phi)) == 5002
     assert sum(1 for _ in subformulas(phi)) == 5001
     assert free_variables(phi) == frozenset({"a1"})
     assert bound_names(phi) == frozenset()
     assert atoms(phi) == frozenset()
     assert not is_propositional(phi)
+
+
+def _fields(node) -> tuple:
+    return tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+
+
+def _rebuild(x):
+    """x constructed afresh, bottom up, from its fields."""
+    if isinstance(x, tuple):
+        return tuple(map(_rebuild, x))
+    if dataclasses.is_dataclass(x):
+        return type(x)(*map(_rebuild, _fields(x)))
+    return x
+
+
+def test_equal_constructions_are_one_node_hashed_as_a_dataclass():
+    rng = random.Random(23)
+    for _ in range(3000):
+        phi = random_term_formula(rng, 5)
+        assert _rebuild(phi) is phi
+        for node in [*subformulas(phi), *terms(phi)]:
+            # the frozen dataclass hash, so frozenset order does not change
+            assert hash(node) == hash(_fields(node))
+    a1 = FreeVar("a1")
+    assert FreeVar(name="a1") is a1
+    assert PredAtom("P", args=(a1,)) is PredAtom(name="P", args=(a1,)) is P(a1)
+    assert Forall(var="x", body=p) is Forall("x", p)
+    assert And(right=q, left=p) is And(p, q)
+
+
+def test_invalid_constructions_raise_and_leave_no_node():
+    for _ in range(2):  # a second attempt raises again: no node was kept
+        with pytest.raises(LogicError):
+            FreeVar("x")
+        with pytest.raises(LogicError):
+            PredAtom("P", ())
+        with pytest.raises(LogicError):
+            Forall("a1", p)
+    phi = Forall("x", PredAtom("P", (FreeVar("a1"), BoundVar("x"))))
+    assert format_formula(phi) == "forall x. P(a1, x)"
+
+
+def test_copy_deepcopy_and_pickle_return_the_interned_node():
+    both = And(p, q)
+    for phi in (both, Forall("x", Imp(P(BoundVar("x"), FunApp("f", (Const("c"),))), Neg(both)))):
+        assert copy.copy(phi) is phi
+        assert copy.deepcopy(phi) is phi
+        assert pickle.loads(pickle.dumps(phi)) is phi
+    assert And(p, q) is both
+    assert (both.left, both.right) == (p, q)
+    assert format_formula(both) == "p & q"
