@@ -133,7 +133,7 @@ def _cmd_prove(args) -> int:
         verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
     else:
         verdict = decide(s, atom_cap=args.atom_cap)
-    _emit(verdict_to_json(verdict), args.json, describe_verdict(verdict))
+    _emit(verdict_to_json(verdict) if args.json else None, args.json, describe_verdict(verdict))
     return _VERDICT_EXIT[verdict.status]
 
 
@@ -148,7 +148,7 @@ def _cmd_validity(args) -> int:
         verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
         code = _VERDICT_EXIT[verdict.status]
         if code == EXIT_UNKNOWN:
-            _emit(verdict_to_json(verdict), args.json, describe_verdict(verdict))
+            _emit(verdict_to_json(verdict) if args.json else None, args.json, describe_verdict(verdict))
             return code
         ok = code == EXIT_OK
     else:

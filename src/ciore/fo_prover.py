@@ -24,7 +24,6 @@ from typing import ClassVar, Union
 
 from .errors import InternalError, LogicError
 from .fo_semantics import Structure, Triple, fo_sequent_satisfied
-from .matrix import HALF, ONE, ZERO
 from .parsing import format_formula, format_sequent
 from .sequents import (
     EIGEN_RULES,
@@ -321,20 +320,26 @@ def extract_countermodel(leaf: Sequent, goal: Sequent) -> tuple[Structure, dict[
     where only the atom sits on the left, is inconsistent (1/2) where atom
     and negated atom both do, and fails (0) elsewhere. The result is only
     returned if it verifiably falsifies the goal. Sequents only grow along
-    a branch, so the leaf holds every formula of its branch."""
+    a branch, and every formula a reduction adds is an instance of a goal
+    subformula, so the leaf holds the goal and has exactly its predicates;
+    their values are read off the leaf's antecedent atoms in one pass."""
     domain = tuple(sorted(leaf.free_variables(), key=var_index)) or ("a1",)
 
+    held: dict[str, set] = collections.defaultdict(set)  # predicate -> tuples whose atom is on the left
+    negated: dict[str, set] = collections.defaultdict(set)  # ... whose negated atom is on the left too
+    for phi in leaf.ante:
+        if type(phi) is Neg:
+            phi, tuples = phi.body, negated
+        else:
+            tuples = held
+        if type(phi) is PredAtom and all(type(t) is FreeVar for t in phi.args):
+            tuples[phi.name].add(tuple(t.name for t in phi.args))
+
     predicates: dict[str, Triple] = {}
-    for name, arity in sorted(predicate_arities(leaf.ante | leaf.succ).items()):
-        space = tuple(itertools.product(domain, repeat=arity))
-        values = {}
-        for combo in space:
-            atom = PredAtom(name, tuple(FreeVar(v) for v in combo))
-            if atom in leaf.ante:
-                values[combo] = HALF if Neg(atom) in leaf.ante else ONE
-            else:
-                values[combo] = ZERO
-        predicates[name] = Triple.from_values(space, values)
+    for name, arity in sorted(predicate_arities(goal.ante | goal.succ).items()):
+        space = frozenset(itertools.product(domain, repeat=arity))
+        plus, circ = held[name] - negated[name], held[name] & negated[name]
+        predicates[name] = Triple(space, frozenset(plus), space - held[name], frozenset(circ))
 
     structure = Structure(domain=domain, predicates=predicates)
     assignment = {v: v for v in domain}

@@ -3,8 +3,8 @@
 A predicate denotes a triple: a partition of the tuple space into a true
 part, a false part and an inconsistent part. Formulas denote triples over
 assignment tuples: the connectives are the matrix's own truth functions
-(`matrix.evaluate` on the triple's frozensets), the quantifiers the value
-functions below.
+(`matrix.evaluate` on bit sets over a list of assignment points, bit j for
+point j), the quantifiers the value functions below.
 """
 
 from __future__ import annotations
@@ -155,59 +155,85 @@ def _sorted_vars(names) -> tuple[str, ...]:
 
 def denote(phi: Formula, st: Structure, variables: tuple[str, ...] | None = None) -> Triple:
     """Triple over assignment tuples for the given variables (by default the
-    free variables of phi, least index first).
-
-    Connectives go through `matrix.evaluate` on (minus, circ) frozensets;
-    quantifiers evaluate the value set of a fresh-variable instance,
-    pointwise.
-    """
+    free variables of phi, least index first)."""
+    free = syntax.free_variables(phi)
     if variables is None:
-        variables = _sorted_vars(syntax.free_variables(phi))
-    if not syntax.free_variables(phi) <= set(variables):
+        variables = _sorted_vars(free)
+    if not free <= set(variables):
         raise LogicError("variable list does not cover the formula's free variables")
-    return _denote(phi, st, variables, frozenset(itertools.product(st.domain, repeat=len(variables))))
+    points = list(itertools.product(st.domain, repeat=len(variables)))
+    zero, half = _denote(phi, st, variables, points)
+    universe = frozenset(points)
+    minus, circ = _members(zero, points), _members(half, points)
+    return Triple(universe, universe - minus - circ, minus, circ)
 
 
-def _denote(phi: Formula, st: Structure, variables: tuple[str, ...], universe: frozenset) -> Triple:
-    """phi's triple over `universe`, a set of tuples of domain elements for
-    `variables`, which cover phi's free variables."""
+def _members(bits: int, points: list) -> frozenset:
+    """The points whose bits are set; bit j stands for points[j]."""
+    return frozenset(itertools.compress(points, map("1".__eq__, bin(bits)[:1:-1])))
 
-    def leaf(psi: Formula) -> tuple[frozenset, frozenset]:
+
+def _denote(phi: Formula, st: Structure, variables: tuple[str, ...], points: list) -> tuple[int, int]:
+    """phi's (zero, half) pair as bit sets over `points`, a list of tuples of
+    domain elements for `variables`, which cover phi's free variables; bit j
+    stands for points[j]. Connectives go through `matrix.evaluate`; a
+    quantifier denotes a fresh-variable instance over each point's block of
+    |domain| extended points and folds the block's values."""
+
+    def leaf(psi: Formula) -> tuple[int, int]:
         if isinstance(psi, PropAtom):
             raise LogicError("partial structures interpret predicates, not propositional atoms")
-        values = {}
+        zero = half = 0
         if isinstance(psi, PredAtom):
             if psi.name not in st.predicates:
                 raise LogicError(f"structure does not interpret predicate {psi.name!r}")
             triple = st.predicates[psi.name]
             if st.predicate_arity(psi.name) != len(psi.args):
                 raise LogicError(f"predicate {psi.name!r} arity mismatch")
-            for combo in universe:
+            for j, combo in enumerate(points):
                 s = dict(zip(variables, combo))
-                values[combo] = triple.value_at(tuple(eval_term(t, st, s) for t in psi.args))
-        else:
-            # quantifier: instantiate with a fresh free variable and aggregate
-            fresh = fresh_free_variable(syntax.free_variables(psi) | set(variables))
-            extended = frozenset(combo + (m,) for combo in universe for m in st.domain)
-            sub = _denote(syntax.instantiate(psi, FreeVar(fresh)), st, variables + (fresh,), extended)
-            tilde = tilde_forall if isinstance(psi, Forall) else tilde_exists
-            for combo in universe:
-                values[combo] = tilde({sub.value_at(combo + (m,)) for m in st.domain})
-        part = Triple.from_values(universe, values)
-        return part.minus, part.circ
+                value = triple.value_at(tuple(eval_term(t, st, s) for t in psi.args))
+                if value is ZERO:
+                    zero |= 1 << j
+                elif value is HALF:
+                    half |= 1 << j
+            return zero, half
+        fresh = fresh_free_variable(syntax.free_variables(psi) | set(variables))
+        extended = [combo + (m,) for combo in points for m in st.domain]
+        sub_zero, sub_half = _denote(syntax.instantiate(psi, FreeVar(fresh)), st, variables + (fresh,), extended)
+        tilde = tilde_forall if isinstance(psi, Forall) else tilde_exists
+        size = len(st.domain)
+        block = (1 << size) - 1
+        for j in range(len(points)):
+            z, h = sub_zero >> j * size & block, sub_half >> j * size & block
+            values = set()
+            if z:
+                values.add(ZERO)
+            if h:
+                values.add(HALF)
+            if z | h != block:
+                values.add(ONE)
+            value = tilde(values)
+            if value is ZERO:
+                zero |= 1 << j
+            elif value is HALF:
+                half |= 1 << j
+        return zero, half
 
-    minus, circ = evaluate(phi, leaf, universe)
-    return Triple(universe, universe ^ (minus | circ), minus, circ)
+    return evaluate(phi, leaf, (1 << len(points)) - 1)
 
 
 def denote_value(phi: Formula, st: Structure, s: Assignment) -> TruthValue:
     """Value of phi at one assignment (must cover its free variables), from
-    its triple over that one assignment."""
+    its (zero, half) bits over that one assignment."""
     variables = _sorted_vars(syntax.free_variables(phi))
     point = tuple(s[v] for v in variables)
     if not set(point) <= set(st.domain):
         raise LogicError(f"{point!r} is not in the triple's universe")
-    return _denote(phi, st, variables, frozenset([point])).value_at(point)
+    zero, half = _denote(phi, st, variables, [point])
+    if zero & half:
+        raise LogicError(f"{point!r} is both 0 and 1/2")
+    return ZERO if zero else HALF if half else ONE
 
 
 def satisfies(st: Structure, s: Assignment, phi: Formula) -> bool:

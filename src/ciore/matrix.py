@@ -9,7 +9,7 @@ The five truth functions are stated once, in `evaluate`, on a formula's
 (zero, half) pair over a carrier: the points where it takes 0 and the
 points where it takes 1/2, with 1 on the rest of `top`. Any carrier with
 `&`, `|` and `^` works: a single bit (one valuation, as in the matrix
-search) or a frozenset of assignment tuples (`fo_semantics.denote`).
+search) or bit sets over assignment points (`fo_semantics.denote`).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ written `p, q |- r` with either side possibly empty.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -75,10 +76,25 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+#: The deepest nesting the parser accepts; deeper input is a `ParseError`.
+#: Parentheses, `~`, `o`, quantifiers and function applications each add
+#: one level to what they enclose, and a chain of n binary connectives adds
+#: n levels to each of its operands. The bound keeps the parser and every
+#: recursive traversal of a parsed formula well inside Python's default
+#: recursion limit.
+MAX_DEPTH = 100
+
+# formula := imp ; imp := or ('->' or)*, right-associative ;
+# or := and ('|' and)* ; and := unary ('&' unary)*
+_CHAINS = (("imp", Imp), ("pipe", Or), ("amp", And))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # levels open at the current token
+        self.peak = 0  # deepest level the current chain's operands have reached
 
     @property
     def cur(self) -> _Token:
@@ -94,41 +110,50 @@ class _Parser:
             raise ParseError(f"expected {what}", self.cur.pos)
         return self.advance()
 
-    # formula := imp ; imp := or ('->' imp)? ; or := and ('|' and)* ;
-    # and := unary ('&' unary)*
+    def reach(self, level: int) -> None:
+        """Record that the parse has reached nesting level `level`."""
+        if level > self.peak:
+            if level > MAX_DEPTH:
+                raise ParseError(f"input nested deeper than {MAX_DEPTH} levels", self.cur.pos)
+            self.peak = level
 
-    def formula(self, scope: frozenset[str]) -> Formula:
-        return self.imp(scope)
+    def enter(self) -> None:
+        """Open one more level; the caller closes it with ``depth -= 1``."""
+        self.depth += 1
+        self.reach(self.depth)
 
-    def imp(self, scope: frozenset[str]) -> Formula:
-        left = self.disj(scope)
-        if self.cur.kind == "imp":
+    def formula(self, scope: frozenset[str], level: int = 0) -> Formula:
+        """A chain of the connective of `level` in `_CHAINS` over operands of
+        the next level, folded to the right for `->` and to the left
+        otherwise. The chain's connectives add a level each to every operand."""
+        kind, ctor = _CHAINS[level]
+        outer, self.peak = self.peak, self.depth
+        out = self.formula(scope, level + 1) if level < 2 else self.unary(scope)
+        if self.cur.kind != kind:  # one operand: nothing to fold or count
+            if self.peak < outer:
+                self.peak = outer
+            return out
+        parts = [out]
+        while self.cur.kind == kind:
             self.advance()
-            return Imp(left, self.imp(scope))
-        return left
-
-    def disj(self, scope: frozenset[str]) -> Formula:
-        out = self.conj(scope)
-        while self.cur.kind == "pipe":
-            self.advance()
-            out = Or(out, self.conj(scope))
-        return out
-
-    def conj(self, scope: frozenset[str]) -> Formula:
-        out = self.unary(scope)
-        while self.cur.kind == "amp":
-            self.advance()
-            out = And(out, self.unary(scope))
-        return out
+            parts.append(self.formula(scope, level + 1) if level < 2 else self.unary(scope))
+        reached, self.peak = self.peak, outer
+        self.reach(reached + len(parts) - 1)
+        if ctor is Imp:
+            out = parts.pop()
+            while parts:
+                out = Imp(parts.pop(), out)
+            return out
+        return functools.reduce(ctor, parts)
 
     def unary(self, scope: frozenset[str]) -> Formula:
         tok = self.cur
-        if tok.kind == "neg":
+        if tok.kind == "neg" or (tok.kind == "ident" and tok.text == "o"):
             self.advance()
-            return Neg(self.unary(scope))
-        if tok.kind == "ident" and tok.text == "o":
-            self.advance()
-            return Circ(self.unary(scope))
+            self.enter()
+            body = self.unary(scope)
+            self.depth -= 1
+            return Neg(body) if tok.kind == "neg" else Circ(body)
         if tok.kind == "ident" and tok.text in ("forall", "exists"):
             return self.quantifier(scope)
         return self.primary(scope)
@@ -145,14 +170,18 @@ class _Parser:
         if name in scope:
             raise ParseError(f"nested quantifier rebinds {name!r}", name_tok.pos)
         self.expect("dot", "'.' after the quantified variable")
-        body = self.imp(scope | {name})  # scope runs to the enclosing ')'
+        self.enter()
+        body = self.formula(scope | {name})  # scope runs to the enclosing ')'
+        self.depth -= 1
         return ctor(name, body)
 
     def primary(self, scope: frozenset[str]) -> Formula:
         tok = self.cur
         if tok.kind == "lp":
             self.advance()
-            out = self.imp(scope)
+            self.enter()
+            out = self.formula(scope)
+            self.depth -= 1
             self.expect("rp", "')'")
             return out
         if tok.kind != "ident":
@@ -182,10 +211,12 @@ class _Parser:
             raise ParseError(f"invalid term {name!r}", tok.pos)
         if self.cur.kind == "lp":
             self.advance()
+            self.enter()
             args = [self.term(scope)]
             while self.cur.kind == "comma":
                 self.advance()
                 args.append(self.term(scope))
+            self.depth -= 1
             self.expect("rp", "')'")
             return FunApp(name, tuple(args))
         if name in scope:

@@ -31,9 +31,10 @@ def is_free_var_name(name: str) -> bool:
 
 class _Node:
     """What every term and formula node holds besides its fields: its hash,
-    set at construction, and its formula_key, set on first request."""
+    set at construction, and its formula_key and free variables, each set on
+    first request."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_free")
 
     def __hash__(self):
         return self._hash
@@ -248,8 +249,21 @@ def atoms(phi: Formula) -> frozenset[str]:
     return frozenset(f.name for f in subformulas(phi) if isinstance(f, PropAtom))
 
 
+#: One copy of each distinct free-variable set that nodes store; a few sets
+#: cover most nodes.
+_FREE_SETS: dict[frozenset[str], frozenset[str]] = {}
+
+
 def free_variables(phi: Formula) -> frozenset[str]:
-    return frozenset(t.name for t in terms(phi) if type(t) is FreeVar)
+    """Names of the free variables occurring in phi, computed once per node."""
+    try:
+        return phi._free
+    except AttributeError:
+        pass
+    free = frozenset(t.name for t in terms(phi) if type(t) is FreeVar)
+    free = _FREE_SETS.setdefault(free, free)
+    object.__setattr__(phi, "_free", free)
+    return free
 
 
 def predicate_arities(formulas: Iterable[Formula]) -> dict[str, int]:

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from ciore.fo_semantics import Structure, Triple, denote, eval_term
+from ciore.fo_semantics import Structure, Triple, denote, eval_term, fo_sequent_satisfied
 from ciore.matrix import (
     HALF,
     ONE,
@@ -42,6 +42,7 @@ from ciore.syntax import (
     free_variables,
     fresh_free_variable,
     instantiate,
+    predicate_arities,
     var_index,
 )
 
@@ -264,6 +265,33 @@ def denote_components(phi: Formula, st: Structure, variables: tuple[str, ...]) -
             plus = frozenset(universe) - (minus | circ)
         return Triple(universe, plus, minus, circ)
     raise AssertionError(f"unexpected formula {phi!r}")
+
+
+# ---------------------------------------------------------------------------
+# The first-order prover's countermodel recipe, built tuple by tuple
+
+
+def per_tuple_countermodel(leaf: Sequent, goal: Sequent) -> tuple[Structure, dict[str, str]] | None:
+    """`fo_prover.extract_countermodel` as first written: the leaf's own
+    predicates, and for each tuple of the tuple space the atom is built and
+    looked up in the antecedent, with its negation."""
+    domain = tuple(sorted(leaf.free_variables(), key=var_index)) or ("a1",)
+    predicates = {}
+    for name, arity in sorted(predicate_arities(leaf.ante | leaf.succ).items()):
+        space = tuple(itertools.product(domain, repeat=arity))
+        values = {}
+        for combo in space:
+            atom = PredAtom(name, tuple(FreeVar(v) for v in combo))
+            if atom in leaf.ante:
+                values[combo] = HALF if Neg(atom) in leaf.ante else ONE
+            else:
+                values[combo] = ZERO
+        predicates[name] = Triple.from_values(space, values)
+    structure = Structure(domain=domain, predicates=predicates)
+    assignment = {v: v for v in domain}
+    if fo_sequent_satisfied(structure, assignment, goal):
+        return None
+    return structure, assignment
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from ciore.cli import main
 from ciore.errors import LogicError
 from ciore.fo_semantics import Structure, Triple, structure_to_json
 from ciore.matrix import HALF, ONE, ZERO, find_countermodel
-from ciore.parsing import format_sequent, parse_sequent
+from ciore.parsing import MAX_DEPTH, format_sequent, parse_sequent
 from ciore.randgen import random_fo_formula, random_sequent
 from ciore.sequents import Proved, Sequent
 from ciore.serialize import proof_to_json
@@ -208,9 +208,32 @@ def test_bad_atom_cap_env_is_usage_error(capsys, monkeypatch, value):
     assert code == 64
 
 
-def test_too_deep_input_is_internal_error_not_refutation(capsys):
+def test_too_deep_input_is_input_error_not_refutation(capsys):
     code, out, err = run(capsys, "prove", "|- " + "~" * 3000 + "p")
-    assert code == 70 and out == "" and "internal error" in err
+    assert code == 65 and out == "" and f"nested deeper than {MAX_DEPTH} levels" in err
+
+
+# Each shape at nesting depth d, with the exit code it has had at every
+# depth up to the bound: parentheses, prefix operators and chain links.
+_DEEP_SHAPES = {
+    "parentheses": (lambda d: "|- " + "(" * d + "p" + ")" * d, lambda d: 1),
+    "consistency": (lambda d: "|- " + "o " * d + "p", lambda d: 1 if d == 1 else 0),
+    "implication chain": (lambda d: "|- " + " -> ".join(["p"] * (d + 1)), lambda d: 0),
+    "negation": (lambda d: "|- " + "~" * d + "p", lambda d: 1),
+    "disjunction chain": (lambda d: "|- " + " | ".join(["p"] * (d + 1)), lambda d: 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
+def test_deep_input_is_decided_up_to_the_bound_and_rejected_past_it(capsys, shape):
+    make, expected = _DEEP_SHAPES[shape]
+    assert MAX_DEPTH < 197  # the shallowest of these shapes that once overflowed the stack
+    for depth in range(1, 2 * MAX_DEPTH + 1):
+        code, _, err = run(capsys, "prove", make(depth))
+        if depth <= MAX_DEPTH:
+            assert code == expected(depth), (shape, depth, err)
+        else:
+            assert code == 65 and f"nested deeper than {MAX_DEPTH} levels" in err, (shape, depth, code)
 
 
 @pytest.mark.parametrize(

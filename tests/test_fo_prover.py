@@ -19,12 +19,18 @@ from ciore.fo_prover import (
     fo_regression_suite,
 )
 from ciore.fo_semantics import fo_sequent_satisfied, fo_sequent_valid_in, structure_to_json
-from ciore.parsing import parse_formula, parse_sequent
+from ciore.parsing import format_sequent, parse_formula, parse_sequent
 from ciore.randgen import random_fo_formula
 from ciore.sequents import RULE_TABLE, Calculus, RuleId, Sequent, check_proof, formula_key, proof_error, rules_for
 from ciore.serialize import proof_to_json, verdict_to_json
 
-from helpers import PROP_LOGICAL_RULES, QUANTIFIER_RULES, all_unary_structures, random_fo_rule_instance
+from helpers import (
+    PROP_LOGICAL_RULES,
+    QUANTIFIER_RULES,
+    all_unary_structures,
+    per_tuple_countermodel,
+    random_fo_rule_instance,
+)
 
 seq = parse_sequent
 
@@ -234,6 +240,28 @@ def test_extract_countermodel_simple_cases():
 def test_extract_countermodel_rejects_unfaithful_branch():
     # a leaf that does not actually falsify the goal is rejected, not returned
     assert extract_countermodel(seq("|- P(a1)"), seq("P(a1) |-")) is None
+
+
+def test_extract_countermodel_matches_the_per_tuple_recipe():
+    # every open leaf of the trees of seeded random goals, saturated or not
+    rng = random.Random(2029)
+    found = {True: 0, False: 0}
+    for _ in range(100):
+        side = lambda: [random_fo_formula(rng, {"P": 1, "R": 2}, ["a1", "a2"], 3) for _ in range(rng.randint(0, 2))]
+        goal = Sequent.make(side(), side())
+        stack = [build_reduction_tree(goal, max_nodes=200, max_depth=200).root]
+        while stack:
+            node = stack.pop()
+            stack += node.children
+            if node.children or node.closed:
+                continue
+            got, want = extract_countermodel(node.sequent, goal), per_tuple_countermodel(node.sequent, goal)
+            assert (got is None) == (want is None), format_sequent(node.sequent)
+            if got is not None:
+                assert structure_to_json(got[0]) == structure_to_json(want[0])
+                assert got[1] == want[1]
+            found[got is not None] += 1
+    assert found[True] > 50 and found[False] > 50, found
 
 
 def test_determinism_of_trees_and_verdicts():

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ciore.errors import ParseError
-from ciore.parsing import format_formula, format_sequent, parse_formula, parse_sequent
+from ciore.parsing import MAX_DEPTH, format_formula, format_sequent, parse_formula, parse_sequent
 from ciore.sequents import Sequent
 from ciore.syntax import (
     And,
@@ -78,6 +80,78 @@ def test_parse_errors():
     for text in bad:
         with pytest.raises(ParseError):
             parse_sequent(text)
+
+
+def _accepted(text: str) -> bool:
+    try:
+        parse_formula(text)
+    except ParseError as exc:
+        assert f"nested deeper than {MAX_DEPTH} levels" in str(exc)
+        return False
+    return True
+
+
+def _nested(d: int) -> dict[str, str]:
+    """Formulas of nesting depth d, one per way of nesting."""
+    return {
+        "negation": "~" * d + "p",
+        "consistency": "o " * d + "p",
+        "parentheses": "(" * d + "p" + ")" * d,
+        "conjunction chain": " & ".join(["p"] * (d + 1)),
+        "implication chain": " -> ".join(["p"] * (d + 1)),
+        "prefix then link": "~" * (d - 1) + "p | q",
+        "link over a parenthesized operand": "(" + "~" * (d - 2) + "p) | q",
+        "link over the last operand": "p | " + "~" * (d - 1) + "q",
+        "quantifiers": "".join(f"forall x{i}. " for i in range(d)) + "P(x0)",
+        "function applications": "P(" + "f(" * d + "a1" + ")" * d + ")",
+    }
+
+
+def test_nesting_depth_is_bounded():
+    at, past = _nested(MAX_DEPTH), _nested(MAX_DEPTH + 1)
+    for shape in at:
+        assert _accepted(at[shape]), shape
+        assert not _accepted(past[shape]), shape
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_sequent("p |- " + "~" * (MAX_DEPTH + 1) + "p")
+
+
+def _height(phi) -> int:
+    """Connectives, quantifiers and function applications on phi's longest path."""
+    best, stack = 0, [(phi, 0)]
+    while stack:
+        node, level = stack.pop()
+        best = max(best, level)
+        if isinstance(node, (Neg, Circ, Forall, Exists)):
+            stack.append((node.body, level + 1))
+        elif isinstance(node, (And, Or, Imp)):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, (PredAtom, FunApp)):
+            stack += [(t, level + isinstance(node, FunApp)) for t in node.args]
+    return best
+
+
+def test_accepted_formulas_are_no_deeper_than_the_bound():
+    # random wrappings around one atom, printed and parsed back
+    rng = random.Random(97)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        phi = PredAtom("P", (FreeVar("a1"),))
+        for i in range(rng.randint(MAX_DEPTH // 2, MAX_DEPTH + 10)):
+            shape = rng.randrange(6)
+            if shape == 0:
+                phi = rng.choice((Neg, Circ))(phi)
+            elif shape == 1:
+                phi = Forall(f"x{i}", phi)
+            else:
+                ctor = rng.choice((And, Or, Imp))
+                phi = ctor(phi, q) if rng.random() < 0.5 else ctor(p, phi)
+        text = format_formula(phi)
+        accepted = _accepted(text)
+        if accepted:
+            assert _height(phi) <= MAX_DEPTH and parse_formula(text) == phi
+        outcomes[accepted] += 1
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def test_reserved_words():

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -231,6 +232,31 @@ def test_walks_do_not_recurse():
     assert bound_names(phi) == frozenset()
     assert atoms(phi) == frozenset()
     assert not is_propositional(phi)
+
+
+def test_free_variables_are_stored_on_the_node():
+    rng = random.Random(11)
+    for _ in range(3000):
+        phi = random_term_formula(rng, 5)
+        for f in [phi, *subformulas(phi)]:  # the top first, then its parts
+            free = free_variables(f)
+            assert free == reference_free_variables(f)
+            assert free_variables(f) is free
+    deep = PredAtom("P", (FreeVar("a1"),))
+    for _ in range(5000):
+        deep = Neg(deep)
+    free = free_variables(deep)
+    assert free_variables(deep) is free
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 6000)  # the reference walk recurses once per level
+    try:
+        assert free == reference_free_variables(deep)
+    finally:
+        sys.setrecursionlimit(limit)
+    for phi in (Neg(Neg(P(FreeVar("a1")))), Forall("x", P(BoundVar("x"), FunApp("f", (FreeVar("a2"),))))):
+        free = free_variables(phi)
+        for same in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+            assert same is phi and free_variables(same) is free
 
 
 def _fields(node) -> tuple:
