@@ -10,8 +10,6 @@ from typing import Callable
 
 from .syntax import And, Circ, Formula, Imp, Neg, Or, iff
 
-Schema2 = Callable[[Formula, Formula], Formula]
-
 
 def _ax1(a: Formula, b: Formula, c: Formula) -> Formula:
     return Imp(a, Imp(b, a))

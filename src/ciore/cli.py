@@ -159,13 +159,14 @@ def _cmd_validity(args) -> int:
 
 def _cmd_countermodel(args) -> int:
     s = _parse_goal(args.sequent, args.fo or bool(args.structure))
+    valid = {"status": "valid"}
     if args.structure:
         st = structure_from_json(_read_json(args.structure))
         assignment = falsifying_assignment(st, s)
         if assignment is not None:
             print(json.dumps({"assignment": assignment}, sort_keys=True))
             return EXIT_NEGATIVE
-        print("valid in the given structure")
+        _emit(valid, args.json, "valid in the given structure")
         return EXIT_OK
     if args.fo:
         verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
@@ -173,13 +174,13 @@ def _cmd_countermodel(args) -> int:
         if code == EXIT_NEGATIVE:
             print(json.dumps(verdict_to_json(verdict), indent=2, sort_keys=True))
         elif code == EXIT_UNKNOWN:
-            print(describe_verdict(verdict))
+            _emit(verdict_to_json(verdict), args.json, describe_verdict(verdict))
         else:
-            print("valid")
+            _emit(valid, args.json, "valid")
         return code
     cm = find_countermodel(s, atom_cap=args.atom_cap)
     if cm is None:
-        print("valid")
+        _emit(valid, args.json, "valid")
         return EXIT_OK
     print(json.dumps(valuation_to_json(cm), sort_keys=True))
     return EXIT_NEGATIVE

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import collections
 import itertools
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
@@ -56,6 +56,7 @@ from .syntax import (
     Neg,
     PredAtom,
     PropAtom,
+    fresh_free_variables,
     iff,
     predicate_arities,
     subformulas,
@@ -117,9 +118,10 @@ _PHASE_STEP: dict[RuleId, tuple[int, str]] = {
 #: rule's side that ``rules_for`` assigns to the rule; empty buckets are absent.
 Candidates = dict[int, tuple[Formula, ...]]
 
-#: A mark: the formula and the rule that reduced it. ONCE and EIGEN marks
-#: are a set; a REPEAT mark counts the variables it has used, which are
-#: always the first ones of the append-only ``available`` list.
+#: A mark: the formula and the rule that reduced it, keyed to the number of
+#: times the rule has reduced it on the branch. A REPEAT rule's count is the
+#: number of variables it has used, always the first ones of the append-only
+#: ``available`` list.
 MarkKey = tuple[Formula, RuleId]
 
 
@@ -135,11 +137,6 @@ def _indexed(candidates: Candidates, ante: Iterable[Formula], succ: Iterable[For
     return out
 
 
-def _fresh_names(taken: Collection[str]) -> Iterator[str]:
-    """a1, a2, ... without the names in taken, in index order."""
-    return (name for name in map("a{}".format, itertools.count(1)) if name not in taken)
-
-
 @dataclass(frozen=True, slots=True)
 class PrincipalReduction:
     principal: Formula
@@ -153,8 +150,7 @@ class ReductionNode:
     sequent: Sequent
     created_at_stage: int
     phase: RuleId | None = None  # rule of the reduction that created this node
-    marks: frozenset[MarkKey] = frozenset()
-    used_vars: dict[MarkKey, int] = field(default_factory=dict)  # REPEAT marks
+    marks: dict[MarkKey, int] = field(default_factory=dict)
     principals: tuple[PrincipalReduction, ...] = ()
     children: list["ReductionNode"] = field(default_factory=list)
     candidates: Candidates = field(default=None, repr=False)  # computed from the sequent when absent
@@ -191,23 +187,21 @@ def _check_fo_input(s: Sequent) -> None:
 
 
 def _phase_principals(
-    leaf: ReductionNode, rule: RuleId, available: list[str], fresh: Iterator[str] | None = None
+    leaf: ReductionNode, rule: RuleId, available: list[str], fresh: Iterator[str]
 ) -> list[PrincipalReduction]:
     """The reductions the phase of rule makes on leaf, in formula_key order.
+    A formula is pending while its mark counts fewer reductions than its
+    limit: one per available variable for a REPEAT rule, one otherwise.
     Eigenvariables are drawn from fresh, which the loop shares across all
-    leaves; by default, the names missing from available."""
+    leaves."""
     pos, mode = _PHASE_STEP[rule]
-    bucket = leaf.candidates.get(pos, ())
-    if mode == REPEAT:
-        pending = [phi for phi in bucket if leaf.used_vars.get((phi, rule), 0) < len(available)]
-    else:
-        pending = [phi for phi in bucket if (phi, rule) not in leaf.marks]
-    if mode == EIGEN and fresh is None:
-        fresh = _fresh_names(available)
+    marks = leaf.marks
+    limit = len(available) if mode == REPEAT else 1
+    pending = [phi for phi in leaf.candidates.get(pos, ()) if marks.get((phi, rule), 0) < limit]
     found: list[PrincipalReduction] = []
     for phi in sorted(pending, key=formula_key):
         if mode == REPEAT:
-            var = available[leaf.used_vars.get((phi, rule), 0)]
+            var = available[marks.get((phi, rule), 0)]
         elif mode == EIGEN:
             var = next(fresh)
         else:
@@ -219,16 +213,10 @@ def _phase_principals(
 
 
 def _expand_leaf(leaf: ReductionNode, rule: RuleId, reductions: list[PrincipalReduction], stage: int) -> list[ReductionNode]:
-    repeat = _PHASE_STEP[rule][1] == REPEAT
-    new_marks = set(leaf.marks)
-    new_used = dict(leaf.used_vars)
+    marks = dict(leaf.marks)
     for red in reductions:
         key: MarkKey = (red.principal, rule)
-        if repeat:
-            new_used[key] = new_used.get(key, 0) + 1
-        else:
-            new_marks.add(key)
-    marks = frozenset(new_marks)
+        marks[key] = marks.get(key, 0) + 1
 
     leaf.principals = tuple(reductions)
     parent = leaf.sequent
@@ -237,7 +225,7 @@ def _expand_leaf(leaf: ReductionNode, rule: RuleId, reductions: list[PrincipalRe
         for add_ante, add_succ in choice:
             seq = seq.with_ante(*add_ante).with_succ(*add_succ)
         candidates = _indexed(leaf.candidates, seq.ante - parent.ante, seq.succ - parent.succ)
-        leaf.children.append(ReductionNode(seq, stage, rule, marks, new_used, candidates=candidates))
+        leaf.children.append(ReductionNode(seq, stage, rule, marks, candidates=candidates))
     return leaf.children
 
 
@@ -252,7 +240,7 @@ def build_reduction_tree(
     root = ReductionNode(sequent=s, created_at_stage=0)
     occurring = sorted(s.free_variables(), key=var_index)
     available: list[str] = occurring if occurring else ["a1"]
-    fresh = _fresh_names(frozenset(available))  # every name it yields is appended to available
+    fresh = fresh_free_variables(frozenset(available))  # every name it yields is appended to available
 
     # The open leaves, left to right; eigenvariables are handed out in this order.
     frontier = [] if root.closed else [root]
@@ -354,8 +342,7 @@ def extract_countermodel(leaf: Sequent, goal: Sequent) -> tuple[Structure, dict[
 
 def _assemble(node: ReductionNode) -> Proof:
     if not node.children:
-        pivot = min(node.sequent.ante & node.sequent.succ, key=formula_key)
-        return axiom_proof(pivot, node.sequent)
+        return axiom_proof(node.sequent)
 
     child_by_choice = dict(
         zip(itertools.product(*(range(len(red.options)) for red in node.principals)), node.children)
@@ -426,8 +413,10 @@ def dump_tree(tree: ReductionTree) -> str:
         flags = []
         if not node.children:
             flags.append("closed" if node.closed else "open")
-            if node.marks:
-                shown = sorted(f"{rule.value}:{format_formula(f)}" for f, rule in node.marks)
+            shown = sorted(
+                f"{rule.value}:{format_formula(f)}" for f, rule in node.marks if _PHASE_STEP[rule][1] != REPEAT
+            )
+            if shown:
                 flags.append("marks: " + "; ".join(shown))
         suffix = f" [{'; '.join(flags)}]" if flags else ""
         lines.append(f"{indent}k={phase} {format_sequent(node.sequent)}{suffix}")

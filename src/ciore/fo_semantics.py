@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 
 from . import syntax
 from .errors import LogicError
-from .matrix import HALF, ONE, VALUE_ORDER, ZERO, TruthValue, evaluate
+from .matrix import HALF, ONE, VALUE_ORDER, ZERO, Leaf, TruthValue, evaluate, falsified
 from .sequents import Sequent
 from .syntax import (
     BoundVar,
@@ -26,7 +26,7 @@ from .syntax import (
     PredAtom,
     PropAtom,
     Term,
-    fresh_free_variable,
+    fresh_free_variables,
 )
 
 
@@ -162,7 +162,7 @@ def denote(phi: Formula, st: Structure, variables: tuple[str, ...] | None = None
     if not free <= set(variables):
         raise LogicError("variable list does not cover the formula's free variables")
     points = list(itertools.product(st.domain, repeat=len(variables)))
-    zero, half = _denote(phi, st, variables, points)
+    zero, half = evaluate(phi, _leaf(st, variables, points), (1 << len(points)) - 1)
     universe = frozenset(points)
     minus, circ = _members(zero, points), _members(half, points)
     return Triple(universe, universe - minus - circ, minus, circ)
@@ -173,12 +173,13 @@ def _members(bits: int, points: list) -> frozenset:
     return frozenset(itertools.compress(points, map("1".__eq__, bin(bits)[:1:-1])))
 
 
-def _denote(phi: Formula, st: Structure, variables: tuple[str, ...], points: list) -> tuple[int, int]:
-    """phi's (zero, half) pair as bit sets over `points`, a list of tuples of
-    domain elements for `variables`, which cover phi's free variables; bit j
-    stands for points[j]. Connectives go through `matrix.evaluate`; a
-    quantifier denotes a fresh-variable instance over each point's block of
-    |domain| extended points and folds the block's values."""
+def _leaf(st: Structure, variables: tuple[str, ...], points: list) -> Leaf:
+    """The leaf for `matrix.evaluate` over `points`, a list of tuples of
+    domain elements for `variables`: the (zero, half) pair of an atom or a
+    quantified formula whose free variables `variables` cover, as bit sets,
+    bit j standing for points[j]. A quantifier evaluates a fresh-variable
+    instance over each point's block of |domain| extended points and folds
+    the block's values."""
 
     def leaf(psi: Formula) -> tuple[int, int]:
         if isinstance(psi, PropAtom):
@@ -198,9 +199,10 @@ def _denote(phi: Formula, st: Structure, variables: tuple[str, ...], points: lis
                 elif value is HALF:
                     half |= 1 << j
             return zero, half
-        fresh = fresh_free_variable(syntax.free_variables(psi) | set(variables))
+        fresh = next(fresh_free_variables(syntax.free_variables(psi) | set(variables)))
         extended = [combo + (m,) for combo in points for m in st.domain]
-        sub_zero, sub_half = _denote(syntax.instantiate(psi, FreeVar(fresh)), st, variables + (fresh,), extended)
+        instance = syntax.instantiate(psi, FreeVar(fresh))
+        sub_zero, sub_half = evaluate(instance, _leaf(st, variables + (fresh,), extended), (1 << len(extended)) - 1)
         tilde = tilde_forall if isinstance(psi, Forall) else tilde_exists
         size = len(st.domain)
         block = (1 << size) - 1
@@ -220,32 +222,20 @@ def _denote(phi: Formula, st: Structure, variables: tuple[str, ...], points: lis
                 half |= 1 << j
         return zero, half
 
-    return evaluate(phi, leaf, (1 << len(points)) - 1)
-
-
-def denote_value(phi: Formula, st: Structure, s: Assignment) -> TruthValue:
-    """Value of phi at one assignment (must cover its free variables), from
-    its (zero, half) bits over that one assignment."""
-    variables = _sorted_vars(syntax.free_variables(phi))
-    point = tuple(s[v] for v in variables)
-    if not set(point) <= set(st.domain):
-        raise LogicError(f"{point!r} is not in the triple's universe")
-    zero, half = _denote(phi, st, variables, [point])
-    if zero & half:
-        raise LogicError(f"{point!r} is both 0 and 1/2")
-    return ZERO if zero else HALF if half else ONE
-
-
-def satisfies(st: Structure, s: Assignment, phi: Formula) -> bool:
-    return denote_value(phi, st, s).designated
+    return leaf
 
 
 def fo_sequent_satisfied(st: Structure, s: Assignment, seq: Sequent) -> bool:
+    """True unless the assignment s, which must cover the sequent's free
+    variables, makes every antecedent formula designated and every
+    succedent formula 0."""
+    variables = _sorted_vars(seq.free_variables())
+    point = tuple(s[v] for v in variables)
+    if not set(point) <= set(st.domain):
+        raise LogicError(f"{point!r} is not in the triple's universe")
     # Sorted sides fix which formula decides first, so the cost of a check
     # does not follow the hash seed's set order.
-    return any(not satisfies(st, s, g) for g in seq.sorted_ante()) or any(
-        satisfies(st, s, d) for d in seq.sorted_succ()
-    )
+    return not falsified(seq.sorted_ante(), seq.sorted_succ(), _leaf(st, variables, [point]), 1)
 
 
 def falsifying_assignment(st: Structure, seq: Sequent) -> dict[str, str] | None:

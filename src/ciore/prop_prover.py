@@ -14,7 +14,7 @@ lowers the weight, so the search ends whatever the order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import ClassVar, Union
 
 from .errors import AtomCapExceeded, InternalError, LogicError
 from .matrix import HALF, ONE, ZERO, TruthValue, effective_atom_cap, sequent_atoms, sequent_satisfied
@@ -65,20 +65,6 @@ class Refuted:
 Verdict = Union[Proved, Refuted]
 
 
-@dataclass(frozen=True, slots=True)
-class SearchNode:
-    """A sequent under reduction plus the succedent formulas the in-place
-    negation rule has already been applied to on this branch."""
-
-    sequent: Sequent
-    marks: frozenset[Formula]
-
-    def __post_init__(self):
-        assert self.marks <= self.sequent.succ
-
-
-StepHook = Callable[[SearchNode, RuleId, Formula, tuple[Sequent, ...]], None]
-
 def _next_reduction(s: Sequent, marks: frozenset) -> tuple[Formula, RuleId] | None:
     """The principal to reduce next and its GCiore' rule: among the rules
     that strictly shrink the weight, on either side, the least by (premise
@@ -102,42 +88,31 @@ def _next_reduction(s: Sequent, marks: frozenset) -> tuple[Formula, RuleId] | No
     return min(in_place, key=lambda phi: (is_literal(phi), formula_key(phi))), R.NEG_R2
 
 
-def _countermodel_of_leaf(s: Sequent) -> dict[str, TruthValue]:
-    v: dict[str, TruthValue] = {}
-    for name in sequent_atoms(s):
-        atom = PropAtom(name)
-        if atom in s.ante:
-            v[name] = HALF if Neg(atom) in s.ante else ONE
-        else:
-            v[name] = ZERO
-    return v
-
-
-def _decide(s: Sequent, marks: frozenset, on_step: StepHook | None) -> Verdict:
+def _decide(s: Sequent, marks: frozenset) -> Proof | Sequent:
+    """A cut-free proof of s, or the saturated leaf of a branch that stays
+    open. marks: the succedent formulas the in-place negation rule has
+    already reduced on this branch."""
     if s.closed_by_axiom:
-        pivot = min(s.ante & s.succ, key=formula_key)
-        return Proved(axiom_proof(pivot, s))
+        return axiom_proof(s)
 
     step = _next_reduction(s, marks)
     if step is None:
-        return Refuted(_countermodel_of_leaf(s))
+        return s
     principal, rule = step
 
     premises = premises_from_schema(s, rule, principal)
     assert premises is not None
-    if on_step is not None:
-        on_step(SearchNode(s, marks), rule, principal, tuple(premises))
     new_marks = marks | {principal} if rule is R.NEG_R2 else marks
     subproofs = []
     for premise in premises:
-        sub = _decide(premise, new_marks & premise.succ, on_step)
-        if isinstance(sub, Refuted):
+        sub = _decide(premise, new_marks & premise.succ)
+        if not isinstance(sub, Proof):
             return sub
-        subproofs.append(sub.proof)
-    return Proved(Proof(s, rule, principal=principal, premises=tuple(subproofs)))
+        subproofs.append(sub)
+    return Proof(s, rule, principal=principal, premises=tuple(subproofs))
 
 
-def decide(s: Sequent, atom_cap: int | None = None, on_step: StepHook | None = None) -> Verdict:
+def decide(s: Sequent, atom_cap: int | None = None) -> Verdict:
     """Prove the sequent cut-free or refute it with a valuation."""
     if not all(map(is_propositional, s.ante | s.succ)):
         raise LogicError("the propositional prover takes quantifier-free input")
@@ -146,15 +121,18 @@ def decide(s: Sequent, atom_cap: int | None = None, on_step: StepHook | None = N
     if len(names) > cap:
         raise AtomCapExceeded(f"sequent has {len(names)} atoms, cap is {cap}")
 
-    verdict = _decide(s, frozenset(), on_step)
-    if isinstance(verdict, Refuted):
-        v = dict(verdict.valuation)
-        for name in names:
-            v.setdefault(name, ZERO)
-        if sequent_satisfied(v, s):
-            raise InternalError("refuting valuation fails to falsify the sequent")
-        return Refuted(v)
-    return verdict
+    result = _decide(s, frozenset())
+    if isinstance(result, Proof):
+        return Proved(result)
+    # Read off the saturated leaf: an atom is 1 on the left, 1/2 where its
+    # negation is there too, and 0 elsewhere.
+    v: dict[str, TruthValue] = {}
+    for name in names:
+        atom = PropAtom(name)
+        v[name] = (HALF if Neg(atom) in result.ante else ONE) if atom in result.ante else ZERO
+    if sequent_satisfied(v, s):
+        raise InternalError("refuting valuation fails to falsify the sequent")
+    return Refuted(v)
 
 
 def theorem_suite(a: Formula | None = None, b: Formula | None = None) -> list[tuple[str, Sequent]]:

@@ -29,7 +29,7 @@ from .syntax import (
     Or,
     formula_key,
     free_variables,
-    fresh_free_variable,
+    fresh_free_variables,
     instantiate,
     is_free_var_name,
     var_index,
@@ -500,7 +500,7 @@ def _expand_quantifier_intro(rule: DerivedRuleId, conclusion: Sequent, premises:
             raise _schema_mismatch("conclusion must be  exists x phi(x) -> psi  with matching psi")
 
     candidates = sorted(free_variables(inst_part) - free_variables(side_fixed), key=var_index)
-    candidates.append(fresh_free_variable(conclusion.free_variables() | hyp.sequent.free_variables()))
+    candidates.append(next(fresh_free_variables(conclusion.free_variables() | hyp.sequent.free_variables())))
     var = next(
         (
             v
@@ -557,15 +557,8 @@ def expand_derived_rule(rule: DerivedRuleId, conclusion: Sequent, premises: Sequ
     return _expand_quantifier_intro(rule, conclusion, premises)
 
 
-def weaken_to(proof: Proof, target: Sequent) -> Proof:
-    """Wrap a proof in a combined weakening up to the target sequent."""
-    if proof.sequent == target:
-        return proof
-    if not (proof.sequent.ante <= target.ante and proof.sequent.succ <= target.succ):
-        raise LogicError("cannot weaken: proved sequent is not contained in the target")
-    return Proof(target, R.WEAKEN, premises=(proof,))
-
-
-def axiom_proof(phi: Formula, target: Sequent) -> Proof:
-    """Axiom on phi weakened up to the target sequent."""
-    return weaken_to(_axiom(phi), target)
+def axiom_proof(s: Sequent) -> Proof:
+    """The axiom on the least formula by formula_key that s has on both
+    sides, weakened up to s."""
+    axiom = _axiom(min(s.ante & s.succ, key=formula_key))
+    return axiom if axiom.sequent == s else Proof(s, R.WEAKEN, premises=(axiom,))

@@ -9,9 +9,11 @@ avoidance beyond the preconditions enforced here.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 from .errors import LogicError
 
@@ -281,12 +283,9 @@ def var_index(name: str) -> int:
     return int(name[1:])
 
 
-def fresh_free_variable(avoid: frozenset[str] | set[str]) -> str:
-    """Least-indexed a_i not in avoid; deterministic."""
-    i = 1
-    while f"a{i}" in avoid:
-        i += 1
-    return f"a{i}"
+def fresh_free_variables(taken: Collection[str]) -> Iterator[str]:
+    """a1, a2, ... without the names in taken, in index order."""
+    return (name for name in map("a{}".format, itertools.count(1)) if name not in taken)
 
 
 def bound_names(phi: Formula) -> frozenset[str]:

@@ -40,7 +40,7 @@ from ciore.syntax import (
     PredAtom,
     PropAtom,
     free_variables,
-    fresh_free_variable,
+    fresh_free_variables,
     instantiate,
     predicate_arities,
     var_index,
@@ -241,7 +241,7 @@ def denote_components(phi: Formula, st: Structure, variables: tuple[str, ...]) -
         values = {s: table[left.value_at(s), right.value_at(s)] for s in universe}
         return Triple.from_values(universe, values)
     if isinstance(phi, (Forall, Exists)):
-        fresh = fresh_free_variable(free_variables(phi) | set(variables))
+        fresh = next(fresh_free_variables(free_variables(phi) | set(variables)))
         body = instantiate(phi, FreeVar(fresh))
         ext_vars = variables + (fresh,)
         sub = denote_components(body, st, ext_vars)
@@ -490,7 +490,7 @@ def random_fo_rule_instance(rng: random.Random, rule: RuleId):
         if rule in EIGEN_RULES or rule is _R.CIRC_FORALL_L:
             # the consistency-forall left rule only preserves validity in a
             # fixed structure when its variable is fresh, like an eigenvariable
-            var = fresh_free_variable(conclusion.free_variables())
+            var = next(fresh_free_variables(conclusion.free_variables()))
         else:
             var = rng.choice(pool)
     premises = premises_from_schema(conclusion, rule, principal, var)
@@ -518,7 +518,7 @@ def backward_applications(s: Sequent, calculus: Calculus) -> list[BackwardApplic
     then instantiating variable (available ones first, then one fresh)."""
     out: list[BackwardApplication] = []
     available = sorted(s.free_variables(), key=var_index)
-    fresh = fresh_free_variable(frozenset(available))
+    fresh = next(fresh_free_variables(available))
     for rule in RuleId:
         if rule not in calculus.rules:
             continue

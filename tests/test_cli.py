@@ -79,6 +79,32 @@ def test_validity_in_structure(tmp_path, capsys):
     assert json.loads(out) == {"assignment": {"a1": "1"}}
 
 
+def test_countermodel_json_is_json_for_every_answer(tmp_path, capsys):
+    st = Structure(
+        domain=("0", "1"),
+        predicates={"P": Triple.from_values((("0",), ("1",)), {("0",): ONE, ("1",): ZERO})},
+    )
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(structure_to_json(st)))
+    swap = "forall x. exists y. R(x,y) |- exists y. forall x. R(x,y)"
+    cases = [
+        (["|- p | ~p"], 0, "valid"),
+        (["--structure", str(path), "forall x. P(x) |- P(a1)"], 0, "valid in the given structure"),
+        (["--fo", "|- (o forall x. P(x)) -> exists x. o P(x)"], 0, "valid"),
+        (["--fo", "--nodes", "5", swap], 2, "unknown: "),
+    ]
+    for args, want_code, text in cases:
+        code, out, _ = run(capsys, "countermodel", *args)
+        assert code == want_code and out.startswith(text), args
+        code, out, _ = run(capsys, "countermodel", "--json", *args)
+        assert code == want_code, args
+        data = json.loads(out)
+        if want_code == 0:
+            assert data == {"status": "valid"}, args
+        else:
+            assert data["status"] == "unknown" and "report" in data, args
+
+
 def test_validity_fo_routes_through_prover(capsys):
     code, out, _ = run(capsys, "validity", "--fo", "|- (o forall x. P(x)) -> exists x. o P(x)")
     assert code == 0 and "valid" in out

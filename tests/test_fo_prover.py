@@ -23,6 +23,7 @@ from ciore.parsing import format_sequent, parse_formula, parse_sequent
 from ciore.randgen import random_fo_formula
 from ciore.sequents import RULE_TABLE, Calculus, RuleId, Sequent, check_proof, formula_key, proof_error, rules_for
 from ciore.serialize import proof_to_json, verdict_to_json
+from ciore.syntax import fresh_free_variables
 
 from helpers import (
     PROP_LOGICAL_RULES,
@@ -393,5 +394,10 @@ def test_each_shape_is_reduced_by_at_most_one_phase(text, left, right):
     phi = parse_formula(text)
     for expected, sequent in ((left, Sequent.make((phi,), ())), (right, Sequent.make((), (phi,)))):
         node = ReductionNode(sequent=sequent, created_at_stage=0)
-        reducing = [rule for rule in PHASES if rule is not None and _phase_principals(node, rule, ["a1", "a2"])]
+        available = ["a1", "a2"]
+        reducing = [
+            rule
+            for rule in PHASES
+            if rule is not None and _phase_principals(node, rule, available, fresh_free_variables(available))
+        ]
         assert reducing == ([] if expected is None else [expected]), (text, sequent)

@@ -9,13 +9,11 @@ from ciore.fo_semantics import (
     Structure,
     Triple,
     denote,
-    denote_value,
     enumerate_structures,
     eval_term,
     falsifying_assignment,
     fo_sequent_satisfied,
     fo_sequent_valid_in,
-    satisfies,
     structure_from_json,
     structure_to_json,
     tilde_exists,
@@ -23,6 +21,7 @@ from ciore.fo_semantics import (
 )
 from ciore.matrix import HALF, ONE, VALUE_ORDER, ZERO
 from ciore.parsing import parse_formula, parse_sequent
+from ciore.sequents import Sequent
 from ciore.syntax import (
     And,
     BoundVar,
@@ -55,6 +54,17 @@ from helpers import (
 )
 
 p, q = PropAtom("p"), PropAtom("q")
+
+
+def _value_at(phi, st, s):
+    """phi's value at the assignment s, read off one-point sequent checks:
+    0 where |- phi is falsified, else 1/2 where |- o phi is (o phi is 0
+    exactly where phi is 1/2), else 1."""
+    if not fo_sequent_satisfied(st, s, Sequent.make((), (phi,))):
+        return ZERO
+    if not fo_sequent_satisfied(st, s, Sequent.make((), (Circ(phi),))):
+        return HALF
+    return ONE
 
 
 def _triple(universe, assign):
@@ -136,12 +146,12 @@ def test_denote_examples():
     assert denote(forall_p, st).value_at(()) is ONE
     exists_circ = parse_formula("exists x. o P(x)")
     assert denote(exists_circ, st).value_at(()) is ONE
-    assert denote_value(parse_formula("P(a1)"), st, {"a1": "1"}) is HALF
+    assert _value_at(parse_formula("P(a1)"), st, {"a1": "1"}) is HALF
 
 
 def test_satisfaction_and_validity():
     st = _example_structure()
-    assert satisfies(st, {"a1": "0"}, parse_formula("P(a1)"))
+    assert fo_sequent_satisfied(st, {"a1": "0"}, Sequent.make((), (parse_formula("P(a1)"),)))
     assert valid_in(st, parse_formula("P(a1)"))
     assert not valid_in(st, parse_formula("o P(a1)"))
 
@@ -219,7 +229,7 @@ def test_value_at_one_assignment_matches_denotation():
             variables = var_sorted(free_variables(phi))
             want = denote_components(phi, st, variables)
             for point in itertools.product(st.domain, repeat=len(variables)):
-                assert denote_value(phi, st, dict(zip(variables, point))) is want.value_at(point), (phi, point)
+                assert _value_at(phi, st, dict(zip(variables, point))) is want.value_at(point), (phi, point)
     rng = random.Random(11)
     domain = ("m0", "m1", "m2")
     for _ in range(40):
@@ -233,9 +243,9 @@ def test_value_at_one_assignment_matches_denotation():
             variables = var_sorted(free_variables(phi))
             want = denote(phi, st, variables)
             for point in itertools.product(domain, repeat=len(variables)):
-                assert denote_value(phi, st, dict(zip(variables, point))) is want.value_at(point), (phi, point)
+                assert _value_at(phi, st, dict(zip(variables, point))) is want.value_at(point), (phi, point)
     with pytest.raises(LogicError):
-        denote_value(parse_formula("P(a1) | ~P(a1)"), _example_structure(), {"a1": "outside"})
+        fo_sequent_satisfied(_example_structure(), {"a1": "outside"}, parse_sequent("|- P(a1) | ~P(a1)"))
 
 
 def test_denotation_ignores_padding_variables():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ciore import prop_prover
 from ciore.errors import AtomCapExceeded, LogicError
 from ciore.matrix import HALF, find_countermodel, matrix_valid, sequent_atoms, sequent_satisfied
 from ciore.parsing import parse_formula, parse_sequent
@@ -94,22 +95,38 @@ def test_decide_is_deterministic():
     assert first == second
 
 
-def test_step_measures():
+@pytest.fixture
+def reductions(monkeypatch):
+    """Every (sequent, marks, step) at which `decide` chooses its next
+    reduction, recorded around `prop_prover._next_reduction`."""
+    seen = []
+
+    def recording(s, marks):
+        step = _next_reduction(s, marks)
+        seen.append((s, marks, step))
+        return step
+
+    monkeypatch.setattr(prop_prover, "_next_reduction", recording)
+    return seen
+
+
+def test_step_measures(reductions):
     # every step either strictly lowers the sequent weight or is the
     # in-place negation rule, which marks a fresh formula and never repeats
     rng = random.Random(55)
     for _ in range(150):
-        s = random_sequent(rng, ("p", "q", "r"), 3)
-        steps = []
-        decide(s, on_step=lambda node, rule, principal, prems: steps.append((node, rule, principal, prems)))
-        for node, rule, principal, prems in steps:
-            assert node.marks <= node.sequent.succ
-            if rule is RuleId.NEG_R2:
-                assert principal not in node.marks
-                assert principal in node.sequent.succ
-            else:
-                for prem in prems:
-                    assert sequent_weight(prem) < sequent_weight(node.sequent)
+        decide(random_sequent(rng, ("p", "q", "r"), 3))
+    steps = [(s, marks, step) for s, marks, step in reductions if step is not None]
+    assert steps
+    for s, marks, (principal, rule) in steps:
+        prems = premises_from_schema(s, rule, principal)
+        assert marks <= s.succ
+        if rule is RuleId.NEG_R2:
+            assert principal not in marks
+            assert principal in s.succ
+        else:
+            for prem in prems:
+                assert sequent_weight(prem) < sequent_weight(s)
 
 
 def test_neg_r2_on_negated_consistency_terminates():
@@ -260,13 +277,14 @@ def _decreasing_candidates(s: Sequent) -> list[tuple[tuple, Formula, RuleId]]:
     return out
 
 
-def test_next_reduction_takes_fewest_premises_then_left_then_formula_key():
+def test_next_reduction_takes_fewest_premises_then_left_then_formula_key(reductions):
     rng = random.Random(4242)
     nodes = []
     for _ in range(60):
         s = random_sequent(rng, ("p", "q", "r"), 3, 3)
         nodes.append((s, frozenset()))
-        decide(s, on_step=lambda node, rule, principal, prems: nodes.append((node.sequent, node.marks)))
+        decide(s)
+    nodes += [(s, marks) for s, marks, _ in reductions]
     in_place = 0
     for s, marks in nodes:
         step = _next_reduction(s, marks)

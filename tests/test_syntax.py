@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import sys
@@ -28,7 +29,7 @@ from ciore.syntax import (
     bound_names,
     formula_key,
     free_variables,
-    fresh_free_variable,
+    fresh_free_variables,
     instantiate,
     is_literal,
     is_propositional,
@@ -163,13 +164,14 @@ def test_gsub_size_bound():
 def test_free_variables_and_fresh():
     phi = Forall("x", PredAtom("P", (BoundVar("x"), FreeVar("a2"))))
     assert free_variables(phi) == {"a2"}
-    assert fresh_free_variable({"a1", "a2"}) == "a3"
-    assert fresh_free_variable(set()) == "a1"
+    assert next(fresh_free_variables({"a1", "a2"})) == "a3"
+    assert next(fresh_free_variables(set())) == "a1"
+    assert list(itertools.islice(fresh_free_variables({"a2", "a4"}), 3)) == ["a1", "a3", "a5"]
 
 
 def test_substitute_round_trip():
     phi = And(P(FreeVar("a1")), Neg(P(FreeVar("a1"))))
-    fresh = fresh_free_variable(free_variables(phi))
+    fresh = next(fresh_free_variables(free_variables(phi)))
     there = substitute(phi, "a1", FreeVar(fresh))
     assert substitute(there, fresh, FreeVar("a1")) == phi
 
