@@ -173,9 +173,10 @@ class ReductionTree:
     countermodel: tuple[Structure, dict[str, str]] | None = None  # set when refuted
 
 
-def _check_fo_input(s: Sequent) -> None:
+def _check_fo_input(s: Sequent) -> dict[str, int]:
+    """The arity of each predicate of s; raises on input the prover does not take."""
     formulas = s.ante | s.succ
-    predicate_arities(formulas)  # raises on a predicate used with two arities
+    arities = predicate_arities(formulas)  # raises on a predicate used with two arities
     for phi in formulas:
         if any(type(f) is PropAtom for f in subformulas(phi)):
             raise LogicError("the first-order prover takes predicate atoms only")
@@ -184,6 +185,7 @@ def _check_fo_input(s: Sequent) -> None:
                 raise LogicError("the first-order prover does not handle function symbols")
             if type(t) is Const:
                 raise LogicError("the first-order prover does not handle constants")
+    return arities
 
 
 def _phase_principals(
@@ -208,7 +210,7 @@ def _phase_principals(
             var = None
         schema = rule_schema(rule, phi, var)
         assert schema is not None
-        found.append(PrincipalReduction(phi, rule, var, tuple(schema[1])))
+        found.append(PrincipalReduction(phi, rule, var, schema[1]))
     return found
 
 
@@ -221,9 +223,7 @@ def _expand_leaf(leaf: ReductionNode, rule: RuleId, reductions: list[PrincipalRe
     leaf.principals = tuple(reductions)
     parent = leaf.sequent
     for choice in itertools.product(*(red.options for red in reductions)):
-        seq = parent
-        for add_ante, add_succ in choice:
-            seq = seq.with_ante(*add_ante).with_succ(*add_succ)
+        seq = Sequent(parent.ante.union(*(da for da, _ in choice)), parent.succ.union(*(ds for _, ds in choice)))
         candidates = _indexed(leaf.candidates, seq.ante - parent.ante, seq.succ - parent.succ)
         leaf.children.append(ReductionNode(seq, stage, rule, marks, candidates=candidates))
     return leaf.children
@@ -236,7 +236,7 @@ def build_reduction_tree(
 ) -> ReductionTree:
     """Grow the staged reduction tree until it closes, a saturated branch
     refutes the goal, nothing can change anymore, or the budget runs out."""
-    _check_fo_input(s)
+    arities = _check_fo_input(s)
     root = ReductionNode(sequent=s, created_at_stage=0)
     occurring = sorted(s.free_variables(), key=var_index)
     available: list[str] = occurring if occurring else ["a1"]
@@ -262,7 +262,7 @@ def build_reduction_tree(
             grew_at.popleft()
             for leaf in frontier:
                 if stage - leaf.created_at_stage == _CYCLE:
-                    countermodel = extract_countermodel(leaf.sequent, s)
+                    countermodel = extract_countermodel(leaf.sequent, s, arities)
                     if countermodel is not None:
                         return ReductionTree(root, "refuted", stage, node_count, countermodel)
         if stage - newest >= _CYCLE:
@@ -303,14 +303,15 @@ def build_reduction_tree(
 # Countermodel extraction (from a saturated open leaf)
 
 
-def extract_countermodel(leaf: Sequent, goal: Sequent) -> tuple[Structure, dict[str, str]] | None:
+def extract_countermodel(leaf: Sequent, goal: Sequent, arities: dict[str, int]) -> tuple[Structure, dict[str, str]] | None:
     """Recipe: domain = the leaf's free variables; a predicate holds (1)
     where only the atom sits on the left, is inconsistent (1/2) where atom
     and negated atom both do, and fails (0) elsewhere. The result is only
     returned if it verifiably falsifies the goal. Sequents only grow along
     a branch, and every formula a reduction adds is an instance of a goal
-    subformula, so the leaf holds the goal and has exactly its predicates;
-    their values are read off the leaf's antecedent atoms in one pass."""
+    subformula, so the leaf holds the goal and has exactly its predicates,
+    whose arities the caller passes in; their values are read off the
+    leaf's antecedent atoms in one pass."""
     domain = tuple(sorted(leaf.free_variables(), key=var_index)) or ("a1",)
 
     held: dict[str, set] = collections.defaultdict(set)  # predicate -> tuples whose atom is on the left
@@ -324,7 +325,7 @@ def extract_countermodel(leaf: Sequent, goal: Sequent) -> tuple[Structure, dict[
             tuples[phi.name].add(tuple(t.name for t in phi.args))
 
     predicates: dict[str, Triple] = {}
-    for name, arity in sorted(predicate_arities(goal.ante | goal.succ).items()):
+    for name, arity in sorted(arities.items()):
         space = frozenset(itertools.product(domain, repeat=arity))
         plus, circ = held[name] - negated[name], held[name] & negated[name]
         predicates[name] = Triple(space, frozenset(plus), space - held[name], frozenset(circ))
@@ -356,7 +357,7 @@ def _assemble(node: ReductionNode) -> Proof:
         red = node.principals[i]
         subs = []
         for ci, (add_ante, add_succ) in enumerate(red.options):
-            premise = current.with_ante(*add_ante).with_succ(*add_succ)
+            premise = Sequent(current.ante.union(add_ante), current.succ.union(add_succ))
             subs.append(derive(i + 1, prefix + (ci,), premise))
         return Proof(current, red.rule, principal=red.principal, var=red.var, premises=tuple(subs))
 

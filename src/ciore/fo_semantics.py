@@ -230,7 +230,10 @@ def fo_sequent_satisfied(st: Structure, s: Assignment, seq: Sequent) -> bool:
     variables, makes every antecedent formula designated and every
     succedent formula 0."""
     variables = _sorted_vars(seq.free_variables())
-    point = tuple(s[v] for v in variables)
+    try:
+        point = tuple(s[v] for v in variables)
+    except KeyError as exc:
+        raise LogicError(f"assignment does not cover variable {exc.args[0]}") from None
     if not set(point) <= set(st.domain):
         raise LogicError(f"{point!r} is not in the triple's universe")
     # Sorted sides fix which formula decides first, so the cost of a check

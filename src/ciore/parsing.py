@@ -291,13 +291,14 @@ def format_term(t: Term) -> str:
 
 
 def _fmt(phi: Formula, min_level: int) -> str:
-    text = _format(phi)
+    text = phi._text
     if _level(phi) < min_level:
         return f"({text})"
     return text
 
 
 def _format(phi: Formula) -> str:
+    """The text of phi from its children's stored text."""
     if isinstance(phi, PropAtom):
         return phi.name
     if isinstance(phi, PredAtom):
@@ -313,11 +314,38 @@ def _format(phi: Formula) -> str:
     if isinstance(phi, Imp):
         return f"{_fmt(phi.left, _IMP + 1)} -> {_fmt(phi.right, _IMP)}"
     word = "forall" if isinstance(phi, Forall) else "exists"
-    return f"{word} {phi.var}. {_format(phi.body)}"
+    return f"{word} {phi.var}. {phi.body._text}"
+
+
+def _children(phi: Formula) -> tuple[Formula, ...]:
+    kind = type(phi)
+    if kind is And or kind is Or or kind is Imp:
+        return phi.left, phi.right
+    if kind is PropAtom or kind is PredAtom:
+        return ()
+    return (phi.body,)
 
 
 def format_formula(phi: Formula) -> str:
-    return _format(phi)
+    """The text of phi, formatted once per node and stored on it. A node's
+    text does not depend on where it occurs (its parent adds any
+    parentheses), so the nodes without text are formatted children first,
+    each from its children's text, with no recursion."""
+    try:
+        return phi._text
+    except AttributeError:
+        pass
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        missing = [c for c in _children(f) if not hasattr(c, "_text")]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        if not hasattr(f, "_text"):  # a node listed twice is formatted once
+            object.__setattr__(f, "_text", _format(f))
+    return phi._text
 
 
 def format_sequent(s: Sequent) -> str:

@@ -167,7 +167,7 @@ _REPLACED_BY_PRIMED = frozenset({R.NEG_OR_R, R.NEG_AND_R, R.NEG_IMP_R, R.NEG_R})
 
 
 class Calculus(enum.Enum):
-    """The three calculi; each value is the set of admitted logical rules.
+    """The three calculi; `rules` is the set of logical rules each admits.
 
     The first-order calculus admits both right-negation variants: its
     reduction-tree search reduces negated conjunctions and implications on
@@ -181,11 +181,14 @@ class Calculus(enum.Enum):
 
     @property
     def rules(self) -> frozenset[RuleId]:
-        if self is Calculus.GCIORE:
-            return _GCIORE_LOGICAL
-        if self is Calculus.GCIORE_PRIME:
-            return (_GCIORE_LOGICAL - _REPLACED_BY_PRIMED) | _PRIMED_FORMS
-        return _GCIORE_LOGICAL | _PRIMED_FORMS | QUANTIFIER_RULES
+        return _CALCULUS_RULES[self]
+
+
+_CALCULUS_RULES = {
+    Calculus.GCIORE: _GCIORE_LOGICAL,
+    Calculus.GCIORE_PRIME: (_GCIORE_LOGICAL - _REPLACED_BY_PRIMED) | _PRIMED_FORMS,
+    Calculus.GQCIORE: _GCIORE_LOGICAL | _PRIMED_FORMS | QUANTIFIER_RULES,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,8 +226,8 @@ class Proved:
 # Every logical rule is stated once, in the spirit of Smullyan's uniform
 # notation: the side of its principal formula, the principal's connective,
 # the connective directly under it (None: any body), and the formulas each
-# premise adds, in the rule's fixed premise order. The additions are a
-# function of the principal's parts: the operands of the binary connective
+# premise adds, a tuple in the rule's fixed premise order. The additions are
+# a function of the principal's parts: the operands of the binary connective
 # at or under the top, the body of a unary one, or the instance of a
 # quantifier at the rule's variable. The checker and both provers read this
 # table and nothing else.
@@ -239,57 +242,57 @@ class RuleShape:
     side: str
     outer: type
     inner: type | None
-    premises: Callable[..., list[Delta]]
+    premises: Callable[..., tuple[Delta, ...]]
 
 
 n = Neg
 
 RULE_TABLE: dict[RuleId, RuleShape] = {
-    R.OR_L: RuleShape(LEFT, Or, None, lambda a, b: [((a,), ()), ((b,), ())]),
-    R.OR_R: RuleShape(RIGHT, Or, None, lambda a, b: [((), (a, b))]),
-    R.NEG_OR_L: RuleShape(LEFT, Neg, Or, lambda a, b: [((a, n(a), b, n(b)), ()), ((n(a), n(b)), (a, b))]),
-    R.NEG_OR_R: RuleShape(RIGHT, Neg, Or, lambda a, b: [((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),))]),
+    R.OR_L: RuleShape(LEFT, Or, None, lambda a, b: (((a,), ()), ((b,), ()))),
+    R.OR_R: RuleShape(RIGHT, Or, None, lambda a, b: (((), (a, b)),)),
+    R.NEG_OR_L: RuleShape(LEFT, Neg, Or, lambda a, b: (((a, n(a), b, n(b)), ()), ((n(a), n(b)), (a, b)))),
+    R.NEG_OR_R: RuleShape(RIGHT, Neg, Or, lambda a, b: (((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),)))),
     R.NEG_OR_R2: RuleShape(
         RIGHT,
         Neg,
         Or,
-        lambda a, b: [
+        lambda a, b: (
             ((a,), (n(a),)),
             ((a,), (b,)),
             ((a,), (n(b),)),
             ((b,), (a,)),
             ((b,), (n(a),)),
             ((b,), (n(b),)),
-        ],
+        ),
     ),
-    R.AND_L: RuleShape(LEFT, And, None, lambda a, b: [((a, b), ())]),
-    R.AND_R: RuleShape(RIGHT, And, None, lambda a, b: [((), (a,)), ((), (b,))]),
+    R.AND_L: RuleShape(LEFT, And, None, lambda a, b: (((a, b), ()),)),
+    R.AND_R: RuleShape(RIGHT, And, None, lambda a, b: (((), (a,)), ((), (b,)))),
     R.NEG_AND_L: RuleShape(
-        LEFT, Neg, And, lambda a, b: [((), (a, b)), ((n(a),), (a,)), ((n(b),), (b,)), ((n(a), n(b)), ())]
+        LEFT, Neg, And, lambda a, b: (((), (a, b)), ((n(a),), (a,)), ((n(b),), (b,)), ((n(a), n(b)), ()))
     ),
-    R.NEG_AND_R: RuleShape(RIGHT, Neg, And, lambda a, b: [((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),))]),
-    R.NEG_AND_R2: RuleShape(RIGHT, Neg, And, lambda a, b: [((a, b), (n(a),)), ((a, b), (n(b),))]),
-    R.IMP_L: RuleShape(LEFT, Imp, None, lambda a, b: [((), (a,)), ((b,), ())]),
-    R.IMP_R: RuleShape(RIGHT, Imp, None, lambda a, b: [((a,), (b,))]),
-    R.NEG_IMP_L: RuleShape(LEFT, Neg, Imp, lambda a, b: [((a, n(b)), (b,)), ((a, n(a), n(b)), ())]),
-    R.NEG_IMP_R: RuleShape(RIGHT, Neg, Imp, lambda a, b: [((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),))]),
-    R.NEG_IMP_R2: RuleShape(RIGHT, Neg, Imp, lambda a, b: [((), (a,)), ((b,), (n(a),)), ((b,), (n(b),))]),
-    R.NEG_R: RuleShape(RIGHT, Neg, None, lambda a: [((a,), ())]),
+    R.NEG_AND_R: RuleShape(RIGHT, Neg, And, lambda a, b: (((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),)))),
+    R.NEG_AND_R2: RuleShape(RIGHT, Neg, And, lambda a, b: (((a, b), (n(a),)), ((a, b), (n(b),)))),
+    R.IMP_L: RuleShape(LEFT, Imp, None, lambda a, b: (((), (a,)), ((b,), ()))),
+    R.IMP_R: RuleShape(RIGHT, Imp, None, lambda a, b: (((a,), (b,)),)),
+    R.NEG_IMP_L: RuleShape(LEFT, Neg, Imp, lambda a, b: (((a, n(b)), (b,)), ((a, n(a), n(b)), ()))),
+    R.NEG_IMP_R: RuleShape(RIGHT, Neg, Imp, lambda a, b: (((), (a,)), ((), (n(a),)), ((), (b,)), ((), (n(b),)))),
+    R.NEG_IMP_R2: RuleShape(RIGHT, Neg, Imp, lambda a, b: (((), (a,)), ((b,), (n(a),)), ((b,), (n(b),)))),
+    R.NEG_R: RuleShape(RIGHT, Neg, None, lambda a: (((a,), ()),)),
     # in place: the premise keeps the principal ~a
-    R.NEG_R2: RuleShape(RIGHT, Neg, None, lambda a: [((a,), (n(a),))]),
-    R.NEG_NEG_L: RuleShape(LEFT, Neg, Neg, lambda a: [((a,), ())]),
-    R.NEG_NEG_R: RuleShape(RIGHT, Neg, Neg, lambda a: [((), (a,))]),
-    R.CIRC_L: RuleShape(LEFT, Circ, None, lambda a: [((), (a,)), ((), (n(a),))]),
-    R.CIRC_R: RuleShape(RIGHT, Circ, None, lambda a: [((a, n(a)), ())]),
-    R.NEG_CIRC_L: RuleShape(LEFT, Neg, Circ, lambda a: [((a, n(a)), ())]),
-    R.FORALL_L: RuleShape(LEFT, Forall, None, lambda i: [((i,), ())]),
-    R.FORALL_R: RuleShape(RIGHT, Forall, None, lambda i: [((), (i,))]),
-    R.EXISTS_L: RuleShape(LEFT, Exists, None, lambda i: [((i,), ())]),
-    R.EXISTS_R: RuleShape(RIGHT, Exists, None, lambda i: [((), (i,))]),
-    R.CIRC_FORALL_L: RuleShape(LEFT, Circ, Forall, lambda i: [((Circ(i),), ())]),
-    R.CIRC_FORALL_R: RuleShape(RIGHT, Circ, Forall, lambda i: [((), (Circ(i),))]),
-    R.CIRC_EXISTS_L: RuleShape(LEFT, Circ, Exists, lambda i: [((Circ(i),), ())]),
-    R.CIRC_EXISTS_R: RuleShape(RIGHT, Circ, Exists, lambda i: [((), (Circ(i),))]),
+    R.NEG_R2: RuleShape(RIGHT, Neg, None, lambda a: (((a,), (n(a),)),)),
+    R.NEG_NEG_L: RuleShape(LEFT, Neg, Neg, lambda a: (((a,), ()),)),
+    R.NEG_NEG_R: RuleShape(RIGHT, Neg, Neg, lambda a: (((), (a,)),)),
+    R.CIRC_L: RuleShape(LEFT, Circ, None, lambda a: (((), (a,)), ((), (n(a),)))),
+    R.CIRC_R: RuleShape(RIGHT, Circ, None, lambda a: (((a, n(a)), ()),)),
+    R.NEG_CIRC_L: RuleShape(LEFT, Neg, Circ, lambda a: (((a, n(a)), ()),)),
+    R.FORALL_L: RuleShape(LEFT, Forall, None, lambda i: (((i,), ()),)),
+    R.FORALL_R: RuleShape(RIGHT, Forall, None, lambda i: (((), (i,)),)),
+    R.EXISTS_L: RuleShape(LEFT, Exists, None, lambda i: (((i,), ()),)),
+    R.EXISTS_R: RuleShape(RIGHT, Exists, None, lambda i: (((), (i,)),)),
+    R.CIRC_FORALL_L: RuleShape(LEFT, Circ, Forall, lambda i: (((Circ(i),), ()),)),
+    R.CIRC_FORALL_R: RuleShape(RIGHT, Circ, Forall, lambda i: (((), (Circ(i),)),)),
+    R.CIRC_EXISTS_L: RuleShape(LEFT, Circ, Exists, lambda i: (((Circ(i),), ()),)),
+    R.CIRC_EXISTS_R: RuleShape(RIGHT, Circ, Exists, lambda i: (((), (Circ(i),)),)),
 }
 
 _RULES_BY_SHAPE: dict[tuple[str, type, type | None], tuple[RuleId, ...]] = {}
@@ -310,7 +313,7 @@ def rules_for(phi: Formula, side: str) -> tuple[RuleId, ...]:
     return _RULES_BY_SHAPE.get((side, outer, None), ())
 
 
-def rule_schema(rule: RuleId, principal: Formula, var: str | None = None) -> tuple[str, list[Delta]] | None:
+def rule_schema(rule: RuleId, principal: Formula, var: str | None = None) -> tuple[str, tuple[Delta, ...]] | None:
     """Side of the principal and the formula additions of each premise, in
     the rule's fixed premise order; None if the principal has the wrong shape."""
     shape = RULE_TABLE.get(rule)
@@ -332,6 +335,19 @@ def rule_schema(rule: RuleId, principal: Formula, var: str | None = None) -> tup
     return shape.side, shape.premises(*parts)
 
 
+def _premises(conclusion: Sequent, side: str, deltas: Iterable[Delta], principal: Formula, keep_principal: bool) -> list[Sequent]:
+    """One sequent per premise: the conclusion's sides, the principal
+    dropped unless kept, joined with that premise's additions. A side with
+    no additions is shared, not copied."""
+    ante, succ = conclusion.ante, conclusion.succ
+    if not keep_principal:
+        if side == LEFT:
+            ante = ante - {principal}
+        else:
+            succ = succ - {principal}
+    return [Sequent(ante.union(da) if da else ante, succ.union(ds) if ds else succ) for da, ds in deltas]
+
+
 def premises_from_schema(conclusion: Sequent, rule: RuleId, principal: Formula, var: str | None = None, keep_principal: bool = False) -> list[Sequent] | None:
     """Premise sequents of the rule applied backward at the principal, with
     the context either dropping the principal (canonical) or keeping it."""
@@ -341,8 +357,7 @@ def premises_from_schema(conclusion: Sequent, rule: RuleId, principal: Formula, 
     side, deltas = schema
     if principal not in conclusion.side(side):
         return None
-    base = conclusion if keep_principal else conclusion.without(side, principal)
-    return [base.with_ante(*da).with_succ(*ds) for da, ds in deltas]
+    return _premises(conclusion, side, deltas, principal, keep_principal)
 
 
 # ---------------------------------------------------------------------------
@@ -397,36 +412,44 @@ def rule_instance_error(
     schema = rule_schema(rule, principal, var)
     if schema is None:
         return f"principal has the wrong shape for {rule.value}"
-    side, _ = schema
+    side, deltas = schema
     if principal not in conclusion.side(side):
         return "principal formula missing from the conclusion"
     if rule in EIGEN_RULES:
         assert var is not None
         if var in conclusion.free_variables():
             return f"eigenvariable {var} occurs in the conclusion"
+    given = list(premises)
     for keep in (False, True):
-        want = premises_from_schema(conclusion, rule, principal, var, keep_principal=keep)
-        if want is not None and list(premises) == want:
+        if given == _premises(conclusion, side, deltas, principal, keep):
             return None
     return "premises do not match the rule schema at this principal"
 
 
-def proof_error(proof: Proof, calculus: Calculus, allow_cut: bool = False, _path: str = "root") -> str | None:
-    """Path and reason of the first invalid node, or None for a valid proof."""
+def _first_error(proof: Proof, calculus: Calculus, rules: frozenset[RuleId], allow_cut: bool) -> str | None:
+    """The first invalid node's path below proof and its reason, as
+    ``.premises[i]...: reason``, or None. The path is built on the way back
+    up, so only a failing branch builds one."""
     rule = proof.rule
     if rule is R.CUT:
         if not allow_cut:
-            return f"{_path}: cut is not allowed here"
-    elif rule not in STRUCTURAL_RULES and rule not in calculus.rules:
-        return f"{_path}: rule {rule.value} is not part of {calculus.value}"
+            return ": cut is not allowed here"
+    elif rule not in STRUCTURAL_RULES and rule not in rules:
+        return f": rule {rule.value} is not part of {calculus.value}"
     err = rule_instance_error(rule, proof.sequent, [p.sequent for p in proof.premises], proof.principal, proof.var)
     if err is not None:
-        return f"{_path}: {err}"
+        return f": {err}"
     for i, sub in enumerate(proof.premises):
-        err = proof_error(sub, calculus, allow_cut, f"{_path}.premises[{i}]")
+        err = _first_error(sub, calculus, rules, allow_cut)
         if err is not None:
-            return err
+            return f".premises[{i}]{err}"
     return None
+
+
+def proof_error(proof: Proof, calculus: Calculus, allow_cut: bool = False) -> str | None:
+    """Path and reason of the first invalid node, or None for a valid proof."""
+    err = _first_error(proof, calculus, calculus.rules, allow_cut)
+    return None if err is None else "root" + err
 
 
 def check_proof(proof: Proof, calculus: Calculus, allow_cut: bool = False) -> bool:
@@ -471,10 +494,14 @@ def _expand_neg_binary_prime(
         _, deltas = rule_schema(left_rule, cand.body)
         if len(premises) != len(deltas):
             raise _schema_mismatch(f"{rule.value} takes {len(deltas)} premises")
-        rest = Sequent(conclusion.ante, conclusion.succ - {cand})
-        if [p.sequent for p in premises] != [rest.with_ante(*da).with_succ(*ds) for da, ds in deltas]:
+        if [p.sequent for p in premises] != _premises(conclusion, RIGHT, deltas, cand, keep_principal=False):
             continue
-        inner = Proof(rest.with_ante(cand.body), left_rule, principal=cand.body, premises=tuple(premises))
+        inner = Proof(
+            Sequent(conclusion.ante | {cand.body}, conclusion.succ - {cand}),
+            left_rule,
+            principal=cand.body,
+            premises=tuple(premises),
+        )
         return Proof(conclusion, R.NEG_R, principal=cand, premises=(inner,))
     raise _schema_mismatch("no succedent formula matches the premises")
 

@@ -27,16 +27,16 @@ def is_free_var_name(name: str) -> bool:
 # ---------------------------------------------------------------------------
 # Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006):
 # equal constructions return one node, so set and dict lookups on formulas
-# resolve by identity, and no hash or key walks a subtree twice. The tables
-# hold every node built for the life of the process.
+# resolve by identity, and no hash, key or text walks a subtree twice. The
+# tables hold every node built for the life of the process.
 
 
 class _Node:
     """What every term and formula node holds besides its fields: its hash,
-    set at construction, and its formula_key and free variables, each set on
-    first request."""
+    set at construction, and its formula_key, free variables and text
+    (`parsing.format_formula`), each set on first request."""
 
-    __slots__ = ("_hash", "_key", "_free")
+    __slots__ = ("_hash", "_key", "_free", "_text")
 
     def __hash__(self):
         return self._hash

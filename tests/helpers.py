@@ -866,3 +866,198 @@ def random_term_formula(rng: random.Random, depth: int) -> Formula:
     if shape < 5:
         return (And, Or, Imp)[shape - 2](random_term_formula(rng, depth - 1), random_term_formula(rng, depth - 1))
     return (Forall, Exists)[shape - 5](rng.choice(("x", "y", "z")), random_term_formula(rng, depth - 1))
+
+
+# ---------------------------------------------------------------------------
+# Recipes the package has replaced by faster ones, kept as references: the
+# recursive formula printer, the chained premise construction and the
+# recursive proof checker with its path built at every node
+
+import dataclasses  # noqa: E402
+
+from ciore.fo_prover import decide_fo, derived_quantifier_expansions  # noqa: E402
+from ciore.sequents import STRUCTURAL_RULES, Proved  # noqa: E402
+
+_ATOM, _UNARY, _AND, _OR, _IMP, _QUANT = 5, 4, 3, 2, 1, 0
+
+
+def _reference_level(phi: Formula) -> int:
+    if isinstance(phi, (PropAtom, PredAtom)):
+        return _ATOM
+    if isinstance(phi, (Neg, Circ)):
+        return _UNARY
+    if isinstance(phi, And):
+        return _AND
+    if isinstance(phi, Or):
+        return _OR
+    if isinstance(phi, Imp):
+        return _IMP
+    return _QUANT
+
+
+def _reference_term_text(t: Term) -> str:
+    if isinstance(t, FunApp):
+        return f"{t.name}({', '.join(_reference_term_text(a) for a in t.args)})"
+    return t.name
+
+
+def _reference_fmt(phi: Formula, min_level: int) -> str:
+    text = reference_format(phi)
+    return f"({text})" if _reference_level(phi) < min_level else text
+
+
+def reference_format(phi: Formula) -> str:
+    """The text of phi, formatted anew at every node."""
+    if isinstance(phi, PropAtom):
+        return phi.name
+    if isinstance(phi, PredAtom):
+        return f"{phi.name}({', '.join(_reference_term_text(a) for a in phi.args)})"
+    if isinstance(phi, Neg):
+        return f"~{_reference_fmt(phi.body, _UNARY)}"
+    if isinstance(phi, Circ):
+        return f"o {_reference_fmt(phi.body, _UNARY)}"
+    if isinstance(phi, And):
+        return f"{_reference_fmt(phi.left, _AND)} & {_reference_fmt(phi.right, _AND + 1)}"
+    if isinstance(phi, Or):
+        return f"{_reference_fmt(phi.left, _OR)} | {_reference_fmt(phi.right, _OR + 1)}"
+    if isinstance(phi, Imp):
+        return f"{_reference_fmt(phi.left, _IMP + 1)} -> {_reference_fmt(phi.right, _IMP)}"
+    word = "forall" if isinstance(phi, Forall) else "exists"
+    return f"{word} {phi.var}. {reference_format(phi.body)}"
+
+
+def chained_premises(
+    conclusion: Sequent, rule: RuleId, principal: Formula, var: str | None = None, keep_principal: bool = False
+) -> list[Sequent] | None:
+    """`premises_from_schema` through intermediate sequents: the principal
+    dropped, then the antecedent additions, then the succedent ones."""
+    schema = rule_schema(rule, principal, var)
+    if schema is None:
+        return None
+    side, deltas = schema
+    if principal not in conclusion.side(side):
+        return None
+    base = conclusion if keep_principal else conclusion.without(side, principal)
+    return [base.with_ante(*da).with_succ(*ds) for da, ds in deltas]
+
+
+def reference_proof_error(proof: Proof, calculus: Calculus, allow_cut: bool = False, _path: str = "root") -> str | None:
+    """`proof_error` with each node's path built on the way down."""
+    rule = proof.rule
+    if rule is _R.CUT:
+        if not allow_cut:
+            return f"{_path}: cut is not allowed here"
+    elif rule not in STRUCTURAL_RULES and rule not in calculus.rules:
+        return f"{_path}: rule {rule.value} is not part of {calculus.value}"
+    err = rule_instance_error(rule, proof.sequent, [p.sequent for p in proof.premises], proof.principal, proof.var)
+    if err is not None:
+        return f"{_path}: {err}"
+    for i, sub in enumerate(proof.premises):
+        err = reference_proof_error(sub, calculus, allow_cut, f"{_path}.premises[{i}]")
+        if err is not None:
+            return err
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Seeded proofs with one fault put in
+
+
+def _node_paths(proof: Proof, path: tuple[int, ...] = ()):
+    """(path, node) for every node, preorder; a path lists premise indices."""
+    yield path, proof
+    for i, sub in enumerate(proof.premises):
+        yield from _node_paths(sub, path + (i,))
+
+
+def _replace_at(proof: Proof, path: tuple[int, ...], new: Proof) -> Proof:
+    if not path:
+        return new
+    premises = list(proof.premises)
+    premises[path[0]] = _replace_at(premises[path[0]], path[1:], new)
+    return dataclasses.replace(proof, premises=tuple(premises))
+
+
+def _formula_pool(node: Proof) -> list[Formula]:
+    pool = {f for phi in node.sequent.ante | node.sequent.succ for f in reference_subformulas(phi)}
+    return sorted(pool, key=formula_key)
+
+
+def _swap_premise(rng: random.Random, proof: Proof, nodes) -> Proof | None:
+    """Two premises of a node swapped, or a one-premise node's premise
+    replaced by another node's subproof."""
+    inner = [(path, node) for path, node in nodes if node.premises]
+    if not inner:
+        return None
+    path, node = rng.choice(inner)
+    premises = list(node.premises)
+    if len(premises) >= 2:
+        i, j = rng.sample(range(len(premises)), 2)
+        premises[i], premises[j] = premises[j], premises[i]
+    else:
+        premises[0] = rng.choice(nodes)[1]
+    return _replace_at(proof, path, dataclasses.replace(node, premises=tuple(premises)))
+
+
+def _change_principal(rng: random.Random, proof: Proof, nodes) -> Proof | None:
+    """A principal replaced by another subformula of its node's sequent."""
+    with_principal = [(path, node) for path, node in nodes if node.principal is not None]
+    if not with_principal:
+        return None
+    path, node = rng.choice(with_principal)
+    others = [f for f in _formula_pool(node) if f != node.principal] or [Neg(node.principal)]
+    return _replace_at(proof, path, dataclasses.replace(node, principal=rng.choice(others)))
+
+
+def _change_rule(rng: random.Random, proof: Proof, nodes) -> Proof | None:
+    """A node's rule replaced by another rule, often one outside the calculus."""
+    path, node = rng.choice(nodes)
+    rule = rng.choice([rule for rule in RuleId if rule is not node.rule])
+    return _replace_at(proof, path, dataclasses.replace(node, rule=rule))
+
+
+def _insert_cut(rng: random.Random, proof: Proof, nodes) -> Proof | None:
+    """A node wrapped in a cut on a subformula of its sequent, weakened into
+    both premises, sometimes with the premises in the wrong order."""
+    path, node = rng.choice(nodes)
+    s = node.sequent
+    phi = rng.choice(_formula_pool(node))
+    premises = (
+        Proof(s.with_succ(phi), _R.WEAK_R, premises=(node,)),
+        Proof(s.with_ante(phi), _R.WEAK_L, premises=(node,)),
+    )
+    if rng.random() < 0.25:
+        premises = premises[::-1]
+    return _replace_at(proof, path, Proof(s, _R.CUT, principal=phi, premises=premises))
+
+
+_CORRUPTIONS = (_swap_premise, _change_principal, _change_rule, _insert_cut)
+
+
+def corrupted_proofs(seed: int = 4040) -> list[Proof]:
+    """Proofs of both provers on seeded goals, and the two derived
+    quantifier-introduction expansions, each corrupted once per kind of
+    fault at a random node."""
+    rng = random.Random(seed)
+    proofs = []
+    while len(proofs) < 40:
+        verdict = decide(Sequent.make((), (random_formula(rng, ("p", "q", "r"), 3),)))
+        if isinstance(verdict, Proved):
+            proofs.append(verdict.proof)
+    tries = 0
+    while len(proofs) < 60 and tries < 2000:
+        tries += 1
+        phi = random_fo_formula(rng, {"P": 1, "R": 2}, ("a1", "a2"), 3)
+        verdict = decide_fo(Sequent.make((), (phi,)), 200, 200)
+        if isinstance(verdict, Proved):
+            proofs.append(verdict.proof)
+    proofs += [proof for _, proof in derived_quantifier_expansions()]
+
+    out = []
+    for proof in proofs:
+        nodes = list(_node_paths(proof))
+        for corrupt in _CORRUPTIONS:
+            bad = corrupt(rng, proof, nodes)
+            if bad is not None:
+                out.append(bad)
+    return out

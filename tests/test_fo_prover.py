@@ -23,7 +23,7 @@ from ciore.parsing import format_sequent, parse_formula, parse_sequent
 from ciore.randgen import random_fo_formula
 from ciore.sequents import RULE_TABLE, Calculus, RuleId, Sequent, check_proof, formula_key, proof_error, rules_for
 from ciore.serialize import proof_to_json, verdict_to_json
-from ciore.syntax import fresh_free_variables
+from ciore.syntax import fresh_free_variables, predicate_arities
 
 from helpers import (
     PROP_LOGICAL_RULES,
@@ -215,7 +215,7 @@ def test_budget_exhaustion_reports_unknown():
 
 def test_extract_countermodel_simple_cases():
     root = seq("|- P(a1)")
-    extracted = extract_countermodel(root, root)
+    extracted = extract_countermodel(root, root, {"P": 1})
     assert extracted is not None
     structure, assignment = extracted
     assert structure.domain == ("a1",)
@@ -225,14 +225,14 @@ def test_extract_countermodel_simple_cases():
     assert tree.status == "refuted" and tree.countermodel == extracted
 
     root = seq("P(a1), ~P(a1) |- Q(a1)")
-    structure, assignment = extract_countermodel(root, root)
+    structure, assignment = extract_countermodel(root, root, {"P": 1, "Q": 1})
     assert structure.predicates["P"].circ == frozenset({("a1",)})
     assert structure.predicates["Q"].minus == frozenset({("a1",)})
     tree = build_reduction_tree(root)
     assert tree.status == "refuted" and tree.countermodel == (structure, assignment)
 
     leaf = seq("P(a2), exists x. P(x) |- forall x. P(x), P(a3)")
-    structure, assignment = extract_countermodel(leaf, seq("exists x. P(x) |- forall x. P(x)"))
+    structure, assignment = extract_countermodel(leaf, seq("exists x. P(x) |- forall x. P(x)"), {"P": 1})
     assert structure.domain == ("a2", "a3")
     assert structure.predicates["P"].plus == frozenset({("a2",)})
     assert structure.predicates["P"].minus == frozenset({("a3",)})
@@ -240,7 +240,7 @@ def test_extract_countermodel_simple_cases():
 
 def test_extract_countermodel_rejects_unfaithful_branch():
     # a leaf that does not actually falsify the goal is rejected, not returned
-    assert extract_countermodel(seq("|- P(a1)"), seq("P(a1) |-")) is None
+    assert extract_countermodel(seq("|- P(a1)"), seq("P(a1) |-"), {"P": 1}) is None
 
 
 def test_extract_countermodel_matches_the_per_tuple_recipe():
@@ -250,13 +250,14 @@ def test_extract_countermodel_matches_the_per_tuple_recipe():
     for _ in range(100):
         side = lambda: [random_fo_formula(rng, {"P": 1, "R": 2}, ["a1", "a2"], 3) for _ in range(rng.randint(0, 2))]
         goal = Sequent.make(side(), side())
+        arities = predicate_arities(goal.ante | goal.succ)
         stack = [build_reduction_tree(goal, max_nodes=200, max_depth=200).root]
         while stack:
             node = stack.pop()
             stack += node.children
             if node.children or node.closed:
                 continue
-            got, want = extract_countermodel(node.sequent, goal), per_tuple_countermodel(node.sequent, goal)
+            got, want = extract_countermodel(node.sequent, goal, arities), per_tuple_countermodel(node.sequent, goal)
             assert (got is None) == (want is None), format_sequent(node.sequent)
             if got is not None:
                 assert structure_to_json(got[0]) == structure_to_json(want[0])

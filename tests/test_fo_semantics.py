@@ -318,3 +318,21 @@ def test_enumerate_structures_count():
     structures = list(enumerate_structures(("0", "1"), {"P": 1}))
     assert len(structures) == 9
     assert len({json.dumps(structure_to_json(s), sort_keys=True) for s in structures}) == 9
+
+
+def test_an_assignment_missing_a_free_variable_is_a_logic_error():
+    st = Structure(
+        domain=("0", "1"),
+        predicates={"P": Triple.from_values((("0",), ("1",)), {("0",): ONE, ("1",): ZERO})},
+    )
+    goal = parse_sequent("|- P(a1)")
+    with pytest.raises(LogicError, match="assignment does not cover variable a1"):
+        fo_sequent_satisfied(st, {}, goal)
+    with pytest.raises(LogicError, match="assignment does not cover variable a2"):
+        fo_sequent_satisfied(st, {"a1": "0"}, parse_sequent("P(a1) |- P(a2)"))
+    # extra variables are ignored, and the public callers, which assign
+    # every free variable of the sequent, answer as before
+    assert fo_sequent_satisfied(st, {"a1": "0", "a9": "1"}, goal)
+    assert falsifying_assignment(st, goal) == {"a1": "1"}
+    assert not fo_sequent_valid_in(st, goal)
+    assert fo_sequent_valid_in(st, parse_sequent("forall x. P(x) |- P(a1)"))

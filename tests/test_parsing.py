@@ -1,11 +1,20 @@
+import collections
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ciore import parsing, prop_prover
 from ciore.errors import ParseError
 from ciore.parsing import MAX_DEPTH, format_formula, format_sequent, parse_formula, parse_sequent
+from ciore.randgen import random_formula
 from ciore.sequents import Sequent
+from ciore.serialize import proof_to_json
 from ciore.syntax import (
     And,
     BoundVar,
@@ -20,7 +29,10 @@ from ciore.syntax import (
     Or,
     PredAtom,
     PropAtom,
+    subformulas,
 )
+
+from helpers import random_term_formula, reference_format, reference_subformulas
 
 p, q, r = PropAtom("p"), PropAtom("q"), PropAtom("r")
 
@@ -224,3 +236,61 @@ def test_roundtrip_first_order(phi, use_forall):
 def test_roundtrip_sequent(ante, succ):
     s = Sequent.make(ante, succ)
     assert parse_sequent(format_sequent(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# Each formula's text is formatted once and stored on its node
+
+
+def _seeded_formulas():
+    rng = random.Random(1111)
+    for i in range(3000):
+        if i % 2:
+            yield random_formula(rng, ("p", "q", "r", "s"), rng.randint(0, 6))
+        else:
+            yield random_term_formula(rng, rng.randint(0, 5))
+
+
+def test_format_formula_matches_the_recursive_recipe_on_every_subformula():
+    for phi in _seeded_formulas():
+        for f in reference_subformulas(phi):
+            assert format_formula(f) == reference_format(f)
+
+
+def test_format_formula_returns_the_stored_text():
+    for phi in _seeded_formulas():
+        assert format_formula(phi) is format_formula(phi)
+
+
+def test_text_survives_copy_deepcopy_and_pickle():
+    rng = random.Random(1112)
+    for _ in range(200):
+        phi = random_term_formula(rng, 4)
+        text = format_formula(phi)
+        for other in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+            assert other is phi
+            assert format_formula(other) is text
+    # in a fresh interpreter the unpickled node has no text yet and gets it anew
+    phi = parse_formula("forall x. ~(P(x, f(a1)) -> o (q | r)) & exists y. R(y)")
+    code = "import pickle, sys; from ciore.parsing import format_formula; print(format_formula(pickle.loads(sys.stdin.buffer.read())))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(phi), env=env, capture_output=True, check=True)
+    assert out.stdout.decode().strip() == reference_format(phi)
+
+
+def test_proof_json_formats_each_distinct_formula_once(monkeypatch):
+    # an atom name no other test uses, so none of the goal's nodes has its text yet
+    goal = parse_sequent("|- " + "o " * 100 + "formatted_once")
+    formatted = collections.Counter()
+    original = parsing._format
+
+    def counting(phi):
+        formatted[phi] += 1
+        return original(phi)
+
+    monkeypatch.setattr(parsing, "_format", counting)
+    verdict = prop_prover.decide(goal)
+    proof_to_json(verdict.proof)
+    nodes = {f for proof in verdict.proof.nodes() for phi in proof.sequent.ante | proof.sequent.succ for f in subformulas(phi)}
+    assert set(formatted) == nodes
+    assert max(formatted.values()) == 1

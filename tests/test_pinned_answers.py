@@ -13,7 +13,10 @@ The inputs:
   200 nodes / 200 stages;
 - six-atom propositional sequents: the verdict JSON of ``decide``;
 - first-order sequents checked in random finite structures: the result of
-  ``falsifying_assignment``.
+  ``falsifying_assignment``;
+- proofs of both provers with one fault put in (``helpers.corrupted_proofs``):
+  the ``proof_error`` message under each calculus, with and without cuts;
+- ``prove --json`` on ``|- o o ... p`` with 60 ``o``: its standard output.
 
 Every answer must also be independent of the hash seed, so the check is
 repeated in a subprocess under a second ``PYTHONHASHSEED``.
@@ -21,7 +24,9 @@ repeated in a subprocess under a second ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -29,20 +34,23 @@ import random
 import subprocess
 import sys
 
-from helpers import random_structure
+from helpers import corrupted_proofs, random_structure
 
+from ciore.cli import main
 from ciore.fo_prover import build_reduction_tree, decide_fo, dump_tree, fo_regression_suite
 from ciore.fo_semantics import falsifying_assignment
 from ciore.prop_prover import decide
 from ciore.randgen import random_fo_formula, random_sequent
-from ciore.sequents import Sequent
+from ciore.sequents import Calculus, Sequent, proof_error
 from ciore.serialize import verdict_to_json
 
 PINNED = {
     "falsifying_assignments": "3c7a5e434888a0c0846a9714c0873ba2a3b3aafca6a0157b3aa23f8ce6e48cc6",
     "fo_trees": "b989a2a0688ebddd9d0358ff1e7ab389bce856ab5463fea75c75615063be128e",
     "fo_verdicts": "075f5211fbae2efacfe627a6c7cea7e81495f6d5b0d7484d84b3f1be602f2318",
+    "proof_errors": "cc5cc56242d879aa0c9cb3ed78570d1f6ea0abd06b3a65d9d10f38262afc97b7",
     "prop_verdicts": "ad5f2c9e562fd1dad9b745eedcbf7049fe2c3b7172cb2d461fa3c3cd90805f35",
+    "prove_json_deep_circ": "4ffddebce6a5ee7ad83e40e8eccc8c34eef9f7b0a498b2146800e86d5f37f3d0",
 }
 
 _ARITIES = {"P": 1, "R": 2}
@@ -75,6 +83,18 @@ def _json(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+def _proof_errors():
+    for proof in corrupted_proofs():
+        yield [proof_error(proof, calculus, allow_cut) for calculus in Calculus for allow_cut in (False, True)]
+
+
+def _prove_json_stdout(goal: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["prove", "--json", goal]) == 0
+    return out.getvalue()
+
+
 def answer_digests() -> dict[str, str]:
     fo_goals = _fo_goals()
     prop_rng = random.Random(3030)
@@ -84,6 +104,8 @@ def answer_digests() -> dict[str, str]:
         "fo_trees": _digest(dump_tree(build_reduction_tree(s, 200, 200)) for s in fo_goals[::4]),
         "prop_verdicts": _digest(_json(verdict_to_json(decide(s))) for s in prop_goals),
         "falsifying_assignments": _digest(_json(falsifying_assignment(st, s)) for st, s in _model_checks()),
+        "proof_errors": _digest(_json(errors) for errors in _proof_errors()),
+        "prove_json_deep_circ": _digest([_prove_json_stdout("|- " + "o " * 60 + "p")]),
     }
 
 

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from ciore.matrix import matrix_valid, sequent_atoms, sequent_satisfied, valuati
 from ciore.parsing import parse_formula, parse_sequent
 from ciore.prop_prover import Proved, decide
 from ciore.sequents import (
+    QUANTIFIER_RULES,
+    RULE_TABLE,
     Calculus,
     DerivedRuleId,
     Proof,
@@ -14,6 +17,7 @@ from ciore.sequents import (
     Sequent,
     check_proof,
     expand_derived_rule,
+    premises_from_schema,
     proof_error,
     rule_instance_error,
 )
@@ -23,9 +27,13 @@ from helpers import (
     PROP_LOGICAL_RULES,
     BackwardApplication,
     backward_applications,
+    chained_premises,
     check_rule_instance,
+    corrupted_proofs,
     proof_respects_gsub,
+    random_fo_rule_instance,
     random_prop_instance,
+    reference_proof_error,
     sequent_weight,
     weight,
 )
@@ -288,3 +296,45 @@ def test_rule_instance_error_messages():
     assert not check_rule_instance(R.FORALL_L, conclusion, [premise], forall_p, var=None)
     assert not check_rule_instance(R.FORALL_L, conclusion, [premise], forall_p, var="x")
     assert check_rule_instance(R.FORALL_L, conclusion, [premise], forall_p, var="a1")
+
+
+# ---------------------------------------------------------------------------
+# One sequent per premise, and a path built only for the failing node
+
+
+def test_premises_from_schema_matches_the_chained_recipe():
+    rng = random.Random(5050)
+    for rule in RULE_TABLE:
+        for _ in range(40):
+            if rule in QUANTIFIER_RULES:
+                conclusion, _, principal, var = random_fo_rule_instance(rng, rule)
+            else:
+                conclusion, _, principal = random_prop_instance(rng, rule)
+                var = None
+            for keep in (False, True):
+                got = premises_from_schema(conclusion, rule, principal, var, keep_principal=keep)
+                assert got is not None and got == chained_premises(conclusion, rule, principal, var, keep)
+            # the None cases: principal missing from the conclusion, a
+            # principal of the wrong shape, a missing or bound variable
+            side = RULE_TABLE[rule].side
+            missing = conclusion.without(side, principal)
+            assert premises_from_schema(missing, rule, principal, var) is None
+            assert chained_premises(missing, rule, principal, var) is None
+            atom = PropAtom("p")
+            assert premises_from_schema(Sequent.make((atom,), (atom,)), rule, atom, var) is None
+            if rule in QUANTIFIER_RULES:
+                for bad in (None, "x"):
+                    assert premises_from_schema(conclusion, rule, principal, bad) is None
+
+
+def test_proof_error_matches_the_recursive_recipe_on_corrupted_proofs():
+    reasons = collections.Counter()
+    for proof in corrupted_proofs():
+        for calculus in Calculus:
+            for allow_cut in (False, True):
+                err = proof_error(proof, calculus, allow_cut)
+                assert err == reference_proof_error(proof, calculus, allow_cut)
+                if err is not None:
+                    reasons[err.split(": ", 1)[1].split()[0]] += 1
+    # swapped premises, changed principals, foreign rules and cuts all show
+    assert {"premises", "principal", "rule", "cut"} <= set(reasons), reasons
