@@ -153,11 +153,7 @@ class ReductionNode:
     marks: dict[MarkKey, int] = field(default_factory=dict)
     principals: tuple[PrincipalReduction, ...] = ()
     children: list["ReductionNode"] = field(default_factory=list)
-    candidates: Candidates = field(default=None, repr=False)  # computed from the sequent when absent
-
-    def __post_init__(self) -> None:
-        if self.candidates is None:
-            self.candidates = _indexed({}, self.sequent.ante, self.sequent.succ)
+    candidates: Candidates = field(kw_only=True, repr=False)
 
     @property
     def closed(self) -> bool:
@@ -237,7 +233,7 @@ def build_reduction_tree(
     """Grow the staged reduction tree until it closes, a saturated branch
     refutes the goal, nothing can change anymore, or the budget runs out."""
     arities = _check_fo_input(s)
-    root = ReductionNode(sequent=s, created_at_stage=0)
+    root = ReductionNode(sequent=s, created_at_stage=0, candidates=_indexed({}, s.ante, s.succ))
     occurring = sorted(s.free_variables(), key=var_index)
     available: list[str] = occurring if occurring else ["a1"]
     fresh = fresh_free_variables(frozenset(available))  # every name it yields is appended to available
@@ -345,23 +341,23 @@ def _assemble(node: ReductionNode) -> Proof:
     if not node.children:
         return axiom_proof(node.sequent)
 
-    child_by_choice = dict(
-        zip(itertools.product(*(range(len(red.options)) for red in node.principals)), node.children)
-    )
+    # `_expand_leaf` made the children in `itertools.product` order over the
+    # principals' options, which is the order `derive` reaches its leaves.
+    children = iter(node.children)
 
-    def derive(i: int, prefix: tuple[int, ...], current: Sequent) -> Proof:
+    def derive(i: int, current: Sequent) -> Proof:
         if i == len(node.principals):
-            child = child_by_choice[prefix]
+            child = next(children)
             assert child.sequent == current
             return _assemble(child)
         red = node.principals[i]
         subs = []
-        for ci, (add_ante, add_succ) in enumerate(red.options):
+        for add_ante, add_succ in red.options:
             premise = Sequent(current.ante.union(add_ante), current.succ.union(add_succ))
-            subs.append(derive(i + 1, prefix + (ci,), premise))
+            subs.append(derive(i + 1, premise))
         return Proof(current, red.rule, principal=red.principal, var=red.var, premises=tuple(subs))
 
-    return derive(0, (), node.sequent)
+    return derive(0, node.sequent)
 
 
 # ---------------------------------------------------------------------------

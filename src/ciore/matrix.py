@@ -147,6 +147,16 @@ def sequent_atoms(s: Sequent) -> tuple[str, ...]:
     return tuple(sorted(frozenset().union(*map(syntax.atoms, s.ante | s.succ))))
 
 
+def capped_atoms(s: Sequent, atom_cap: int | None) -> tuple[str, ...]:
+    """The atoms of s, sorted; raises `AtomCapExceeded` when there are more
+    than `effective_atom_cap(atom_cap)`."""
+    names = sequent_atoms(s)
+    cap = effective_atom_cap(atom_cap)
+    if len(names) > cap:
+        raise AtomCapExceeded(f"sequent has {len(names)} atoms, cap is {cap}")
+    return names
+
+
 def valuations(names: tuple[str, ...]) -> Iterator[dict[str, TruthValue]]:
     """All valuations over the given atoms, lexicographic by atom name with
     value order 0 < 1/2 < 1 (last atom varies fastest)."""
@@ -161,10 +171,7 @@ def find_countermodel(s: Sequent, atom_cap: int | None = None) -> dict[str, Trut
     each atom's leaf read from its (zero, half) point. The formulas are
     taken in `formula_key` order, so the cost of a search does not follow
     the hash seed's set order."""
-    names = sequent_atoms(s)
-    cap = effective_atom_cap(atom_cap)
-    if len(names) > cap:
-        raise AtomCapExceeded(f"sequent has {len(names)} atoms, cap is {cap}")
+    names = capped_atoms(s, atom_cap)
     if not all(syntax.is_propositional(phi) for phi in s.ante | s.succ):
         raise LogicError(_PROPOSITIONAL_ONLY)
     ante, succ = s.sorted_ante(), s.sorted_succ()

@@ -1,17 +1,17 @@
 """Text syntax for formulas, sequents and terms.
 
-Grammar: `~` and `o` are prefix and bind tightest, then `&`, then `|`, then
-right-associative `->`; `forall x.` / `exists x.` scope to the end of the
-enclosing parenthesis. Propositional atoms are lowercase identifiers,
-predicates are capitalized and take a parenthesized term list. Sequents are
-written `p, q |- r` with either side possibly empty.
+Grammar: `~` and `o` are prefix and bind tightest, then the binary
+connectives in the order and with the associativity that `_BINARY` states:
+`&`, then `|`, then right-associative `->`. `forall x.` / `exists x.`
+scope to the end of the enclosing parenthesis. Propositional atoms are
+lowercase identifiers, predicates are capitalized and take a parenthesized
+term list. Sequents are written `p, q |- r` with either side possibly empty.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 
 from .errors import LogicError, ParseError
 from .sequents import Sequent
@@ -34,45 +34,30 @@ from .syntax import (
     is_free_var_name,
 )
 
+#: The binary connectives, loosest first: each row is a token, its
+#: constructor, and whether a chain of it folds to the right. This is the
+#: one statement of precedence and associativity; the parser and the
+#: printer both read it. A connective's level is its row number from 1, so
+#: that quantifiers sit at level 0 and prefixes past the last row.
+_BINARY = (("->", Imp, True), ("|", Or, False), ("&", And, False))
+_BY_TOKEN = {token: (level, ctor, right) for level, (token, ctor, right) in enumerate(_BINARY, 1)}
+_BY_CTOR = {ctor: (token, level, right) for level, (token, ctor, right) in enumerate(_BINARY, 1)}
+_PREFIX_LEVEL = len(_BINARY) + 1
+
 _RESERVED = {"o", "forall", "exists"}
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<seq>\|-)
-      | (?P<imp>->)
-      | (?P<amp>&)
-      | (?P<pipe>\|)
-      | (?P<neg>~)
-      | (?P<lp>\()
-      | (?P<rp>\))
-      | (?P<dot>\.)
-      | (?P<comma>,)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+# One token per match, whitespace skipped; group 2 is any other character.
+_TOKEN_RE = re.compile(r"(\|-|->|[&|~().,]|[A-Za-z][A-Za-z0-9_]*)|(\S)")
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The (token, position) pairs of text, ending with ("", len(text))."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        assert kind is not None
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 2:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group(), m.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
@@ -84,37 +69,39 @@ def _tokenize(text: str) -> list[_Token]:
 #: recursion limit.
 MAX_DEPTH = 100
 
-# formula := imp ; imp := or ('->' or)*, right-associative ;
-# or := and ('|' and)* ; and := unary ('&' unary)*
-_CHAINS = (("imp", Imp), ("pipe", Or), ("amp", And))
-
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.tok, self.pos = self.tokens[0]  # the current token
         self.depth = 0  # levels open at the current token
         self.peak = 0  # deepest level the current chain's operands have reached
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.cur
+    def advance(self) -> str:
+        tok = self.tok
         self.i += 1
+        self.tok, self.pos = self.tokens[self.i]
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.cur.kind != kind:
-            raise ParseError(f"expected {what}", self.cur.pos)
-        return self.advance()
+    def expect(self, token: str, what: str) -> None:
+        if self.tok != token:
+            raise ParseError(f"expected {what}", self.pos)
+        self.advance()
+
+    def name(self, what: str) -> tuple[str, int]:
+        """The identifier at the current token and its position."""
+        tok, pos = self.tok, self.pos
+        if not tok[:1].isalpha():
+            raise ParseError(f"expected {what}", pos)
+        self.advance()
+        return tok, pos
 
     def reach(self, level: int) -> None:
         """Record that the parse has reached nesting level `level`."""
         if level > self.peak:
             if level > MAX_DEPTH:
-                raise ParseError(f"input nested deeper than {MAX_DEPTH} levels", self.cur.pos)
+                raise ParseError(f"input nested deeper than {MAX_DEPTH} levels", self.pos)
             self.peak = level
 
     def enter(self) -> None:
@@ -122,114 +109,113 @@ class _Parser:
         self.depth += 1
         self.reach(self.depth)
 
-    def formula(self, scope: frozenset[str], level: int = 0) -> Formula:
-        """A chain of the connective of `level` in `_CHAINS` over operands of
-        the next level, folded to the right for `->` and to the left
-        otherwise. The chain's connectives add a level each to every operand."""
-        kind, ctor = _CHAINS[level]
+    def formula(self, scope: frozenset[str], floor: int = 1) -> Formula:
+        """Chains of the connectives of level `floor` and tighter, by
+        precedence climbing: each chain is collected as one list of operands
+        of the next level, folded as its row of `_BINARY` says, and becomes
+        the first operand of a looser chain. A chain's connectives add a
+        level each to every operand."""
         outer, self.peak = self.peak, self.depth
-        out = self.formula(scope, level + 1) if level < 2 else self.unary(scope)
-        if self.cur.kind != kind:  # one operand: nothing to fold or count
-            if self.peak < outer:
-                self.peak = outer
-            return out
-        parts = [out]
-        while self.cur.kind == kind:
-            self.advance()
-            parts.append(self.formula(scope, level + 1) if level < 2 else self.unary(scope))
-        reached, self.peak = self.peak, outer
-        self.reach(reached + len(parts) - 1)
-        if ctor is Imp:
-            out = parts.pop()
-            while parts:
-                out = Imp(parts.pop(), out)
-            return out
-        return functools.reduce(ctor, parts)
+        out = self.unary(scope)
+        row = _BY_TOKEN.get(self.tok)
+        while row is not None and row[0] >= floor:
+            level, ctor, right = row
+            token, parts = self.tok, [out]
+            while self.tok == token:
+                self.advance()
+                parts.append(self.formula(scope, level + 1))
+            self.reach(self.peak + len(parts) - 1)  # the deepest operand, plus the chain's links
+            if right:
+                out = parts.pop()
+                while parts:
+                    out = ctor(parts.pop(), out)
+            else:
+                out = functools.reduce(ctor, parts)
+            row = _BY_TOKEN.get(self.tok)
+        if self.peak < outer:
+            self.peak = outer
+        return out
 
     def unary(self, scope: frozenset[str]) -> Formula:
-        tok = self.cur
-        if tok.kind == "neg" or (tok.kind == "ident" and tok.text == "o"):
+        tok = self.tok
+        if tok == "~" or tok == "o":
             self.advance()
             self.enter()
             body = self.unary(scope)
             self.depth -= 1
-            return Neg(body) if tok.kind == "neg" else Circ(body)
-        if tok.kind == "ident" and tok.text in ("forall", "exists"):
+            return Neg(body) if tok == "~" else Circ(body)
+        if tok == "forall" or tok == "exists":
             return self.quantifier(scope)
         return self.primary(scope)
 
     def quantifier(self, scope: frozenset[str]) -> Formula:
-        tok = self.advance()
-        ctor = Forall if tok.text == "forall" else Exists
-        name_tok = self.expect("ident", "a bound variable name")
-        name = name_tok.text
+        ctor = Forall if self.advance() == "forall" else Exists
+        name, pos = self.name("a bound variable name")
         if name in _RESERVED:
-            raise ParseError(f"{name!r} is reserved", name_tok.pos)
+            raise ParseError(f"{name!r} is reserved", pos)
         if is_free_var_name(name):
-            raise ParseError("quantified variables must not use the free-variable namespace a1, a2, ...", name_tok.pos)
+            raise ParseError("quantified variables must not use the free-variable namespace a1, a2, ...", pos)
         if name in scope:
-            raise ParseError(f"nested quantifier rebinds {name!r}", name_tok.pos)
-        self.expect("dot", "'.' after the quantified variable")
+            raise ParseError(f"nested quantifier rebinds {name!r}", pos)
+        self.expect(".", "'.' after the quantified variable")
         self.enter()
         body = self.formula(scope | {name})  # scope runs to the enclosing ')'
         self.depth -= 1
         return ctor(name, body)
 
     def primary(self, scope: frozenset[str]) -> Formula:
-        tok = self.cur
-        if tok.kind == "lp":
+        name, pos = self.tok, self.pos
+        if name == "(":
             self.advance()
             self.enter()
             out = self.formula(scope)
             self.depth -= 1
-            self.expect("rp", "')'")
+            self.expect(")", "')'")
             return out
-        if tok.kind != "ident":
-            raise ParseError("expected a formula", tok.pos)
-        name = tok.text
+        if not name[:1].isalpha():
+            raise ParseError("expected a formula", pos)
         if name in _RESERVED:
-            raise ParseError(f"{name!r} is reserved", tok.pos)
+            raise ParseError(f"{name!r} is reserved", pos)
         self.advance()
         if name[0].isupper():
-            self.expect("lp", f"'(' after predicate {name!r}")
-            args = [self.term(scope)]
-            while self.cur.kind == "comma":
-                self.advance()
-                args.append(self.term(scope))
-            self.expect("rp", "')'")
-            return PredAtom(name, tuple(args))
+            self.expect("(", f"'(' after predicate {name!r}")
+            return PredAtom(name, self.arguments(scope))
         if name in scope:
-            raise ParseError(f"bound variable {name!r} used as a formula", tok.pos)
-        if self.cur.kind == "lp":
-            raise ParseError(f"predicate names are capitalized; {name!r} is not", tok.pos)
+            raise ParseError(f"bound variable {name!r} used as a formula", pos)
+        if self.tok == "(":
+            raise ParseError(f"predicate names are capitalized; {name!r} is not", pos)
         return PropAtom(name)
 
+    def arguments(self, scope: frozenset[str]) -> tuple[Term, ...]:
+        """A comma-separated term list and the ')' that closes it."""
+        args = [self.term(scope)]
+        while self.tok == ",":
+            self.advance()
+            args.append(self.term(scope))
+        self.expect(")", "')'")
+        return tuple(args)
+
     def term(self, scope: frozenset[str]) -> Term:
-        tok = self.expect("ident", "a term")
-        name = tok.text
+        name, pos = self.name("a term")
         if name in _RESERVED or name[0].isupper():
-            raise ParseError(f"invalid term {name!r}", tok.pos)
-        if self.cur.kind == "lp":
+            raise ParseError(f"invalid term {name!r}", pos)
+        if self.tok == "(":
             self.advance()
             self.enter()
-            args = [self.term(scope)]
-            while self.cur.kind == "comma":
-                self.advance()
-                args.append(self.term(scope))
+            args = self.arguments(scope)
             self.depth -= 1
-            self.expect("rp", "')'")
-            return FunApp(name, tuple(args))
+            return FunApp(name, args)
         if name in scope:
             return BoundVar(name)
         if is_free_var_name(name):
             return FreeVar(name)
         return Const(name)
 
-    def formula_list(self, stop_kinds: tuple[str, ...]) -> list[Formula]:
-        if self.cur.kind in stop_kinds:
+    def formula_list(self, stop: str) -> list[Formula]:
+        if self.tok == stop:
             return []
         out = [self.formula(frozenset())]
-        while self.cur.kind == "comma":
+        while self.tok == ",":
             self.advance()
             out.append(self.formula(frozenset()))
         return out
@@ -243,8 +229,8 @@ def _wrap(fn, text: str):
         if isinstance(exc, ParseError):
             raise
         raise ParseError(str(exc)) from exc
-    if parser.cur.kind != "eof":
-        raise ParseError("trailing input", parser.cur.pos)
+    if parser.tok:
+        raise ParseError("trailing input", parser.pos)
     return result
 
 
@@ -254,34 +240,19 @@ def parse_formula(text: str) -> Formula:
 
 def parse_sequent(text: str) -> Sequent:
     def go(p: _Parser) -> Sequent:
-        ante = p.formula_list(stop_kinds=("seq",))
-        p.expect("seq", "'|-'")
-        succ = p.formula_list(stop_kinds=("eof",))
+        ante = p.formula_list("|-")
+        p.expect("|-", "'|-'")
+        succ = p.formula_list("")
         return Sequent.make(ante, succ)
 
     return _wrap(go, text)
 
 
 # ---------------------------------------------------------------------------
-# Printing. Levels: quantifier < imp < or < and < unary < atom; a subformula
-# is parenthesized whenever its level is too low for its position, which
-# keeps parse(format(phi)) == phi.
+# Printing. A subformula is parenthesized whenever its level is below the
+# one its position asks for, which keeps parse(format(phi)) == phi.
 
-_ATOM, _UNARY, _AND, _OR, _IMP, _QUANT = 5, 4, 3, 2, 1, 0
-
-
-def _level(phi: Formula) -> int:
-    if isinstance(phi, (PropAtom, PredAtom)):
-        return _ATOM
-    if isinstance(phi, (Neg, Circ)):
-        return _UNARY
-    if isinstance(phi, And):
-        return _AND
-    if isinstance(phi, Or):
-        return _OR
-    if isinstance(phi, Imp):
-        return _IMP
-    return _QUANT
+_LEVEL = {Forall: 0, Exists: 0} | {ctor: level for ctor, (_, level, _) in _BY_CTOR.items()}
 
 
 def format_term(t: Term) -> str:
@@ -292,34 +263,34 @@ def format_term(t: Term) -> str:
 
 def _fmt(phi: Formula, min_level: int) -> str:
     text = phi._text
-    if _level(phi) < min_level:
+    if _LEVEL.get(type(phi), _PREFIX_LEVEL) < min_level:
         return f"({text})"
     return text
 
 
 def _format(phi: Formula) -> str:
-    """The text of phi from its children's stored text."""
-    if isinstance(phi, PropAtom):
+    """The text of phi from its children's stored text. An operand on the
+    side a chain folds to may be of the same level; the other one must bind
+    tighter."""
+    kind = type(phi)
+    if kind is PropAtom:
         return phi.name
-    if isinstance(phi, PredAtom):
+    if kind is PredAtom:
         return f"{phi.name}({', '.join(format_term(a) for a in phi.args)})"
-    if isinstance(phi, Neg):
-        return f"~{_fmt(phi.body, _UNARY)}"
-    if isinstance(phi, Circ):
-        return f"o {_fmt(phi.body, _UNARY)}"
-    if isinstance(phi, And):
-        return f"{_fmt(phi.left, _AND)} & {_fmt(phi.right, _AND + 1)}"
-    if isinstance(phi, Or):
-        return f"{_fmt(phi.left, _OR)} | {_fmt(phi.right, _OR + 1)}"
-    if isinstance(phi, Imp):
-        return f"{_fmt(phi.left, _IMP + 1)} -> {_fmt(phi.right, _IMP)}"
-    word = "forall" if isinstance(phi, Forall) else "exists"
+    if kind is Neg:
+        return f"~{_fmt(phi.body, _PREFIX_LEVEL)}"
+    if kind is Circ:
+        return f"o {_fmt(phi.body, _PREFIX_LEVEL)}"
+    if kind in _BY_CTOR:
+        token, level, right = _BY_CTOR[kind]
+        return f"{_fmt(phi.left, level + right)} {token} {_fmt(phi.right, level + (not right))}"
+    word = "forall" if kind is Forall else "exists"
     return f"{word} {phi.var}. {phi.body._text}"
 
 
 def _children(phi: Formula) -> tuple[Formula, ...]:
     kind = type(phi)
-    if kind is And or kind is Or or kind is Imp:
+    if kind in _BY_CTOR:
         return phi.left, phi.right
     if kind is PropAtom or kind is PredAtom:
         return ()

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .errors import AtomCapExceeded, InternalError, LogicError
-from .matrix import HALF, ONE, ZERO, TruthValue, effective_atom_cap, sequent_atoms, sequent_satisfied
+from .errors import InternalError, LogicError
+from .matrix import HALF, ONE, ZERO, TruthValue, capped_atoms, sequent_satisfied
 from .sequents import (
     LEFT,
     RIGHT,
@@ -116,10 +116,7 @@ def decide(s: Sequent, atom_cap: int | None = None) -> Verdict:
     """Prove the sequent cut-free or refute it with a valuation."""
     if not all(map(is_propositional, s.ante | s.succ)):
         raise LogicError("the propositional prover takes quantifier-free input")
-    names = sequent_atoms(s)
-    cap = effective_atom_cap(atom_cap)
-    if len(names) > cap:
-        raise AtomCapExceeded(f"sequent has {len(names)} atoms, cap is {cap}")
+    names = capped_atoms(s, atom_cap)
 
     result = _decide(s, frozenset())
     if isinstance(result, Proof):

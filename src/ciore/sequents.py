@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import LogicError
 from .syntax import (
@@ -204,12 +204,15 @@ class Proof:
     premises: tuple["Proof", ...] = ()
 
     def uses_cut(self) -> bool:
-        return self.rule is R.CUT or any(p.uses_cut() for p in self.premises)
+        return any(node.rule is R.CUT for node in self.nodes())
 
-    def nodes(self):
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
+    def nodes(self) -> Iterator["Proof"]:
+        """Every node in preorder, premises left to right, with no recursion."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += reversed(node.premises)
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,6 +8,7 @@ from ciore.fo_prover import (
     PHASES,
     Proved,
     ReductionNode,
+    _indexed,
     _phase_principals,
     Refuted,
     Unknown,
@@ -394,7 +395,8 @@ def _phase_id(rule):
 def test_each_shape_is_reduced_by_at_most_one_phase(text, left, right):
     phi = parse_formula(text)
     for expected, sequent in ((left, Sequent.make((phi,), ())), (right, Sequent.make((), (phi,)))):
-        node = ReductionNode(sequent=sequent, created_at_stage=0)
+        candidates = _indexed({}, sequent.ante, sequent.succ)
+        node = ReductionNode(sequent=sequent, created_at_stage=0, candidates=candidates)
         available = ["a1", "a2"]
         reducing = [
             rule

@@ -16,7 +16,12 @@ The inputs:
   ``falsifying_assignment``;
 - proofs of both provers with one fault put in (``helpers.corrupted_proofs``):
   the ``proof_error`` message under each calculus, with and without cuts;
-- ``prove --json`` on ``|- o o ... p`` with 60 ``o``: its standard output.
+- ``prove --json`` on ``|- o o ... p`` with 60 ``o``: its standard output;
+- texts read by ``parse_formula`` and ``parse_sequent``: printed random
+  formulas and sequents, the same with characters deleted, inserted or
+  swapped, and random nestings on either side of the depth bound, alone and
+  as the succedent of a sequent. Each outcome is the printed result with its
+  ``formula_key``, or the ``ParseError`` message with its column.
 
 Every answer must also be independent of the hash seed, so the check is
 repeated in a subprocess under a second ``PYTHONHASHSEED``.
@@ -34,20 +39,24 @@ import random
 import subprocess
 import sys
 
-from helpers import corrupted_proofs, random_structure
+from helpers import corrupted_proofs, random_structure, random_term_formula
 
 from ciore.cli import main
+from ciore.errors import ParseError
 from ciore.fo_prover import build_reduction_tree, decide_fo, dump_tree, fo_regression_suite
 from ciore.fo_semantics import falsifying_assignment
+from ciore.parsing import format_formula, format_sequent, parse_formula, parse_sequent
 from ciore.prop_prover import decide
-from ciore.randgen import random_fo_formula, random_sequent
+from ciore.randgen import random_fo_formula, random_formula, random_sequent
 from ciore.sequents import Calculus, Sequent, proof_error
 from ciore.serialize import verdict_to_json
+from ciore.syntax import formula_key
 
 PINNED = {
     "falsifying_assignments": "3c7a5e434888a0c0846a9714c0873ba2a3b3aafca6a0157b3aa23f8ce6e48cc6",
     "fo_trees": "b989a2a0688ebddd9d0358ff1e7ab389bce856ab5463fea75c75615063be128e",
     "fo_verdicts": "075f5211fbae2efacfe627a6c7cea7e81495f6d5b0d7484d84b3f1be602f2318",
+    "parse_outcomes": "e806aa4a92e5b33cdfa537da3f547b636d51e2a954da714cca352e32a868c717",
     "proof_errors": "cc5cc56242d879aa0c9cb3ed78570d1f6ea0abd06b3a65d9d10f38262afc97b7",
     "prop_verdicts": "ad5f2c9e562fd1dad9b745eedcbf7049fe2c3b7172cb2d461fa3c3cd90805f35",
     "prove_json_deep_circ": "4ffddebce6a5ee7ad83e40e8eccc8c34eef9f7b0a498b2146800e86d5f37f3d0",
@@ -95,6 +104,80 @@ def _prove_json_stdout(goal: str) -> str:
     return out.getvalue()
 
 
+def _valid_texts(rng: random.Random) -> list[str]:
+    texts = []
+    for _ in range(400):
+        phi = random_term_formula(rng, 4)
+        psi = random_fo_formula(rng, _ARITIES, _VARIABLES, 4)
+        chi = random_formula(rng, ("p", "q", "r"), 5)
+        texts += [format_formula(phi), format_formula(psi), format_formula(chi)]
+        left = ", ".join(format_formula(random_formula(rng, ("p", "q"), 3)) for _ in range(rng.randint(0, 2)))
+        texts.append(f"{left} |- {format_formula(psi)}")
+    return texts
+
+
+_PIECES = ("~", "o ", "(", ")", "&", "|", "->", "|-", ",", ".", " ", "forall ", "exists ", "x", "a1", "P(", "f(", "$", "-", "!", "\t")
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        move = rng.randrange(3)
+        if move == 0:  # delete a character
+            text = text[:i] + text[i + 1 :]
+        elif move == 1:  # insert a piece of the grammar, or a stray character
+            text = text[:i] + rng.choice(_PIECES) + text[i:]
+        elif len(text) > 1:  # swap two characters
+            j = rng.randrange(len(text))
+            chars = list(text)
+            chars[i % len(text)], chars[j] = chars[j], chars[i % len(text)]
+            text = "".join(chars)
+    return text
+
+
+def _deep_text(rng: random.Random, levels: int) -> str:
+    """A random nesting around one atom: prefixes, parentheses, quantifiers,
+    chains and function applications, `levels` wrappings in all. Between 76
+    and 100 wrappings reach depths on both sides of `MAX_DEPTH`."""
+    text = "P(a1)"
+    for i in range(levels):
+        shape = rng.randrange(7)
+        if shape == 0:
+            text = rng.choice(("~", "o ")) + text
+        elif shape == 1:
+            text = f"({text})"
+        elif shape == 2:
+            text = f"forall x{i}. {text}"
+        elif shape == 3:
+            text = f"q {rng.choice(('&', '|', '->'))} {text}"
+        elif shape == 4:
+            text = f"({text}) {rng.choice(('&', '|', '->'))} q"
+        elif shape == 5:
+            text = f"{text} & q & r" if rng.random() < 0.5 else f"p -> {text} -> r"
+        else:
+            text = text.replace("a1", "g(a1)", 1)
+    return text
+
+
+def _parse_texts() -> list[str]:
+    rng = random.Random(4040)
+    valid = _valid_texts(rng)
+    mutated = [_mutated(rng, rng.choice(valid)) for _ in range(1600)]
+    deep = [rng.choice(("", "q |- ")) + _deep_text(rng, rng.randint(76, 100)) for _ in range(300)]
+    return valid + mutated + deep
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return ["error", str(exc), exc.position]
+    if isinstance(result, Sequent):
+        keys = [[repr(formula_key(f)) for f in side] for side in (result.sorted_ante(), result.sorted_succ())]
+        return ["sequent", format_sequent(result), keys]
+    return ["formula", format_formula(result), repr(formula_key(result))]
+
+
 def answer_digests() -> dict[str, str]:
     fo_goals = _fo_goals()
     prop_rng = random.Random(3030)
@@ -106,6 +189,9 @@ def answer_digests() -> dict[str, str]:
         "falsifying_assignments": _digest(_json(falsifying_assignment(st, s)) for st, s in _model_checks()),
         "proof_errors": _digest(_json(errors) for errors in _proof_errors()),
         "prove_json_deep_circ": _digest([_prove_json_stdout("|- " + "o " * 60 + "p")]),
+        "parse_outcomes": _digest(
+            _json([_parse_outcome(parse_formula, text), _parse_outcome(parse_sequent, text)]) for text in _parse_texts()
+        ),
     }
 
 

@@ -338,3 +338,30 @@ def test_proof_error_matches_the_recursive_recipe_on_corrupted_proofs():
                     reasons[err.split(": ", 1)[1].split()[0]] += 1
     # swapped premises, changed principals, foreign rules and cuts all show
     assert {"premises", "principal", "rule", "cut"} <= set(reasons), reasons
+
+
+def _recursive_preorder(proof: Proof):
+    yield proof
+    for p in proof.premises:
+        yield from _recursive_preorder(p)
+
+
+def _comb(depth: int, cut_at: int | None) -> Proof:
+    """A proof `depth` levels deep whose every inner node has the deeper
+    proof and an axiom as premises; the node `cut_at` levels above the
+    bottom is a cut. The sequents need not follow the rules."""
+    s = parse_sequent("p |- p")
+    proof = Proof(s, RuleId.AXIOM)
+    for level in range(depth):
+        rule = RuleId.CUT if level == cut_at else RuleId.WEAK_L
+        proof = Proof(s, rule, premises=(proof, Proof(s, RuleId.AXIOM)))
+    return proof
+
+
+def test_nodes_and_uses_cut_walk_a_deep_proof_in_preorder():
+    small = _comb(30, 3)
+    assert [id(n) for n in small.nodes()] == [id(n) for n in _recursive_preorder(small)]
+    for cut_at, expected in ((None, False), (0, True), (4999, True)):
+        proof = _comb(5000, cut_at)
+        assert sum(1 for _ in proof.nodes()) == 10001
+        assert proof.uses_cut() is expected
