@@ -116,15 +116,20 @@ def _emit(data, as_json: bool, text: str | None = None) -> None:
         print(text if text is not None else data)
 
 
-def _read_json(path: str):
-    """JSON from the file, or from standard input for '-'."""
+def _read_json(path: str, convert):
+    """convert applied to the JSON from the file, or from standard input for
+    '-'. The JSON reader recurses once per nesting level, and
+    `proof_from_json` once per proof level, so input nested past Python's
+    recursion limit is an input error."""
     try:
         if path == "-":
-            return json.loads(sys.stdin.read())
+            return convert(json.loads(sys.stdin.read()))
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return convert(json.load(fh))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to read (past Python's recursion limit)") from None
 
 
 def _cmd_prove(args) -> int:
@@ -140,7 +145,7 @@ def _cmd_prove(args) -> int:
 def _cmd_validity(args) -> int:
     s = _parse_goal(args.sequent, args.fo or bool(args.structure))
     if args.structure:
-        st = structure_from_json(_read_json(args.structure))
+        st = _read_json(args.structure, structure_from_json)
         ok = fo_sequent_valid_in(st, s)
         _emit({"status": "valid" if ok else "invalid"}, args.json, "valid" if ok else "invalid")
         return EXIT_OK if ok else EXIT_NEGATIVE
@@ -161,7 +166,7 @@ def _cmd_countermodel(args) -> int:
     s = _parse_goal(args.sequent, args.fo or bool(args.structure))
     valid = {"status": "valid"}
     if args.structure:
-        st = structure_from_json(_read_json(args.structure))
+        st = _read_json(args.structure, structure_from_json)
         assignment = falsifying_assignment(st, s)
         if assignment is not None:
             print(json.dumps({"assignment": assignment}, sort_keys=True))
@@ -187,7 +192,7 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
-    proof = proof_from_json(_read_json(args.file))
+    proof = _read_json(args.file, proof_from_json)
 
     chosen = {
         "gciore": [Calculus.GCIORE],

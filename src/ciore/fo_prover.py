@@ -11,7 +11,9 @@ passed over at once while still counted.
 A tree whose leaves all share a formula across sides compiles to a cut-free
 proof; a branch that a full cycle of stages leaves untouched yields a
 candidate countermodel, which is only reported after it verifiably
-falsifies the goal.
+falsifies the goal. When the loop runs out of budget or stalls, ``decide_fo``
+tries the first ``REFUTER_STRUCTURES`` finite structures on growing domains
+(MACE-style) before it answers ``Unknown``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
 from .errors import InternalError, LogicError
-from .fo_semantics import Structure, Triple, fo_sequent_satisfied
+from .fo_semantics import Structure, Triple, enumerate_structures, falsifying_assignment, fo_sequent_satisfied
 from .parsing import format_formula, format_sequent
 from .sequents import (
     EIGEN_RULES,
@@ -68,6 +70,12 @@ R = RuleId
 
 DEFAULT_MAX_NODES = 20_000
 DEFAULT_MAX_DEPTH = 400
+
+#: Finite structures the refuter tries after the stage loop gives up, and
+#: the most assignments of the goal's free variables it checks in each: a
+#: domain size is tried only while size ** (free variables) stays within it.
+REFUTER_STRUCTURES = 64
+REFUTER_ASSIGNMENTS = 64
 
 #: Cyclic stage order; stage k applies PHASES[k % 27], and None is the idle
 #: stage that closes each cycle. A phase reduces exactly the formulas on its
@@ -380,8 +388,32 @@ class Unknown:
 FoVerdict = Union[Proved, Refuted, Unknown]
 
 
+def refute_finitely(s: Sequent) -> tuple[tuple[Structure, dict[str, str]] | None, int, int]:
+    """The first structure that some assignment of s's free variables
+    falsifies, with that assignment (or None), the number of structures
+    tried and the largest domain size tried. Structures interpret exactly
+    s's predicates and come domain by domain, ``("m0",)``, ``("m0", "m1")``
+    and so on, each domain in ``enumerate_structures`` order, at most
+    ``REFUTER_STRUCTURES`` of them on domains with at most
+    ``REFUTER_ASSIGNMENTS`` assignments."""
+    arities = predicate_arities(s.ante | s.succ)
+    free = len(s.free_variables())
+    sizes = itertools.takewhile(lambda size: size**free <= REFUTER_ASSIGNMENTS, itertools.count(1))
+    structures = itertools.chain.from_iterable(
+        enumerate_structures(tuple(f"m{i}" for i in range(size)), arities) for size in sizes
+    )
+    tried = size = 0
+    for st in itertools.islice(structures, REFUTER_STRUCTURES):
+        tried, size = tried + 1, len(st.domain)
+        assignment = falsifying_assignment(st, s)
+        if assignment is not None:
+            return (st, assignment), tried, size
+    return None, tried, size
+
+
 def decide_fo(s: Sequent, max_nodes: int = DEFAULT_MAX_NODES, max_depth: int = DEFAULT_MAX_DEPTH) -> FoVerdict:
-    """Cut-free proof, verified finite countermodel, or Unknown on budget."""
+    """Cut-free proof, verified finite countermodel, or Unknown when neither
+    the stage loop under its budget nor the finite refuter finds one."""
     tree = build_reduction_tree(s, max_nodes=max_nodes, max_depth=max_depth)
     if tree.status == "closed":
         proof = _assemble(tree.root)
@@ -391,9 +423,15 @@ def decide_fo(s: Sequent, max_nodes: int = DEFAULT_MAX_NODES, max_depth: int = D
     if tree.status == "refuted":
         assert tree.countermodel is not None
         return Refuted(*tree.countermodel)
+    countermodel, tried, size = refute_finitely(s)
+    if countermodel is not None:
+        if fo_sequent_satisfied(*countermodel, s):
+            raise InternalError("finite countermodel failed checking")
+        return Refuted(*countermodel)
     report = (
         f"search {tree.status}: {tree.node_count} nodes, {tree.stages} stages "
-        f"(budget {max_nodes} nodes / {max_depth} stages); no closed tree and no verified countermodel"
+        f"(budget {max_nodes} nodes / {max_depth} stages); no closed tree and no verified countermodel; "
+        f"no countermodel among {tried} structures on domains of up to {size} element{'s' * (size > 1)}"
     )
     return Unknown(report)
 

@@ -257,7 +257,7 @@ def fo_sequent_valid_in(st: Structure, seq: Sequent) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration (small domains; used by regression suites)
+# Exhaustive enumeration (small domains; the finite refuter of `fo_prover.decide_fo`)
 
 
 def enumerate_structures(domain: tuple[str, ...], predicate_arities: Mapping[str, int]) -> Iterator[Structure]:

@@ -54,7 +54,7 @@ def proof_from_json(data: Mapping) -> Proof:
         var = data.get("side")
         if not (var is None or isinstance(var, str)):
             raise ParseError(f"malformed proof JSON: 'side' must be a string or null, got {var!r}")
-        premises = tuple(proof_from_json(p) for p in _list(data, "premises"))
+        premises = tuple(map(proof_from_json, _list(data, "premises")))
         sequent = sequent_from_json(data["sequent"])
     except ParseError:
         raise

@@ -11,7 +11,8 @@ from hypothesis import event, given, settings, strategies as st
 from ciore import prop_prover
 from ciore.cli import main
 from ciore.errors import LogicError
-from ciore.fo_semantics import Structure, Triple, structure_to_json
+from ciore.fo_prover import Refuted, decide_fo
+from ciore.fo_semantics import Structure, Triple, fo_sequent_satisfied, structure_from_json, structure_to_json
 from ciore.matrix import HALF, ONE, ZERO, find_countermodel
 from ciore.parsing import MAX_DEPTH, format_sequent, parse_sequent
 from ciore.randgen import random_fo_formula, random_sequent
@@ -91,7 +92,10 @@ def test_countermodel_json_is_json_for_every_answer(tmp_path, capsys):
         (["|- p | ~p"], 0, "valid"),
         (["--structure", str(path), "forall x. P(x) |- P(a1)"], 0, "valid in the given structure"),
         (["--fo", "|- (o forall x. P(x)) -> exists x. o P(x)"], 0, "valid"),
-        (["--fo", "--nodes", "5", swap], 2, "unknown: "),
+        # valid, but its tree closes only at stage 22
+        (["--fo", "--depth", "20", "|- (o forall x. P(x)) -> exists x. o P(x)"], 2, "unknown: "),
+        # the stage loop runs out of nodes; the finite refuter finds a structure
+        (["--fo", "--nodes", "5", swap], 1, "{"),
     ]
     for args, want_code, text in cases:
         code, out, _ = run(capsys, "countermodel", *args)
@@ -101,8 +105,12 @@ def test_countermodel_json_is_json_for_every_answer(tmp_path, capsys):
         data = json.loads(out)
         if want_code == 0:
             assert data == {"status": "valid"}, args
-        else:
+        elif want_code == 2:
             assert data["status"] == "unknown" and "report" in data, args
+        else:
+            assert data["status"] == "refuted", args
+            st = structure_from_json(data["structure"])
+            assert not fo_sequent_satisfied(st, data["assignment"], parse_sequent(swap)), args
 
 
 def test_validity_fo_routes_through_prover(capsys):
@@ -110,9 +118,15 @@ def test_validity_fo_routes_through_prover(capsys):
     assert code == 0 and "valid" in out
     code, out, _ = run(capsys, "validity", "--fo", "exists x. P(x) |- forall x. P(x)")
     assert code == 1 and "invalid" in out
+    late = "|- (o forall x. P(x)) -> exists x. o P(x)"  # its tree closes at stage 22
+    code, out, _ = run(capsys, "validity", "--fo", "--depth", "20", late)
+    assert code == 2 and "unknown" in out
     swap = "|- (forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)"
     code, out, _ = run(capsys, "validity", "--fo", "--nodes", "40", "--depth", "20", swap)
-    assert code == 2 and "unknown" in out
+    assert code == 1 and "invalid" in out
+    verdict = decide_fo(parse_sequent(swap), max_nodes=40, max_depth=20)
+    assert isinstance(verdict, Refuted)
+    assert not fo_sequent_satisfied(verdict.structure, verdict.assignment, parse_sequent(swap))
 
 
 def test_check_proof_json_output(tmp_path, capsys):
@@ -122,6 +136,25 @@ def test_check_proof_json_output(tmp_path, capsys):
     path.write_text(json.dumps(proof))
     code, out, _ = run(capsys, "check-proof", "--json", str(path))
     assert code == 0 and json.loads(out) == {"status": "pass", "error": None}
+
+
+def _weakening_chain(levels: int) -> str:
+    """A proof file of  p |- p  under `levels` WeakL nodes, written as text
+    so that no recursive serializer is needed."""
+    node = '{"sequent": {"ante": ["p"], "succ": ["p"]}, "rule": "%s", "principal": %s, "side": null, "premises": ['
+    return node % ("WeakL", '"p"') * levels + node % ("Axiom", "null") + "]}" * (levels + 1)
+
+
+@pytest.mark.parametrize("levels, want", [(400, 0), (1500, 65)])
+def test_deep_proof_file_is_checked_or_an_input_error(tmp_path, capsys, levels, want):
+    path = tmp_path / "proof.json"
+    path.write_text(_weakening_chain(levels))
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert code == want, err
+    if want == 0:
+        assert out == "proof checked: p |- p\n"
+    else:
+        assert "nested too deeply" in err
 
 
 def test_reduction_tree_budget_exit(capsys):
@@ -274,6 +307,7 @@ def test_deep_input_is_decided_up_to_the_bound_and_rejected_past_it(capsys, shap
         '{"domain": ["m0"], "functions": {"f": [["m0", ["m0"]]]}}',
         '{"domain": ["m0"], "constants": {"c": ["m0"]}}',
         '{"domain": ',
+        pytest.param('{"domain": ["m0"], "predicates": ' + "[" * 1500 + "]" * 1500 + "}", id="nested-too-deeply"),
     ],
 )
 def test_malformed_structure_is_input_error(tmp_path, capsys, text):

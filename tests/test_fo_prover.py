@@ -6,6 +6,7 @@ import pytest
 from ciore.errors import LogicError
 from ciore.fo_prover import (
     PHASES,
+    REFUTER_STRUCTURES,
     Proved,
     ReductionNode,
     _indexed,
@@ -165,10 +166,14 @@ def test_failed_saturated_leaf_does_not_block_other_branches():
     # the left disjunct saturates into a branch whose extracted structure
     # cannot falsify the goal (that needs the predicate inconsistent
     # everywhere); the right disjunct keeps generating variables until the
-    # budget goes; the verdict must be an honest Unknown either way
+    # budget goes; the loop must give up without a countermodel either way
     s = seq("~(forall x. P(x)), (forall x. P(x)) | (forall x. exists y. R(x, y)) |-")
+    tree = build_reduction_tree(s, max_nodes=800, max_depth=200)
+    assert tree.status == "budget" and tree.countermodel is None
+    # past the loop, the finite refuter finds a verified structure
     verdict = decide_fo(s, max_nodes=800, max_depth=200)
-    assert isinstance(verdict, Unknown)
+    assert isinstance(verdict, Refuted)
+    assert not fo_sequent_satisfied(verdict.structure, verdict.assignment, s)
 
 
 def test_regression_suite_proved_cut_free():
@@ -208,10 +213,28 @@ def test_quantifier_swap_never_proved():
 
 
 def test_budget_exhaustion_reports_unknown():
-    s = seq("|- (forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)")
-    verdict = decide_fo(s, max_nodes=50, max_depth=30)
+    # valid, so no structure falsifies it, and its tree closes only at stage 22
+    s = seq("|- (o forall x. P(x)) -> exists x. o P(x)")
+    verdict = decide_fo(s, max_nodes=50, max_depth=20)
     assert isinstance(verdict, Unknown)
     assert "budget" in verdict.report or "stalled" in verdict.report
+    assert f"no countermodel among {REFUTER_STRUCTURES} structures" in verdict.report
+    # a refutable goal the loop gives up on comes back refuted
+    swap = seq("|- (forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)")
+    assert build_reduction_tree(swap, max_nodes=50, max_depth=30).status == "budget"
+    verdict = decide_fo(swap, max_nodes=50, max_depth=30)
+    assert isinstance(verdict, Refuted) and verdict.structure.domain == ("m0", "m1")
+    assert not fo_sequent_satisfied(verdict.structure, verdict.assignment, swap)
+
+
+def test_finite_refuter_checks_at_most_its_assignments_per_structure():
+    # valid goals whose trees close at stage 22; each free variable multiplies
+    # the assignments of a structure by its domain size
+    for free, tried, domain in [(0, 64, "4 elements"), (3, 64, "4 elements"), (6, 12, "2 elements"), (8, 3, "1 element")]:
+        ante = ", ".join(f"P(a{i})" for i in range(1, free + 1))
+        verdict = decide_fo(seq(f"{ante} |- (o forall x. P(x)) -> exists x. o P(x)"), max_depth=20)
+        assert isinstance(verdict, Unknown), free
+        assert verdict.report.endswith(f"no countermodel among {tried} structures on domains of up to {domain}"), free
 
 
 def test_extract_countermodel_simple_cases():
@@ -316,15 +339,21 @@ def test_dump_format():
 
 def test_unverifiable_saturation_is_unknown_never_wrong():
     # no rule decomposes a negated universal on the left; the atom recipe
-    # cannot express "P is 1/2 everywhere", so the only honest outcome for
-    # this (refutable) goal is Unknown, never an unverified countermodel
+    # cannot express "P is 1/2 everywhere", so the only honest outcome of
+    # the loop on this (refutable) goal is no countermodel, never an
+    # unverified one
     s = seq("~(forall x. P(x)), forall x. P(x) |-")
     half = next(
         st for st in all_unary_structures(1) if st.predicates["P"].circ
     )
     assert not fo_sequent_valid_in(half, s)  # refutable in principle
+    tree = build_reduction_tree(s, max_nodes=1500, max_depth=120)
+    assert tree.status == "stalled" and tree.countermodel is None
+    # the finite refuter finds that structure, and it is verified
     verdict = decide_fo(s, max_nodes=1500, max_depth=120)
-    assert isinstance(verdict, Unknown)
+    assert isinstance(verdict, Refuted)
+    assert verdict.structure.predicates["P"].circ == frozenset({("m0",)})
+    assert not fo_sequent_satisfied(verdict.structure, verdict.assignment, s)
 
 
 def test_negated_universal_left_still_refutable_when_recipe_fits():

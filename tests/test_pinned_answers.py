@@ -25,6 +25,10 @@ The inputs:
 
 Every answer must also be independent of the hash seed, so the check is
 repeated in a subprocess under a second ``PYTHONHASHSEED``.
+
+Beside the pins, each first-order verdict is derived from its reduction tree
+alone: ``decide_fo`` may only add the finite refuter's verified structures to
+what the stage loop decides.
 """
 
 from __future__ import annotations
@@ -39,23 +43,24 @@ import random
 import subprocess
 import sys
 
-from helpers import corrupted_proofs, random_structure, random_term_formula
+from helpers import corrupted_proofs, denote_components, random_structure, random_term_formula
 
 from ciore.cli import main
 from ciore.errors import ParseError
-from ciore.fo_prover import build_reduction_tree, decide_fo, dump_tree, fo_regression_suite
+from ciore.fo_prover import Proved, Refuted, _assemble, build_reduction_tree, decide_fo, dump_tree, fo_regression_suite
 from ciore.fo_semantics import falsifying_assignment
+from ciore.matrix import ZERO
 from ciore.parsing import format_formula, format_sequent, parse_formula, parse_sequent
 from ciore.prop_prover import decide
 from ciore.randgen import random_fo_formula, random_formula, random_sequent
 from ciore.sequents import Calculus, Sequent, proof_error
 from ciore.serialize import verdict_to_json
-from ciore.syntax import formula_key
+from ciore.syntax import formula_key, var_index
 
 PINNED = {
     "falsifying_assignments": "3c7a5e434888a0c0846a9714c0873ba2a3b3aafca6a0157b3aa23f8ce6e48cc6",
     "fo_trees": "b989a2a0688ebddd9d0358ff1e7ab389bce856ab5463fea75c75615063be128e",
-    "fo_verdicts": "075f5211fbae2efacfe627a6c7cea7e81495f6d5b0d7484d84b3f1be602f2318",
+    "fo_verdicts": "461dd669cfdbb55f119e3967691e95d3b4b8314e016ca0ca2aeccd5bed83244f",
     "parse_outcomes": "e806aa4a92e5b33cdfa537da3f547b636d51e2a954da714cca352e32a868c717",
     "proof_errors": "cc5cc56242d879aa0c9cb3ed78570d1f6ea0abd06b3a65d9d10f38262afc97b7",
     "prop_verdicts": "ad5f2c9e562fd1dad9b745eedcbf7049fe2c3b7172cb2d461fa3c3cd90805f35",
@@ -193,6 +198,35 @@ def answer_digests() -> dict[str, str]:
             _json([_parse_outcome(parse_formula, text), _parse_outcome(parse_sequent, text)]) for text in _parse_texts()
         ),
     }
+
+
+def _falsified_by_the_reference(verdict: Refuted, s: Sequent) -> bool:
+    """Every antecedent formula designated and every succedent formula 0 at
+    the verdict's assignment, by the component-set evaluator of the tests."""
+    variables = tuple(sorted(s.free_variables(), key=var_index))
+    point = tuple(verdict.assignment[v] for v in variables)
+
+    def value(phi):
+        return denote_components(phi, verdict.structure, variables).value_at(point)
+
+    return all(value(phi) is not ZERO for phi in s.ante) and all(value(phi) is ZERO for phi in s.succ)
+
+
+def test_fo_verdicts_follow_the_stage_loop():
+    statuses = []
+    for s in _fo_goals():
+        tree = build_reduction_tree(s, 200, 200)
+        verdict = decide_fo(s, 200, 200)
+        statuses.append(tree.status)
+        if tree.status == "closed":
+            assert _json(verdict_to_json(verdict)) == _json(verdict_to_json(Proved(_assemble(tree.root)))), s
+        elif tree.status == "refuted":
+            assert verdict == Refuted(*tree.countermodel), s
+        elif verdict.status == "refuted":
+            assert _falsified_by_the_reference(verdict, s), s
+        else:
+            assert verdict.status == "unknown", s
+    assert {"closed", "refuted", "budget"} <= set(statuses)
 
 
 def test_answers_match_the_pins():

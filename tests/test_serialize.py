@@ -5,6 +5,7 @@ import pytest
 
 from ciore.errors import ParseError
 from ciore.fo_prover import decide_fo
+from ciore.fo_semantics import fo_sequent_satisfied, structure_from_json
 from ciore.parsing import parse_sequent
 from ciore.prop_prover import decide
 from ciore.serialize import (
@@ -100,10 +101,15 @@ def test_verdict_json_shapes():
     jsonschema.validate(fo_refuted["structure"], STRUCTURE_SCHEMA)
     assert set(fo_refuted["assignment"]) == set(fo_refuted["structure"]["domain"])
 
-    unknown = verdict_to_json(
-        decide_fo(parse_sequent("|- (forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)"), max_nodes=40, max_depth=20)
-    )
+    unknown = verdict_to_json(decide_fo(parse_sequent("|- (o forall x. P(x)) -> exists x. o P(x)"), max_depth=20))
     assert unknown["status"] == "unknown" and "report" in unknown
+
+    # the stage loop gives up on the quantifier swap; the finite refuter does not
+    swap = parse_sequent("|- (forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)")
+    finite = verdict_to_json(decide_fo(swap, max_nodes=40, max_depth=20))
+    assert finite["status"] == "refuted"
+    jsonschema.validate(finite["structure"], STRUCTURE_SCHEMA)
+    assert not fo_sequent_satisfied(structure_from_json(finite["structure"]), finite["assignment"], swap)
 
 
 def test_describe_verdict():
