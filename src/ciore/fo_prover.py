@@ -61,6 +61,7 @@ from .syntax import (
     fresh_free_variables,
     iff,
     predicate_arities,
+    quantifier_depth,
     subformulas,
     terms,
     var_index,
@@ -72,10 +73,12 @@ DEFAULT_MAX_NODES = 20_000
 DEFAULT_MAX_DEPTH = 400
 
 #: Finite structures the refuter tries after the stage loop gives up, and
-#: the most assignments of the goal's free variables it checks in each: a
-#: domain size is tried only while size ** (free variables) stays within it.
+#: the most points one of them may hold in a predicate's table (size ** arity
+#: rows) or reach in checking the goal (size ** (free variables + quantifier
+#: nesting): each assignment, and each instance under a quantifier, is one
+#: point). A domain size is tried only while both stay within it.
 REFUTER_STRUCTURES = 64
-REFUTER_ASSIGNMENTS = 64
+REFUTER_POINTS = 64
 
 #: Cyclic stage order; stage k applies PHASES[k % 27], and None is the idle
 #: stage that closes each cycle. A phase reduces exactly the formulas on its
@@ -394,11 +397,12 @@ def refute_finitely(s: Sequent) -> tuple[tuple[Structure, dict[str, str]] | None
     tried and the largest domain size tried. Structures interpret exactly
     s's predicates and come domain by domain, ``("m0",)``, ``("m0", "m1")``
     and so on, each domain in ``enumerate_structures`` order, at most
-    ``REFUTER_STRUCTURES`` of them on domains with at most
-    ``REFUTER_ASSIGNMENTS`` assignments."""
+    ``REFUTER_STRUCTURES`` of them on domains of at most ``REFUTER_POINTS``
+    points."""
     arities = predicate_arities(s.ante | s.succ)
-    free = len(s.free_variables())
-    sizes = itertools.takewhile(lambda size: size**free <= REFUTER_ASSIGNMENTS, itertools.count(1))
+    nesting = max(map(quantifier_depth, s.ante | s.succ), default=0)
+    width = max(len(s.free_variables()) + nesting, *arities.values(), 0)
+    sizes = itertools.takewhile(lambda size: size**width <= REFUTER_POINTS, itertools.count(1))
     structures = itertools.chain.from_iterable(
         enumerate_structures(tuple(f"m{i}" for i in range(size)), arities) for size in sizes
     )

@@ -262,13 +262,14 @@ def fo_sequent_valid_in(st: Structure, seq: Sequent) -> bool:
 
 def enumerate_structures(domain: tuple[str, ...], predicate_arities: Mapping[str, int]) -> Iterator[Structure]:
     """All structures over the domain interpreting exactly the given
-    predicates, in a fixed deterministic order."""
+    predicates, in a fixed deterministic order: one value per row of the
+    predicates' tables, names in sorted order, the last row varying fastest.
+    Each structure is made when it is asked for."""
     names = sorted(predicate_arities)
     spaces = [tuple(itertools.product(domain, repeat=predicate_arities[n])) for n in names]
-    for choice in itertools.product(*(itertools.product(VALUE_ORDER, repeat=len(space)) for space in spaces)):
-        predicates = {}
-        for name, space, values in zip(names, spaces, choice):
-            predicates[name] = Triple.from_values(space, dict(zip(space, values)))
+    for values in itertools.product(VALUE_ORDER, repeat=sum(map(len, spaces))):
+        rest = iter(values)
+        predicates = {name: Triple.from_values(space, dict(zip(space, rest))) for name, space in zip(names, spaces)}
         yield Structure(domain=domain, predicates=predicates)
 
 

@@ -54,6 +54,8 @@ def proof_from_json(data: Mapping) -> Proof:
         var = data.get("side")
         if not (var is None or isinstance(var, str)):
             raise ParseError(f"malformed proof JSON: 'side' must be a string or null, got {var!r}")
+        # map takes one Python frame per proof level and a generator two, so
+        # the JSON reader's depth limit, not this function's, bounds a proof file.
         premises = tuple(map(proof_from_json, _list(data, "premises")))
         sequent = sequent_from_json(data["sequent"])
     except ParseError:

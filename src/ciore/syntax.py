@@ -278,6 +278,23 @@ def predicate_arities(formulas: Iterable[Formula]) -> dict[str, int]:
     return arities
 
 
+def quantifier_depth(phi: Formula) -> int:
+    """The most quantifiers on one path from phi's root to a leaf."""
+    deepest, stack = 0, [(phi, 0)]
+    while stack:
+        f, depth = stack.pop()
+        kind = type(f)
+        if kind is Forall or kind is Exists:
+            depth += 1
+            deepest = max(deepest, depth)
+            stack.append((f.body, depth))
+        elif kind is And or kind is Or or kind is Imp:
+            stack += ((f.left, depth), (f.right, depth))
+        elif kind is Neg or kind is Circ:
+            stack.append((f.body, depth))
+    return deepest
+
+
 def var_index(name: str) -> int:
     """Index i of the free variable a_i; sort key of variable lists."""
     return int(name[1:])

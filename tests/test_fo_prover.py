@@ -227,14 +227,28 @@ def test_budget_exhaustion_reports_unknown():
     assert not fo_sequent_satisfied(verdict.structure, verdict.assignment, swap)
 
 
-def test_finite_refuter_checks_at_most_its_assignments_per_structure():
-    # valid goals whose trees close at stage 22; each free variable multiplies
-    # the assignments of a structure by its domain size
-    for free, tried, domain in [(0, 64, "4 elements"), (3, 64, "4 elements"), (6, 12, "2 elements"), (8, 3, "1 element")]:
-        ante = ", ".join(f"P(a{i})" for i in range(1, free + 1))
-        verdict = decide_fo(seq(f"{ante} |- (o forall x. P(x)) -> exists x. o P(x)"), max_depth=20)
-        assert isinstance(verdict, Unknown), free
-        assert verdict.report.endswith(f"no countermodel among {tried} structures on domains of up to {domain}"), free
+def test_finite_refuter_bounds_the_points_of_a_structure():
+    # valid goals whose trees close at stage 22. A domain of size n is tried
+    # only while n ** (free variables + quantifier nesting) and n ** arity stay
+    # within REFUTER_POINTS: the goal's own nesting is 1, and 30 nested
+    # quantifiers would make 2 ** 30 points at the second domain
+    goal = "|- (o forall x. P(x)) -> exists x. o P(x)"
+    nested = "".join(f"forall y{i}. " for i in range(1, 31)) + "P(y1)"
+    cases = [
+        ("", 64, "4 elements"),
+        ("P(a1), P(a2)", 64, "4 elements"),
+        ("P(a1), P(a2), P(a3)", 12, "2 elements"),
+        ("P(a1), P(a2), P(a3), P(a4), P(a5), P(a6)", 3, "1 element"),
+        ("forall y1. forall y2. P(y1)", 64, "4 elements"),
+        ("forall y1. forall y2. forall y3. forall y4. P(y1)", 12, "2 elements"),
+        (nested, 3, "1 element"),
+        ("Q(a1, a1, a1, a1, a1, a1)", 64, "2 elements"),
+        ("Q(a1, a1, a1, a1, a1, a1, a1)", 9, "1 element"),
+    ]
+    for ante, tried, domain in cases:
+        verdict = decide_fo(seq(f"{ante} {goal}"), max_depth=20)
+        assert isinstance(verdict, Unknown), ante
+        assert verdict.report.endswith(f"no countermodel among {tried} structures on domains of up to {domain}"), ante
 
 
 def test_extract_countermodel_simple_cases():

@@ -320,6 +320,16 @@ def test_enumerate_structures_count():
     assert len({json.dumps(structure_to_json(s), sort_keys=True) for s in structures}) == 9
 
 
+def test_enumerate_structures_order():
+    # one value per table row, predicates by name, the last row varying fastest
+    domain = ("0", "1")
+    rows = [("P", row) for row in itertools.product(domain, repeat=1)]
+    rows += [("R", row) for row in itertools.product(domain, repeat=2)]
+    structures = enumerate_structures(domain, {"R": 2, "P": 1})
+    for st, values in zip(structures, itertools.product(VALUE_ORDER, repeat=len(rows)), strict=True):
+        assert [st.predicates[name].value_at(row) for name, row in rows] == list(values)
+
+
 def test_an_assignment_missing_a_free_variable_is_a_logic_error():
     st = Structure(
         domain=("0", "1"),

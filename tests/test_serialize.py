@@ -118,6 +118,18 @@ def test_describe_verdict():
     assert describe_verdict(decide(parse_sequent("|-"))) == "refuted by the empty valuation"
 
 
+def test_proof_from_json_reads_deeper_than_the_json_reader():
+    # built in memory, not parsed: one frame per proof level reads 700 levels,
+    # which two frames per level (about 490 at most) would not
+    node = {"sequent": {"ante": ["p"], "succ": ["p"]}, "rule": "Axiom", "principal": None, "side": None, "premises": []}
+    for _ in range(700):
+        node = {"sequent": {"ante": ["p"], "succ": ["p"]}, "rule": "WeakL", "principal": "p", "side": None, "premises": [node]}
+    proof = proof_from_json(node)
+    for _ in range(700):
+        proof = proof.premises[0]
+    assert proof.rule.value == "Axiom" and not proof.premises
+
+
 def test_proof_from_json_errors():
     with pytest.raises(ParseError):
         proof_from_json({"rule": "NoSuchRule", "sequent": {"ante": [], "succ": []}, "premises": []})

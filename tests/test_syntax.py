@@ -33,6 +33,7 @@ from ciore.syntax import (
     instantiate,
     is_literal,
     is_propositional,
+    quantifier_depth,
     subformulas,
     substitute,
     terms,
@@ -310,3 +311,16 @@ def test_copy_deepcopy_and_pickle_return_the_interned_node():
     assert And(p, q) is both
     assert (both.left, both.right) == (p, q)
     assert format_formula(both) == "p & q"
+
+
+def test_quantifier_depth():
+    for text, depth in [
+        ("P(a1) & q", 0),
+        ("forall x. P(x)", 1),
+        ("(forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)", 2),
+        ("~o (forall x. P(x) | exists y. forall z. R(y, z))", 3),
+        ("exists x. (forall y. P(y)) & P(x)", 2),
+    ]:
+        assert quantifier_depth(parse_formula(text)) == depth, text
+    nested = "".join(f"forall y{i}. " for i in range(1, 91)) + "P(y1)"
+    assert quantifier_depth(parse_formula(nested)) == 90
