@@ -343,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("internal error: input nested too deeply for the recursive traversals", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

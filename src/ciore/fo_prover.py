@@ -75,8 +75,9 @@ DEFAULT_MAX_DEPTH = 400
 #: Finite structures the refuter tries after the stage loop gives up, and
 #: the most points one of them may hold in a predicate's table (size ** arity
 #: rows) or reach in checking the goal (size ** (free variables + quantifier
-#: nesting): each assignment, and each instance under a quantifier, is one
-#: point). A domain size is tried only while both stay within it.
+#: nesting): each assignment, and under it each value of the bound variables
+#: of nested quantifiers, is one point). A domain size is tried only while
+#: both stay within it.
 REFUTER_STRUCTURES = 64
 REFUTER_POINTS = 64
 

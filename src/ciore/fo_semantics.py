@@ -4,7 +4,9 @@ A predicate denotes a triple: a partition of the tuple space into a true
 part, a false part and an inconsistent part. Formulas denote triples over
 assignment tuples: the connectives are the matrix's own truth functions
 (`matrix.evaluate` on bit sets over a list of assignment points, bit j for
-point j), the quantifiers the value functions below.
+point j). A quantifier gives its bound variable one more column of the
+points and folds each point's block of values (`_leaf`), as the Tarskian
+clause does over s[x -> m] for every domain element m.
 """
 
 from __future__ import annotations
@@ -17,17 +19,7 @@ from . import syntax
 from .errors import LogicError
 from .matrix import HALF, ONE, VALUE_ORDER, ZERO, Leaf, TruthValue, evaluate, falsified
 from .sequents import Sequent
-from .syntax import (
-    BoundVar,
-    Const,
-    Forall,
-    Formula,
-    FreeVar,
-    PredAtom,
-    PropAtom,
-    Term,
-    fresh_free_variables,
-)
+from .syntax import BoundVar, Const, Forall, Formula, FreeVar, PredAtom, PropAtom, Term
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,27 +52,6 @@ class Triple:
         if x in self.minus:
             return ZERO
         raise LogicError(f"{x!r} is not in the triple's universe")
-
-
-def tilde_forall(values: frozenset[TruthValue] | set[TruthValue]) -> TruthValue:
-    """Universal quantifier on a nonempty set of attained values."""
-    if not values:
-        raise LogicError("quantifier value function needs a nonempty value set")
-    if ZERO in values:
-        return ZERO
-    if ONE in values:
-        return ONE
-    return HALF
-
-
-def tilde_exists(values: frozenset[TruthValue] | set[TruthValue]) -> TruthValue:
-    if not values:
-        raise LogicError("quantifier value function needs a nonempty value set")
-    if values == {HALF}:
-        return HALF
-    if values == {ZERO}:
-        return ZERO
-    return ONE
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +101,12 @@ Assignment = Mapping[str, str]
 
 
 def eval_term(t: Term, st: Structure, s: Assignment) -> str:
-    if isinstance(t, FreeVar):
+    if isinstance(t, (FreeVar, BoundVar)):
         try:
             return s[t.name]
         except KeyError:
-            raise LogicError(f"assignment does not cover variable {t.name}") from None
-    if isinstance(t, BoundVar):
-        raise LogicError(f"dangling bound variable {t.name}")
+            problem = "assignment does not cover variable" if isinstance(t, FreeVar) else "dangling bound variable"
+            raise LogicError(f"{problem} {t.name}") from None
     if isinstance(t, Const):
         try:
             return st.constants[t.name]
@@ -161,6 +131,8 @@ def denote(phi: Formula, st: Structure, variables: tuple[str, ...] | None = None
         variables = _sorted_vars(free)
     if not free <= set(variables):
         raise LogicError("variable list does not cover the formula's free variables")
+    if not all(map(syntax.is_free_var_name, variables)):
+        raise LogicError("variable list names a variable outside the free-variable namespace")
     points = list(itertools.product(st.domain, repeat=len(variables)))
     zero, half = evaluate(phi, _leaf(st, variables, points), (1 << len(points)) - 1)
     universe = frozenset(points)
@@ -177,9 +149,13 @@ def _leaf(st: Structure, variables: tuple[str, ...], points: list) -> Leaf:
     """The leaf for `matrix.evaluate` over `points`, a list of tuples of
     domain elements for `variables`: the (zero, half) pair of an atom or a
     quantified formula whose free variables `variables` cover, as bit sets,
-    bit j standing for points[j]. A quantifier evaluates a fresh-variable
-    instance over each point's block of |domain| extended points and folds
-    the block's values."""
+    bit j standing for points[j]. A quantifier evaluates its body with its
+    bound variable as one more column, over each point's block of |domain|
+    extended points, and folds the block: 1/2 where the whole block is 1/2;
+    else 0 where some bit is 0 (forall) or every bit is (exists); else 1. A
+    quantifier whose variable is already a column denotes its body, as
+    `syntax.instantiate` lets the outer binder take the inner occurrences."""
+    top = (1 << len(points)) - 1
 
     def leaf(psi: Formula) -> tuple[int, int]:
         if isinstance(psi, PropAtom):
@@ -199,27 +175,18 @@ def _leaf(st: Structure, variables: tuple[str, ...], points: list) -> Leaf:
                 elif value is HALF:
                     half |= 1 << j
             return zero, half
-        fresh = next(fresh_free_variables(syntax.free_variables(psi) | set(variables)))
+        if psi.var in variables:
+            return evaluate(psi.body, leaf, top)
         extended = [combo + (m,) for combo in points for m in st.domain]
-        instance = syntax.instantiate(psi, FreeVar(fresh))
-        sub_zero, sub_half = evaluate(instance, _leaf(st, variables + (fresh,), extended), (1 << len(extended)) - 1)
-        tilde = tilde_forall if isinstance(psi, Forall) else tilde_exists
+        sub_zero, sub_half = evaluate(psi.body, _leaf(st, variables + (psi.var,), extended), (1 << len(extended)) - 1)
         size = len(st.domain)
         block = (1 << size) - 1
         for j in range(len(points)):
             z, h = sub_zero >> j * size & block, sub_half >> j * size & block
-            values = set()
-            if z:
-                values.add(ZERO)
-            if h:
-                values.add(HALF)
-            if z | h != block:
-                values.add(ONE)
-            value = tilde(values)
-            if value is ZERO:
-                zero |= 1 << j
-            elif value is HALF:
+            if h == block:
                 half |= 1 << j
+            elif z if isinstance(psi, Forall) else z == block:
+                zero |= 1 << j
         return zero, half
 
     return leaf

@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from ciore.errors import LogicError
 from ciore.fo_semantics import Structure, Triple, denote, eval_term, fo_sequent_satisfied
 from ciore.matrix import (
     HALF,
@@ -93,6 +94,30 @@ def table_value(phi: Formula, v: Valuation) -> TruthValue:
     if isinstance(phi, (Neg, Circ)):
         return TABLES[type(phi)][table_value(phi.body, v)]
     return TABLES[type(phi)][table_value(phi.left, v), table_value(phi.right, v)]
+
+
+def tilde_forall(values: frozenset[TruthValue] | set[TruthValue]) -> TruthValue:
+    """The universal quantifier's value function on a nonempty set of
+    attained values, as the definition states it: the reference that
+    `fo_semantics`'s fold of a block of bits is tested against."""
+    if not values:
+        raise LogicError("quantifier value function needs a nonempty value set")
+    if ZERO in values:
+        return ZERO
+    if ONE in values:
+        return ONE
+    return HALF
+
+
+def tilde_exists(values: frozenset[TruthValue] | set[TruthValue]) -> TruthValue:
+    """The existential quantifier's value function, as `tilde_forall`."""
+    if not values:
+        raise LogicError("quantifier value function needs a nonempty value set")
+    if values == {HALF}:
+        return HALF
+    if values == {ZERO}:
+        return ZERO
+    return ONE
 
 
 def oracle_countermodel(s: Sequent) -> dict[str, TruthValue] | None:
@@ -543,7 +568,7 @@ from dataclasses import field  # noqa: E402
 from functools import lru_cache  # noqa: E402
 from typing import Mapping, Sequence  # noqa: E402
 
-from ciore.errors import InternalError, LogicError  # noqa: E402
+from ciore.errors import InternalError  # noqa: E402
 from ciore.prop_prover import Refuted, Verdict, decide  # noqa: E402
 from ciore.sequents import Proof, proof_error, rule_instance_error  # noqa: E402
 from ciore.syntax import (  # noqa: E402

@@ -351,6 +351,22 @@ def test_undecodable_json_file_is_input_error(tmp_path, capsys):
     assert code == 65 and out == ""
 
 
+def test_out_of_memory_is_internal_error(tmp_path, capsys, monkeypatch):
+    # Python itself exits 1 on an uncaught MemoryError, which would read as
+    # a negative answer
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("ciore.cli.fo_sequent_valid_in", exhausted)
+    monkeypatch.setattr("ciore.cli.falsifying_assignment", exhausted)
+    path = tmp_path / "structure.json"
+    st = Structure(domain=("0",), predicates={"P": Triple.from_values((("0",),), {("0",): ONE})})
+    path.write_text(json.dumps(structure_to_json(st)))
+    for command in ("validity", "countermodel"):
+        code, out, err = run(capsys, command, "--structure", str(path), "|- P(a1)")
+        assert (code, out, err) == (70, "", "internal error: out of memory\n"), command
+
+
 # ---------------------------------------------------------------------------
 # Exit code 1 means a negative answer and nothing else
 

@@ -16,8 +16,6 @@ from ciore.fo_semantics import (
     fo_sequent_valid_in,
     structure_from_json,
     structure_to_json,
-    tilde_exists,
-    tilde_forall,
 )
 from ciore.matrix import HALF, ONE, VALUE_ORDER, ZERO
 from ciore.parsing import parse_formula, parse_sequent
@@ -48,6 +46,8 @@ from helpers import (
     kernel_triple,
     quantifier_axioms,
     structure_signature,
+    tilde_exists,
+    tilde_forall,
     tuple_space,
     valid_in,
     var_sorted,
@@ -119,6 +119,61 @@ def test_tilde_tables_exhaustive():
         assert tilde_exists(set(subset)) is want
     with pytest.raises(LogicError):
         tilde_forall(set())
+
+
+def test_quantifier_fold_matches_value_functions():
+    # one 3-element structure per nonempty value set, P taking exactly that set
+    domain = ("m0", "m1", "m2")
+    body = PredAtom("P", (BoundVar("x"),))
+    for size in (1, 2, 3):
+        for attained in itertools.combinations(VALUE_ORDER, size):
+            values = {(m,): attained[i % size] for i, m in enumerate(domain)}
+            st = Structure(domain=domain, predicates={"P": Triple.from_values(values, values)})
+            assert denote(Forall("x", body), st).value_at(()) is tilde_forall(set(attained)), attained
+            assert denote(Exists("x", body), st).value_at(()) is tilde_exists(set(attained)), attained
+
+
+def test_nested_and_rebinding_quantifiers_match_component_formulas():
+    x, y = BoundVar("x"), BoundVar("y")
+    r = PredAtom("R", (x, y))
+    formulas = [
+        Forall("x", Exists("y", r)),
+        Exists("y", Forall("x", r)),
+        Forall("x", Exists("y", Forall("x", r))),
+        # the constructors accept a binder that rebinds its name; the outer
+        # binder takes the inner occurrences, as in `syntax.instantiate`
+        Forall("x", Exists("x", PredAtom("P", (x,)))),
+    ]
+    for st in enumerate_structures(("m0", "m1"), {"R": 2, "P": 1}):
+        for phi in formulas:
+            assert denote(phi, st) == denote_components(phi, st, ()), (phi, structure_to_json(st))
+
+
+def test_model_checking_substitutes_nothing(monkeypatch):
+    # a quantifier's bound variable is one more column of the assignment
+    # points, read by eval_term; no instance of the body is built
+    goal = parse_sequent("forall x. exists y. R(x, y), P(a1) |- exists y. forall x. R(x, y)")
+    nested = parse_formula("forall x. exists y. o R(x, y) & P(y)")
+    structures = list(enumerate_structures(("m0", "m1"), {"R": 2, "P": 1}))
+    want = [(falsifying_assignment(st, goal), denote_components(nested, st, ())) for st in structures]
+    assert any(assignment is not None for assignment, _ in want)
+    assert any(assignment is None for assignment, _ in want)
+
+    def substituted(*args):
+        raise AssertionError("model checking substituted into a formula")
+
+    monkeypatch.setattr("ciore.syntax._replace_var", substituted)
+    for st, (assignment, triple) in zip(structures, want):
+        assert falsifying_assignment(st, goal) == assignment
+        assert fo_sequent_valid_in(st, goal) is (assignment is None)
+        assert denote(nested, st) == triple
+    st = _example_structure()
+    assert eval_term(BoundVar("x"), st, {"x": "1"}) == "1"
+    with pytest.raises(LogicError, match="dangling bound variable x"):
+        eval_term(BoundVar("x"), st, {"a1": "1"})
+    # a bound name among the caller's columns would be read as bound outside
+    with pytest.raises(LogicError, match="free-variable namespace"):
+        denote(parse_formula("forall x. P(x)"), st, ("x",))
 
 
 def _example_structure():
