@@ -1,23 +1,28 @@
 """Command-line front end.
 
 Subcommands: prove, validity, countermodel, check-proof, reduction-tree,
-selftest. Exit codes: 0 proved/valid/check passed, 1 refuted/invalid/check
-failed, 2 undetermined (budget or atom cap), 64 usage error, 65 parse or
-input error, 70 internal error.
+selftest. A goal with a quantifier or a predicate goes to the first-order
+prover, any other to the propositional one. Exit codes: 0 proved/valid/check
+passed, 1 refuted/invalid/check failed, 2 undetermined (budget or atom cap),
+64 usage error, 65 parse or input error, 70 internal error, 74 output error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import random
 import sys
 
 from . import fo_prover, prop_prover
 from .axioms import PROPOSITIONAL_SCHEMATA
 from .errors import AtomCapExceeded, InternalError, LogicError, ParseError, UsageError
-from .fo_semantics import falsifying_assignment, fo_sequent_valid_in, structure_from_json
+from .fo_semantics import falsifying_assignment, structure_from_json
 from .matrix import (
+    DEFAULT_ATOM_CAP,
     TruthValue,
     eval_formula,
     find_countermodel,
@@ -37,6 +42,7 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
+EXIT_IOERR = 74
 
 #: Exit code of each verdict status, shared by both provers' verdicts.
 _VERDICT_EXIT = {"proved": EXIT_OK, "refuted": EXIT_NEGATIVE, "unknown": EXIT_UNKNOWN}
@@ -57,56 +63,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ciore", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: _Parser) -> None:
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--fo", action="store_true", help="use the first-order prover")
-        p.add_argument("--depth", type=_positive_int, default=fo_prover.DEFAULT_MAX_DEPTH, help="stage budget of the first-order search")
-        p.add_argument("--nodes", type=_positive_int, default=fo_prover.DEFAULT_MAX_NODES, help="node budget of the first-order search")
-        p.add_argument("--atom-cap", type=_positive_int, default=None, help="propositional atom cap (default 12, or CIORE_ATOM_CAP)")
-
-    p = sub.add_parser("prove", help="prove a sequent or produce a countermodel")
-    p.add_argument("sequent")
-    common(p)
-
-    p = sub.add_parser("validity", help="report valid/invalid")
-    p.add_argument("sequent")
-    p.add_argument("--structure", metavar="FILE", help="check validity inside this structure (JSON)")
-    common(p)
-
-    p = sub.add_parser("countermodel", help="print a countermodel if one exists")
-    p.add_argument("sequent")
-    p.add_argument("--structure", metavar="FILE", help="look for a falsifying assignment inside this structure")
-    common(p)
-
-    p = sub.add_parser("check-proof", help="check a proof object (JSON from FILE or '-')")
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--allow-cut", action="store_true")
-    p.add_argument(
-        "--calculus",
-        choices=["gciore", "gciore-prime", "gqciore"],
-        default=None,
-        help="calculus to check against (default: gqciore with --fo, else either propositional calculus)",
-    )
-    common(p)
-
-    p = sub.add_parser("reduction-tree", help="dump the first-order search tree")
-    p.add_argument("sequent")
-    common(p)
-
-    p = sub.add_parser("selftest", help="run the built-in regression suites")
-    common(p)
-    return parser
-
-
-def _parse_goal(text: str, fo: bool) -> Sequent:
-    s = parse_sequent(text)
-    if not fo and not all(is_propositional(phi) for phi in s.ante | s.succ):
-        raise UsageError("quantified or predicate input needs --fo (or --structure)")
-    return s
+def _first_order(s: Sequent) -> bool:
+    return not all(map(is_propositional, s.ante | s.succ))
 
 
 def _emit(data, as_json: bool, text: str | None = None) -> None:
@@ -116,11 +74,16 @@ def _emit(data, as_json: bool, text: str | None = None) -> None:
         print(text if text is not None else data)
 
 
+def _emit_verdict(verdict, as_json: bool) -> int:
+    _emit(verdict_to_json(verdict) if as_json else None, as_json, describe_verdict(verdict))
+    return _VERDICT_EXIT[verdict.status]
+
+
 def _read_json(path: str, convert):
     """convert applied to the JSON from the file, or from standard input for
-    '-'. The JSON reader recurses once per nesting level, and
-    `proof_from_json` once per proof level, so input nested past Python's
-    recursion limit is an input error."""
+    '-'. A file that cannot be opened or read is an input error. The JSON
+    reader recurses once per nesting level, and `proof_from_json` once per
+    proof level, so input nested past Python's recursion limit is one too."""
     try:
         if path == "-":
             return convert(json.loads(sys.stdin.read()))
@@ -130,76 +93,67 @@ def _read_json(path: str, convert):
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("JSON nested too deeply to read (past Python's recursion limit)") from None
+    except OSError as exc:
+        raise LogicError(str(exc)) from exc
 
 
 def _cmd_prove(args) -> int:
-    s = _parse_goal(args.sequent, args.fo)
-    if args.fo:
+    s = parse_sequent(args.sequent)
+    if _first_order(s):
         verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
     else:
         verdict = decide(s, atom_cap=args.atom_cap)
-    _emit(verdict_to_json(verdict) if args.json else None, args.json, describe_verdict(verdict))
-    return _VERDICT_EXIT[verdict.status]
+    return _emit_verdict(verdict, args.json)
+
+
+def _search(args):
+    """The countermodel of the goal that `validity` and `countermodel`
+    report, None when the goal is valid: a falsifying assignment in the
+    given structure (`{"assignment": ...}`) or a valuation, as JSON, or the
+    first-order prover's `Refuted` or `Unknown` verdict."""
+    s = parse_sequent(args.sequent)
+    if args.structure:
+        assignment = falsifying_assignment(_read_json(args.structure, structure_from_json), s)
+        return None if assignment is None else {"assignment": assignment}
+    if _first_order(s):
+        verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
+        return None if verdict.status == "proved" else verdict
+    valuation = find_countermodel(s, atom_cap=args.atom_cap)
+    return None if valuation is None else valuation_to_json(valuation)
 
 
 def _cmd_validity(args) -> int:
-    s = _parse_goal(args.sequent, args.fo or bool(args.structure))
-    if args.structure:
-        st = _read_json(args.structure, structure_from_json)
-        ok = fo_sequent_valid_in(st, s)
-        _emit({"status": "valid" if ok else "invalid"}, args.json, "valid" if ok else "invalid")
-        return EXIT_OK if ok else EXIT_NEGATIVE
-    if args.fo:
-        verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
-        code = _VERDICT_EXIT[verdict.status]
-        if code == EXIT_UNKNOWN:
-            _emit(verdict_to_json(verdict) if args.json else None, args.json, describe_verdict(verdict))
-            return code
-        ok = code == EXIT_OK
-    else:
-        ok = matrix_valid(s, atom_cap=args.atom_cap)
+    found = _search(args)
+    if getattr(found, "status", None) == "unknown":
+        return _emit_verdict(found, args.json)
+    ok = found is None
     _emit({"status": "valid" if ok else "invalid"}, args.json, "valid" if ok else "invalid")
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _cmd_countermodel(args) -> int:
-    s = _parse_goal(args.sequent, args.fo or bool(args.structure))
-    valid = {"status": "valid"}
-    if args.structure:
-        st = _read_json(args.structure, structure_from_json)
-        assignment = falsifying_assignment(st, s)
-        if assignment is not None:
-            print(json.dumps({"assignment": assignment}, sort_keys=True))
-            return EXIT_NEGATIVE
-        _emit(valid, args.json, "valid in the given structure")
+    """The countermodel is printed as JSON with or without --json."""
+    found = _search(args)
+    if found is None:
+        _emit({"status": "valid"}, args.json, "valid in the given structure" if args.structure else "valid")
         return EXIT_OK
-    if args.fo:
-        verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
-        code = _VERDICT_EXIT[verdict.status]
-        if code == EXIT_NEGATIVE:
-            print(json.dumps(verdict_to_json(verdict), indent=2, sort_keys=True))
-        elif code == EXIT_UNKNOWN:
-            _emit(verdict_to_json(verdict), args.json, describe_verdict(verdict))
-        else:
-            _emit(valid, args.json, "valid")
-        return code
-    cm = find_countermodel(s, atom_cap=args.atom_cap)
-    if cm is None:
-        _emit(valid, args.json, "valid")
-        return EXIT_OK
-    print(json.dumps(valuation_to_json(cm), sort_keys=True))
-    return EXIT_NEGATIVE
+    if isinstance(found, dict):
+        print(json.dumps(found, sort_keys=True))
+        return EXIT_NEGATIVE
+    return _emit_verdict(found, args.json or found.status == "refuted")
+
+
+_CALCULI = {
+    "gciore": [Calculus.GCIORE],
+    "gciore-prime": [Calculus.GCIORE_PRIME],
+    "gqciore": [Calculus.GQCIORE],
+}
 
 
 def _cmd_check_proof(args) -> int:
     proof = _read_json(args.file, proof_from_json)
-
-    chosen = {
-        "gciore": [Calculus.GCIORE],
-        "gciore-prime": [Calculus.GCIORE_PRIME],
-        "gqciore": [Calculus.GQCIORE],
-    }.get(args.calculus or ("gqciore" if args.fo else ""), [Calculus.GCIORE, Calculus.GCIORE_PRIME])
-
+    default = "gqciore" if _first_order(proof.sequent) else ""
+    chosen = _CALCULI.get(args.calculus or default, [Calculus.GCIORE, Calculus.GCIORE_PRIME])
     errors = [proof_error(proof, calc, allow_cut=args.allow_cut) for calc in chosen]
     ok = any(err is None for err in errors)
     if args.json:
@@ -309,19 +263,54 @@ def _cmd_selftest(args) -> int:
     return EXIT_NEGATIVE if failed else EXIT_OK
 
 
+#: Every argument of the command line; each subcommand takes those that
+#: `_COMMANDS` names for it.
+_ARGUMENTS = {
+    "sequent": dict(help="the goal, a sequent in the text grammar"),
+    "file": dict(nargs="?", default="-", help="proof object as JSON ('-', the default, for standard input)"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--depth": dict(type=_positive_int, default=fo_prover.DEFAULT_MAX_DEPTH, help="stage budget of the search on a first-order goal"),
+    "--nodes": dict(type=_positive_int, default=fo_prover.DEFAULT_MAX_NODES, help="node budget of the search on a first-order goal"),
+    "--atom-cap": dict(type=_positive_int, default=None, help=f"most atoms a propositional goal may have (default {DEFAULT_ATOM_CAP})"),
+    "--structure": dict(metavar="FILE", help="decide the goal inside this finite structure (JSON)"),
+    "--allow-cut": dict(action="store_true", help="accept proofs that use cut"),
+    "--calculus": dict(
+        choices=list(_CALCULI),
+        help="calculus to check against (default: gqciore for a first-order end sequent, else either propositional calculus)",
+    ),
+}
+
+_SEARCH_ARGUMENTS = ("sequent", "--json", "--depth", "--nodes", "--atom-cap")
+
+#: Each subcommand: its handler, its help line and the arguments it reads.
+_COMMANDS = {
+    "prove": (_cmd_prove, "prove a sequent or produce a countermodel", _SEARCH_ARGUMENTS),
+    "validity": (_cmd_validity, "report valid/invalid", _SEARCH_ARGUMENTS + ("--structure",)),
+    "countermodel": (_cmd_countermodel, "print a countermodel if one exists", _SEARCH_ARGUMENTS + ("--structure",)),
+    "check-proof": (_cmd_check_proof, "check a proof object", ("file", "--json", "--allow-cut", "--calculus")),
+    "reduction-tree": (_cmd_reduction_tree, "dump the first-order search tree", ("sequent", "--depth", "--nodes")),
+    "selftest": (_cmd_selftest, "run the built-in regression suites", ()),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="ciore", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for argument in arguments:
+            p.add_argument(argument, **_ARGUMENTS[argument])
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "prove": _cmd_prove,
-            "validity": _cmd_validity,
-            "countermodel": _cmd_countermodel,
-            "check-proof": _cmd_check_proof,
-            "reduction-tree": _cmd_reduction_tree,
-            "selftest": _cmd_selftest,
-        }[args.command]
-        return handler(args)
+        code = _COMMANDS[args.command][0](args)
+        if sys.stdout is not None:  # None when Python started with stdout closed
+            sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -335,8 +324,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        # Input files are read by `_read_json`, so this is a failed write.
+        # Python flushes stdout once more at exit and exits 120 if that
+        # fails too, so the output left unwritten goes to the null device.
+        print(f"output error: {exc}", file=sys.stderr)
+        with contextlib.suppress(io.UnsupportedOperation):  # a stream with no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IOERR
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -3,7 +3,8 @@
 
 class LogicError(Exception):
     """Misuse of the logical machinery (arity mismatch, quantifier where a
-    propositional formula is required, unbound atom, and so on)."""
+    propositional formula is required, unbound atom, and so on), or an
+    input file that cannot be read."""
 
 
 class ParseError(LogicError):
@@ -22,7 +23,7 @@ class AtomCapExceeded(LogicError):
 
 class UsageError(Exception):
     """A setting out of its range: a budget or cap that is not a positive
-    integer, from an option or from the environment."""
+    integer."""
 
 
 class InternalError(Exception):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from . import syntax
@@ -126,32 +125,18 @@ def sequent_satisfied(v: Valuation, s: Sequent) -> bool:
 # Exhaustive validity
 
 
-def effective_atom_cap(atom_cap: int | None) -> int:
-    """The given cap, else CIORE_ATOM_CAP, else the default; a positive integer."""
-    if atom_cap is None:
-        env = os.environ.get("CIORE_ATOM_CAP")
-        if not env:
-            return DEFAULT_ATOM_CAP
-        try:
-            atom_cap = int(env)
-        except ValueError:
-            atom_cap = 0
-        if atom_cap < 1:
-            raise UsageError(f"CIORE_ATOM_CAP must be a positive integer, got {env!r}")
-    elif atom_cap < 1:
-        raise UsageError(f"the atom cap must be a positive integer, got {atom_cap}")
-    return atom_cap
-
-
 def sequent_atoms(s: Sequent) -> tuple[str, ...]:
     return tuple(sorted(frozenset().union(*map(syntax.atoms, s.ante | s.succ))))
 
 
 def capped_atoms(s: Sequent, atom_cap: int | None) -> tuple[str, ...]:
     """The atoms of s, sorted; raises `AtomCapExceeded` when there are more
-    than `effective_atom_cap(atom_cap)`."""
+    than `atom_cap` (`DEFAULT_ATOM_CAP` when None), and `UsageError` for a
+    cap below 1."""
     names = sequent_atoms(s)
-    cap = effective_atom_cap(atom_cap)
+    cap = DEFAULT_ATOM_CAP if atom_cap is None else atom_cap
+    if cap < 1:
+        raise UsageError(f"the atom cap must be a positive integer, got {cap}")
     if len(names) > cap:
         raise AtomCapExceeded(f"sequent has {len(names)} atoms, cap is {cap}")
     return names

@@ -3,7 +3,11 @@ import io
 import json
 import os
 import random
+import shlex
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -18,6 +22,7 @@ from ciore.parsing import MAX_DEPTH, format_sequent, parse_sequent
 from ciore.randgen import random_fo_formula, random_sequent
 from ciore.sequents import Proved, Sequent
 from ciore.serialize import proof_to_json
+from ciore.syntax import is_propositional
 
 
 def run(capsys, *argv):
@@ -54,7 +59,7 @@ def test_countermodel_subcommand(capsys):
 
 
 def test_fo_prove_refuted_with_structure(capsys):
-    code, out, _ = run(capsys, "prove", "--fo", "--json", "exists x. P(x) |- forall x. P(x)")
+    code, out, _ = run(capsys, "prove", "--json", "exists x. P(x) |- forall x. P(x)")
     assert code == 1
     data = json.loads(out)
     assert data["status"] == "refuted"
@@ -91,11 +96,11 @@ def test_countermodel_json_is_json_for_every_answer(tmp_path, capsys):
     cases = [
         (["|- p | ~p"], 0, "valid"),
         (["--structure", str(path), "forall x. P(x) |- P(a1)"], 0, "valid in the given structure"),
-        (["--fo", "|- (o forall x. P(x)) -> exists x. o P(x)"], 0, "valid"),
+        (["|- (o forall x. P(x)) -> exists x. o P(x)"], 0, "valid"),
         # valid, but its tree closes only at stage 22
-        (["--fo", "--depth", "20", "|- (o forall x. P(x)) -> exists x. o P(x)"], 2, "unknown: "),
+        (["--depth", "20", "|- (o forall x. P(x)) -> exists x. o P(x)"], 2, "unknown: "),
         # the stage loop runs out of nodes; the finite refuter finds a structure
-        (["--fo", "--nodes", "5", swap], 1, "{"),
+        (["--nodes", "5", swap], 1, "{"),
     ]
     for args, want_code, text in cases:
         code, out, _ = run(capsys, "countermodel", *args)
@@ -114,15 +119,15 @@ def test_countermodel_json_is_json_for_every_answer(tmp_path, capsys):
 
 
 def test_validity_fo_routes_through_prover(capsys):
-    code, out, _ = run(capsys, "validity", "--fo", "|- (o forall x. P(x)) -> exists x. o P(x)")
+    code, out, _ = run(capsys, "validity", "|- (o forall x. P(x)) -> exists x. o P(x)")
     assert code == 0 and "valid" in out
-    code, out, _ = run(capsys, "validity", "--fo", "exists x. P(x) |- forall x. P(x)")
+    code, out, _ = run(capsys, "validity", "exists x. P(x) |- forall x. P(x)")
     assert code == 1 and "invalid" in out
     late = "|- (o forall x. P(x)) -> exists x. o P(x)"  # its tree closes at stage 22
-    code, out, _ = run(capsys, "validity", "--fo", "--depth", "20", late)
+    code, out, _ = run(capsys, "validity", "--depth", "20", late)
     assert code == 2 and "unknown" in out
     swap = "|- (forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)"
-    code, out, _ = run(capsys, "validity", "--fo", "--nodes", "40", "--depth", "20", swap)
+    code, out, _ = run(capsys, "validity", "--nodes", "40", "--depth", "20", swap)
     assert code == 1 and "invalid" in out
     verdict = decide_fo(parse_sequent(swap), max_nodes=40, max_depth=20)
     assert isinstance(verdict, Refuted)
@@ -164,9 +169,84 @@ def test_reduction_tree_budget_exit(capsys):
     assert out.splitlines()[0].startswith("status=")
 
 
-def test_quantified_without_fo_is_usage_error(capsys):
-    code, _, err = run(capsys, "prove", "|- forall x. P(x)")
-    assert code == 64 and "--fo" in err
+def test_goal_language_picks_the_prover(capsys):
+    code, out, _ = run(capsys, "prove", "exists x. P(x) |- forall x. P(x)")
+    assert (code, out) == (1, "refuted by a structure with domain {a2, a3}\n")
+    # a sequent with no formula is propositional
+    code, out, _ = run(capsys, "prove", "|-")
+    assert (code, out) == (1, "refuted by the empty valuation\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--nodes", "5"],
+        ["reduction-tree", "--json", "|- P(a1)"],
+        ["check-proof", "--depth", "3"],
+        ["prove", "--fo", "|- P(a1)"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "") and "unrecognized arguments" in err
+
+
+def test_check_proof_default_calculus_follows_the_end_sequent(tmp_path, capsys):
+    code, out, _ = run(capsys, "prove", "--json", "forall x. P(x) |- P(a1)")
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(json.loads(out)["proof"]))
+    assert run(capsys, "check-proof", str(path))[:2] == (0, "proof checked: forall x. P(x) |- P(a1)\n")
+    code, out, _ = run(capsys, "check-proof", "--calculus", "gciore", str(path))
+    assert code == 1 and out.startswith("proof rejected: ")
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_readme_command_lines_are_accepted(tmp_path, capsys, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 9 and all(argv for argv in commands)
+    st = Structure(domain=("m0",), predicates={"P": Triple.from_values((("m0",),), {("m0",): ONE})})
+    (tmp_path / "st.json").write_text(json.dumps(structure_to_json(st)))
+    proof = prop_prover.decide(parse_sequent("|- o o p")).proof
+    (tmp_path / "proof.json").write_text(json.dumps(proof_to_json(proof)))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code != 64, (argv, err)
+
+
+def _closed_reader_exit(argv: list[str], read: int) -> tuple[int, str]:
+    """The exit code and standard error of the command line when the reader
+    of its standard output closes the pipe after `read` bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    reader, writer = os.pipe()
+    if not read:
+        os.close(reader)  # the pipe has no reader before the command writes
+    with subprocess.Popen([sys.executable, "-m", "ciore.cli", *argv], stdout=writer, stderr=subprocess.PIPE, env=env) as child:
+        os.close(writer)
+        if read:
+            os.read(reader, read)
+            os.close(reader)
+        err = child.stderr.read().decode()
+    return child.returncode, err
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # 111 kB of JSON, past the pipe's buffer: a write fails while the command runs
+        (["prove", "--json", "|- " + "o " * 30 + "p"], 10),
+        # a few bytes, written only by the flush at the end of `main`
+        (["prove", "|- p"], 0),
+    ],
+)
+def test_closed_output_pipe_is_output_error(argv, read):
+    code, err = _closed_reader_exit(argv, read)
+    assert (code, err) == (74, "output error: [Errno 32] Broken pipe\n")
 
 
 def test_parse_error_exit(capsys):
@@ -180,11 +260,6 @@ def test_atom_cap_exit(capsys):
     assert code == 2 and "cap" in err
 
 
-def test_atom_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CIORE_ATOM_CAP", "20")
-    goal = " | ".join(f"v{i}" for i in range(13))
-    code, _, _ = run(capsys, "prove", f"|- {goal}")
-    assert code == 1  # now refutable instead of capped
 
 
 def test_check_proof_round_trip(tmp_path, capsys):
@@ -254,17 +329,23 @@ def test_missing_file_is_input_error(capsys):
 def test_non_positive_budgets_and_caps_are_usage_errors(capsys, flags):
     code, _, err = run(capsys, "prove", *flags, "|- p")
     assert code == 64 and "positive integer" in err
-    code, _, _ = run(capsys, "prove", "--fo", *flags, "|- P(a1)")
+    code, _, _ = run(capsys, "prove", *flags, "|- P(a1)")
     assert code == 64
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_bad_atom_cap_env_is_usage_error(capsys, monkeypatch, value):
+@pytest.mark.parametrize("value", ["2", "20", "abc", "0", "-3", "1.5"])
+def test_atom_cap_environment_is_ignored(capsys, monkeypatch, value):
     monkeypatch.setenv("CIORE_ATOM_CAP", value)
-    code, _, err = run(capsys, "prove", "|- p")
-    assert code == 64 and "CIORE_ATOM_CAP" in err
-    code, _, _ = run(capsys, "validity", "|- p | ~p")
-    assert code == 64
+    goal = " | ".join(f"v{i}" for i in range(13))
+    code, _, err = run(capsys, "prove", f"|- {goal}")
+    assert code == 2 and "cap is 12" in err
+    assert run(capsys, "validity", "|- p | ~p")[0] == 0
+
+
+def test_selftest_ignores_atom_cap_environment(capsys, monkeypatch):
+    monkeypatch.setenv("CIORE_ATOM_CAP", "2")  # below the 3 atoms of the axiom instances
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0 and out.count("ok") == 4
 
 
 def test_too_deep_input_is_input_error_not_refutation(capsys):
@@ -332,13 +413,12 @@ def test_malformed_structure_is_input_error(tmp_path, capsys, text):
 def test_malformed_proof_field_is_input_error(tmp_path, capsys, goal, field, value):
     # a field of the wrong JSON type is neither a crash nor read as a list
     # (a string's characters as formulas, an object's keys as premises)
-    fo = ["--fo"] if "P(" in goal else []
-    code, out, _ = run(capsys, "prove", "--json", *fo, goal)
+    code, out, _ = run(capsys, "prove", "--json", goal)
     proof = json.loads(out)["proof"]
     (proof["sequent"] if field in ("ante", "succ") else proof)[field] = value
     path = tmp_path / "proof.json"
     path.write_text(json.dumps(proof))
-    code, out, err = run(capsys, "check-proof", *fo, str(path))
+    code, out, err = run(capsys, "check-proof", str(path))
     assert code == 65 and out == "", err
 
 
@@ -357,7 +437,6 @@ def test_out_of_memory_is_internal_error(tmp_path, capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr("ciore.cli.fo_sequent_valid_in", exhausted)
     monkeypatch.setattr("ciore.cli.falsifying_assignment", exhausted)
     path = tmp_path / "structure.json"
     st = Structure(domain=("0",), predicates={"P": Triple.from_values((("0",),), {("0",): ONE})})
@@ -384,25 +463,15 @@ def _fo_goal(seed: int) -> str:
     return format_sequent(Sequent.make(side(), side()))
 
 
-# (goal text, whether it needs --fo)
-_PROP_GOALS = st.integers(0, 10**6).map(lambda seed: (_prop_goal(seed), False))
-_FO_GOALS = st.integers(0, 10**6).map(lambda seed: (_fo_goal(seed), True))
+_PROP_GOALS = st.integers(0, 10**6).map(_prop_goal)
+_FO_GOALS = st.integers(0, 10**6).map(_fo_goal)
 _GOALS = st.one_of(
     _PROP_GOALS,
     _PROP_GOALS,
     _FO_GOALS,
     _FO_GOALS,
-    st.sampled_from(
-        [
-            ("|-", False),
-            ("p |- p", False),
-            ("|- " + "~" * 3000 + "p", False),
-            ("forall x. P(x) |- P(a1)", True),
-            ("P(c) |- P(c)", True),
-            ("p &", False),
-        ]
-    ),
-    st.text(alphabet="pqo~&|->(), PRxa1.", max_size=16).map(lambda text: (text, False)),
+    st.sampled_from(["|-", "p |- p", "|- " + "~" * 3000 + "p", "forall x. P(x) |- P(a1)", "P(c) |- P(c)", "p &"]),
+    st.text(alphabet="pqo~&|->(), PRxa1.", max_size=16),
 )
 
 _STRUCTURE = json.dumps(
@@ -443,12 +512,16 @@ _PROOF_FILES = st.sampled_from(["proof", "proof", "mutated", "mutated", "{", "[]
 
 
 def _proof_file(kind: str, goal: str) -> str:
-    """A proof of the goal (of  |- o o p  if the goal has none), the same
-    proof with its last rule changed, or malformed JSON."""
+    """A proof of the goal from its own prover (of  |- o o p  if the goal
+    has none), the same proof with its last rule changed, or malformed JSON."""
     if kind not in ("proof", "mutated"):
         return kind
     try:
-        verdict = prop_prover.decide(parse_sequent(goal))
+        s = parse_sequent(goal)
+        if all(map(is_propositional, s.ante | s.succ)):
+            verdict = prop_prover.decide(s)
+        else:
+            verdict = decide_fo(s, max_nodes=40, max_depth=20)
     except (LogicError, RecursionError):
         verdict = None
     if not isinstance(verdict, Proved):
@@ -470,64 +543,60 @@ def _shows_negative_answer(command: str, out: str) -> bool:
 
 
 # at most one setting out of range per call
-_BAD_SETTING = st.sampled_from(
-    [None] * 24 + [("--nodes", "0"), ("--nodes", "-3"), ("--depth", "0"), ("--atom-cap", "-1"), ("env", "abc"), ("env", "0")]
-)
+_BAD_SETTING = st.sampled_from([None] * 24 + [("--nodes", "0"), ("--nodes", "-3"), ("--depth", "0"), ("--atom-cap", "-1")])
+
+_SEARCH_OPTIONS = {"--json", "--depth", "--nodes", "--atom-cap"}
+
+#: The options each subcommand takes, apart from --structure and the proof
+#: file, which the test passes itself.
+_TAKES = {
+    "prove": _SEARCH_OPTIONS,
+    "validity": _SEARCH_OPTIONS,
+    "countermodel": _SEARCH_OPTIONS,
+    "reduction-tree": {"--depth", "--nodes"},
+    "check-proof": {"--json"},
+}
 
 
 @given(
-    command=st.sampled_from(["prove", "validity", "countermodel", "reduction-tree", "check-proof"]),
+    command=st.sampled_from(sorted(_TAKES)),
     goal=_GOALS,
-    flip_fo=st.sampled_from([False, False, False, True]),
     as_json=st.booleans(),
     nodes=st.sampled_from([40, 5]),
     depth=st.sampled_from([20, 3]),
     atom_cap=st.sampled_from([None, 12, 1]),
-    atom_cap_env=st.sampled_from([None, "2"]),
     bad=_BAD_SETTING,
     structure=st.none() | st.none() | _STRUCTURE_FILES,
     proof=_PROOF_FILES,
 )
 @settings(max_examples=400, deadline=None)
-def test_exit_one_only_for_negative_answers(
-    command, goal, flip_fo, as_json, nodes, depth, atom_cap, atom_cap_env, bad, structure, proof
-):
-    goal, fo = goal[0], goal[1] != flip_fo
-    argv = [command, "--nodes", str(nodes), "--depth", str(depth)]
-    argv += ["--json"] if as_json else []
-    argv += ["--fo"] if fo else []
-    argv += ["--atom-cap", str(atom_cap)] if atom_cap is not None else []
-    if bad is not None and bad[0] == "env":
-        atom_cap_env = bad[1]
-    elif bad is not None:
-        argv += list(bad)
+def test_exit_one_only_for_negative_answers(command, goal, as_json, nodes, depth, atom_cap, bad, structure, proof):
+    options = [("--nodes", str(nodes)), ("--depth", str(depth))]
+    options += [("--json",)] if as_json else []
+    options += [("--atom-cap", str(atom_cap))] if atom_cap is not None else []
+    options += [bad] if bad is not None else []
+    argv = [command] + [arg for option in options if option[0] in _TAKES[command] for arg in option]
     proof_text = _proof_file(proof, goal) if command == "check-proof" else ""
-    saved_env = os.environ.pop("CIORE_ATOM_CAP", None)
-    if atom_cap_env is not None:
-        os.environ["CIORE_ATOM_CAP"] = atom_cap_env
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            if command == "check-proof":
-                argv.append(os.path.join(tmp, "proof.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "check-proof":
+            argv.append(os.path.join(tmp, "proof.json"))
+            with open(argv[-1], "w") as fh:
+                fh.write(proof_text)
+        else:
+            if structure is not None and command in ("validity", "countermodel"):
+                argv += ["--structure", os.path.join(tmp, "structure.json")]
                 with open(argv[-1], "w") as fh:
-                    fh.write(proof_text)
-            else:
-                if structure is not None and command in ("validity", "countermodel"):
-                    argv += ["--structure", os.path.join(tmp, "structure.json")]
-                    with open(argv[-1], "w") as fh:
-                        fh.write(structure)
-                argv.append(goal)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-    finally:
-        os.environ.pop("CIORE_ATOM_CAP", None)
-        if saved_env is not None:
-            os.environ["CIORE_ATOM_CAP"] = saved_env
+                    fh.write(structure)
+            argv.append(goal)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     event(f"{command} exit {code}")
     assert code in (0, 1, 2, 64, 65, 70), (argv, code, err.getvalue())
     if code == 1:
         assert _shows_negative_answer(command, out.getvalue()), (argv, out.getvalue(), err.getvalue())
-        if command in ("prove", "validity", "countermodel") and not fo and "--structure" not in argv:
-            # the matrix, which shares no code with the prover, agrees
-            assert find_countermodel(parse_sequent(goal), atom_cap=99) is not None, argv
+        if command in ("prove", "validity", "countermodel") and "--structure" not in argv:
+            s = parse_sequent(goal)
+            if all(map(is_propositional, s.ante | s.succ)):
+                # the matrix, which shares no code with the prover, agrees
+                assert find_countermodel(s, atom_cap=99) is not None, argv
