@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: prove, validity, countermodel, check-proof, reduction-tree,
-selftest. A goal with a quantifier or a predicate goes to the first-order
+Subcommands: prove, validity, countermodel, check-proof, reduction-tree.
+A goal with a quantifier or a predicate goes to the first-order
 prover, any other to the propositional one. Exit codes: 0 proved/valid/check
 passed, 1 refuted/invalid/check failed, 2 undetermined (budget or atom cap),
 64 usage error, 65 parse or input error, 70 internal error, 74 output error.
@@ -14,27 +14,17 @@ import contextlib
 import io
 import json
 import os
-import random
 import sys
 
-from . import fo_prover, prop_prover
-from .axioms import PROPOSITIONAL_SCHEMATA
+from . import fo_prover
 from .errors import AtomCapExceeded, InternalError, LogicError, ParseError, UsageError
 from .fo_semantics import falsifying_assignment, structure_from_json
-from .matrix import (
-    DEFAULT_ATOM_CAP,
-    TruthValue,
-    eval_formula,
-    find_countermodel,
-    matrix_valid,
-    valuation_to_json,
-)
+from .matrix import DEFAULT_ATOM_CAP, find_countermodel, valuation_to_json
 from .parsing import format_sequent, parse_sequent
-from .prop_prover import decide, theorem_suite
-from .randgen import random_formula
+from .prop_prover import decide
 from .sequents import Calculus, Sequent, proof_error
 from .serialize import describe_verdict, proof_from_json, verdict_to_json
-from .syntax import And, Circ, Imp, Neg, Or, PropAtom, is_propositional
+from .syntax import is_propositional
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -172,97 +162,6 @@ def _cmd_reduction_tree(args) -> int:
     return {"closed": EXIT_OK, "refuted": EXIT_NEGATIVE}.get(tree.status, EXIT_UNKNOWN)
 
 
-# ---------------------------------------------------------------------------
-# Self test
-
-# Expected truth tables, row operand first: 9 cells per binary connective,
-# 3 each for negation and consistency.
-_EXPECTED_CELLS = """
-1&1=1 1&h=1 1&0=0 h&1=1 h&h=h h&0=0 0&1=0 0&h=0 0&0=0
-1|1=1 1|h=1 1|0=1 h|1=1 h|h=h h|0=1 0|1=1 0|h=1 0|0=0
-1>1=1 1>h=1 1>0=0 h>1=1 h>h=h h>0=0 0>1=1 0>h=1 0>0=1
-~1=0 ~h=h ~0=1
-o1=1 oh=0 o0=1
-""".split()
-
-_VAL = {"1": TruthValue.ONE, "h": TruthValue.HALF, "0": TruthValue.ZERO}
-_P, _Q = PropAtom("p"), PropAtom("q")
-_CELL_FORMULAS = {"&": And(_P, _Q), "|": Or(_P, _Q), ">": Imp(_P, _Q), "~": Neg(_P), "o": Circ(_P)}
-
-
-def _selftest_truth_tables() -> list[str]:
-    failures = []
-    for cell in _EXPECTED_CELLS:
-        lhs, want = cell.split("=")
-        if lhs[0] in "~o":
-            op, v = lhs[0], {"p": _VAL[lhs[1]]}
-        else:
-            op, v = lhs[1], {"p": _VAL[lhs[0]], "q": _VAL[lhs[2]]}
-        got = eval_formula(_CELL_FORMULAS[op], v)
-        if got is not _VAL[want]:
-            failures.append(f"cell {cell}: got {got.value}")
-    return failures
-
-
-def _selftest_axioms() -> list[str]:
-    rng = random.Random(20240)
-    atoms = ["p", "q", "r", "s"]
-    failures = []
-    for name, schema in PROPOSITIONAL_SCHEMATA.items():
-        for _ in range(100):
-            inst = schema(*(random_formula(rng, atoms, 3) for _ in range(3)))
-            if not matrix_valid(Sequent.make((), (inst,))):
-                failures.append(f"axiom {name} instance refuted")
-                break
-    return failures
-
-
-def _selftest_theorems() -> list[str]:
-    failures = []
-    for name, s in theorem_suite():
-        verdict = decide(s)
-        if not isinstance(verdict, prop_prover.Proved):
-            failures.append(f"{name}: not proved")
-            continue
-        err = proof_error(verdict.proof, Calculus.GCIORE_PRIME, allow_cut=False)
-        if err is not None:
-            failures.append(f"{name}: {err}")
-    return failures
-
-
-def _selftest_fo() -> list[str]:
-    failures = []
-    for name, s in fo_prover.fo_regression_suite():
-        verdict = fo_prover.decide_fo(s)
-        if not isinstance(verdict, fo_prover.Proved):
-            failures.append(f"{name}: not proved")
-        elif verdict.proof.uses_cut():
-            failures.append(f"{name}: proof uses cut")
-    for name, proof in fo_prover.derived_quantifier_expansions():
-        err = proof_error(proof, Calculus.GQCIORE, allow_cut=True)
-        if err is not None:
-            failures.append(f"derived {name}: {err}")
-    return failures
-
-
-def _cmd_selftest(args) -> int:
-    suites = [
-        ("truth-tables", _selftest_truth_tables),
-        ("hilbert-axioms", _selftest_axioms),
-        ("theorems", _selftest_theorems),
-        ("fo-regression", _selftest_fo),
-    ]
-    failed = False
-    for name, run in suites:
-        failures = run()
-        if failures:
-            failed = True
-            print(f"FAIL {name}: {failures[0]}")
-        else:
-            print(f"ok   {name}")
-    return EXIT_NEGATIVE if failed else EXIT_OK
-
-
 #: Every argument of the command line; each subcommand takes those that
 #: `_COMMANDS` names for it.
 _ARGUMENTS = {
@@ -289,7 +188,6 @@ _COMMANDS = {
     "countermodel": (_cmd_countermodel, "print a countermodel if one exists", _SEARCH_ARGUMENTS + ("--structure",)),
     "check-proof": (_cmd_check_proof, "check a proof object", ("file", "--json", "--allow-cut", "--calculus")),
     "reduction-tree": (_cmd_reduction_tree, "dump the first-order search tree", ("sequent", "--depth", "--nodes")),
-    "selftest": (_cmd_selftest, "run the built-in regression suites", ()),
 }
 
 
@@ -307,9 +205,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if sys.stdout is None:  # Python started with descriptor 1 closed
+            print("output error: standard output is closed", file=sys.stderr)
+            return EXIT_IOERR
         code = _COMMANDS[args.command][0](args)
-        if sys.stdout is not None:  # None when Python started with stdout closed
-            sys.stdout.flush()
+        sys.stdout.flush()
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -33,14 +33,12 @@ from .sequents import (
     QUANTIFIER_RULES,
     RIGHT,
     Calculus,
-    DerivedRuleId,
     Proof,
     Proved,
     RuleId,
     Sequent,
     axiom_proof,
     check_proof,
-    expand_derived_rule,
     formula_key,
     rule_schema,
     rules_for,
@@ -485,30 +483,3 @@ def fo_regression_suite() -> list[tuple[str, Sequent]]:
         ("consistency-forall-via-exists", iff(Circ(forall_p), exists_circ_p)),
     ]
     return [(name, Sequent.make((), (phi,))) for name, phi in items]
-
-
-def derived_quantifier_expansions() -> list[tuple[str, Proof]]:
-    """The two quantifier-introduction derived rules, replayed on provable
-    premises; the expansions go through a cut."""
-    p_free = PredAtom("P", (FreeVar("a1"),))
-    p_bound = PredAtom("P", (BoundVar("x"),))
-    forall_p = Forall("x", p_bound)
-    exists_p = Exists("x", p_bound)
-
-    out = []
-    premise = decide_fo(Sequent.make((), (Imp(forall_p, p_free),)))
-    if not isinstance(premise, Proved):
-        raise InternalError("forall-elimination premise should be provable")
-    conclusion = Sequent.make((), (Imp(forall_p, forall_p),))
-    out.append(
-        ("forall-introduction", expand_derived_rule(DerivedRuleId.FORALL_INTRO, conclusion, [premise.proof]))
-    )
-    premise = decide_fo(Sequent.make((), (Imp(p_free, exists_p),)))
-    if not isinstance(premise, Proved):
-        raise InternalError("exists-introduction premise should be provable")
-    conclusion = Sequent.make((), (Imp(exists_p, exists_p),))
-    out.append(
-        ("exists-introduction", expand_derived_rule(DerivedRuleId.EXISTS_INTRO, conclusion, [premise.proof]))
-    )
-    return out
-

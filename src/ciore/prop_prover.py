@@ -32,18 +32,7 @@ from .sequents import (
     premises_from_schema,
     rules_for,
 )
-from .syntax import (
-    And,
-    Circ,
-    Formula,
-    Imp,
-    Neg,
-    Or,
-    PropAtom,
-    iff,
-    is_literal,
-    is_propositional,
-)
+from .syntax import Formula, Neg, PropAtom, is_literal, is_propositional
 
 R = RuleId
 
@@ -130,28 +119,3 @@ def decide(s: Sequent, atom_cap: int | None = None) -> Verdict:
     if sequent_satisfied(v, s):
         raise InternalError("refuting valuation fails to falsify the sequent")
     return Refuted(v)
-
-
-def theorem_suite(a: Formula | None = None, b: Formula | None = None) -> list[tuple[str, Sequent]]:
-    """Nine provable schemata: consistency facts and the propagation of both
-    consistency and contradictoriness through the binary connectives."""
-    a = a if a is not None else PropAtom("p")
-    b = b if b is not None else PropAtom("q")
-
-    def contradiction(f: Formula) -> Formula:
-        return And(f, Neg(f))
-
-    both = And(contradiction(a), contradiction(b))
-    either_consistent = Or(Circ(a), Circ(b))
-    items = [
-        ("contradiction-iff-inconsistency", iff(contradiction(a), Neg(Circ(a)))),
-        ("consistency-is-consistent", Circ(Circ(a))),
-        ("consistency-matches-negation", iff(Circ(a), Circ(Neg(a)))),
-        ("contradiction-propagates-and", iff(both, contradiction(And(a, b)))),
-        ("contradiction-propagates-or", iff(both, contradiction(Or(a, b)))),
-        ("contradiction-propagates-imp", iff(both, contradiction(Imp(a, b)))),
-        ("consistency-propagates-and", iff(either_consistent, Circ(And(a, b)))),
-        ("consistency-propagates-or", iff(either_consistent, Circ(Or(a, b)))),
-        ("consistency-propagates-imp", iff(either_consistent, Circ(Imp(a, b)))),
-    ]
-    return [(name, Sequent.make((), (phi,))) for name, phi in items]

@@ -1,6 +1,6 @@
 """Seeded random generation of formulas and sequents.
 
-Shared by the self-test command and the test suite; everything is driven by
+Shared by the benchmark and the test suite; everything is driven by
 an explicit random.Random so runs are reproducible.
 """
 

@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
-from .errors import LogicError
 from .syntax import (
     BINARY_TYPES,
     QUANTIFIER_TYPES,
@@ -29,10 +28,8 @@ from .syntax import (
     Or,
     formula_key,
     free_variables,
-    fresh_free_variables,
     instantiate,
     is_free_var_name,
-    var_index,
 )
 
 LEFT = "L"
@@ -460,135 +457,12 @@ def check_proof(proof: Proof, calculus: Calculus, allow_cut: bool = False) -> bo
 
 
 # ---------------------------------------------------------------------------
-# Derived rules and their printed expansions
-
-
-class DerivedRuleId(enum.Enum):
-    NEG_OR_R_PRIME = "NegOrR'"
-    NEG_AND_R_PRIME = "NegAndR'"
-    NEG_IMP_R_PRIME = "NegImpR'"
-    NEG_R_PRIME = "NegR'"
-    FORALL_INTRO = "ForallIntro"
-    EXISTS_INTRO = "ExistsIntro"
-
-
-def _axiom(phi: Formula) -> Proof:
-    return Proof(Sequent.make((phi,), (phi,)), R.AXIOM)
-
-
-def _schema_mismatch(reason: str) -> LogicError:
-    return LogicError(f"derived rule schema mismatch: {reason}")
-
-
-def _expand_neg_binary_prime(
-    rule: DerivedRuleId, conclusion: Sequent, premises: Sequence[Proof]
-) -> Proof:
-    """NegR on ~(a # b) above the left rule of a # b: the derived rule's
-    premises are that left rule's."""
-    binop = {
-        DerivedRuleId.NEG_OR_R_PRIME: Or,
-        DerivedRuleId.NEG_AND_R_PRIME: And,
-        DerivedRuleId.NEG_IMP_R_PRIME: Imp,
-    }[rule]
-    for cand in sorted(conclusion.succ, key=formula_key):
-        if not (isinstance(cand, Neg) and isinstance(cand.body, binop)):
-            continue
-        (left_rule,) = rules_for(cand.body, LEFT)
-        _, deltas = rule_schema(left_rule, cand.body)
-        if len(premises) != len(deltas):
-            raise _schema_mismatch(f"{rule.value} takes {len(deltas)} premises")
-        if [p.sequent for p in premises] != _premises(conclusion, RIGHT, deltas, cand, keep_principal=False):
-            continue
-        inner = Proof(
-            Sequent(conclusion.ante | {cand.body}, conclusion.succ - {cand}),
-            left_rule,
-            principal=cand.body,
-            premises=tuple(premises),
-        )
-        return Proof(conclusion, R.NEG_R, principal=cand, premises=(inner,))
-    raise _schema_mismatch("no succedent formula matches the premises")
-
-
-def _expand_quantifier_intro(rule: DerivedRuleId, conclusion: Sequent, premises: Sequence[Proof]) -> Proof:
-    if len(premises) != 1:
-        raise _schema_mismatch(f"{rule.value} takes one premise")
-    hyp = premises[0]
-    if conclusion.ante or len(conclusion.succ) != 1 or hyp.sequent.ante or len(hyp.sequent.succ) != 1:
-        raise _schema_mismatch("conclusion and premise must be single-succedent sequents with empty antecedent")
-    goal = next(iter(conclusion.succ))
-    given = next(iter(hyp.sequent.succ))
-    if not isinstance(goal, Imp) or not isinstance(given, Imp):
-        raise _schema_mismatch("conclusion and premise must be implications")
-
-    if rule is DerivedRuleId.FORALL_INTRO:
-        side_fixed, quantified, inst_part = goal.left, goal.right, given.right
-        if given.left != side_fixed or not isinstance(quantified, Forall):
-            raise _schema_mismatch("conclusion must be  phi -> forall x psi(x)  with matching phi")
-    else:
-        side_fixed, quantified, inst_part = goal.right, goal.left, given.left
-        if given.right != side_fixed or not isinstance(quantified, Exists):
-            raise _schema_mismatch("conclusion must be  exists x phi(x) -> psi  with matching psi")
-
-    candidates = sorted(free_variables(inst_part) - free_variables(side_fixed), key=var_index)
-    candidates.append(next(fresh_free_variables(conclusion.free_variables() | hyp.sequent.free_variables())))
-    var = next(
-        (
-            v
-            for v in candidates
-            if v not in free_variables(quantified) and instantiate(quantified, FreeVar(v)) == inst_part
-        ),
-        None,
-    )
-    if var is None:
-        raise _schema_mismatch("premise is not an instance of the quantified formula")
-    if var in free_variables(side_fixed):
-        raise _schema_mismatch(f"variable {var} must not occur in the fixed side")
-
-    # Splice the hypothesis in through a context-sharing cut on the premise
-    # implication, then introduce the quantifier and the implication.
-    a, b = given.left, given.right
-    n1 = Proof(hyp.sequent.with_ante(a), R.WEAK_L, premises=(hyp,))
-    n2 = Proof(n1.sequent.with_succ(b), R.WEAK_R, premises=(n1,))
-    ax_a = _axiom(a)
-    n3 = Proof(ax_a.sequent.with_succ(b), R.WEAK_R, premises=(ax_a,))
-    ax_b = _axiom(b)
-    n4 = Proof(ax_b.sequent.with_ante(a), R.WEAK_L, premises=(ax_b,))
-    n5 = Proof(Sequent.make((a, given), (b,)), R.IMP_L, principal=given, premises=(n3, n4))
-    n6 = Proof(Sequent.make((a,), (b,)), R.CUT, principal=given, premises=(n2, n5))
-    if rule is DerivedRuleId.FORALL_INTRO:
-        n7 = Proof(Sequent.make((a,), (quantified,)), R.FORALL_R, principal=quantified, var=var, premises=(n6,))
-    else:
-        n7 = Proof(Sequent.make((quantified,), (b,)), R.EXISTS_L, principal=quantified, var=var, premises=(n6,))
-    return Proof(conclusion, R.IMP_R, principal=goal, premises=(n7,))
-
-
-def expand_derived_rule(rule: DerivedRuleId, conclusion: Sequent, premises: Sequence[Proof]) -> Proof:
-    """Macro-expand a derived rule applied to proofs of its premises.
-
-    The four primed right-negation rules expand cut-free; the two
-    quantifier-introduction rules expand through a cut.
-    """
-    if rule in (DerivedRuleId.NEG_OR_R_PRIME, DerivedRuleId.NEG_AND_R_PRIME, DerivedRuleId.NEG_IMP_R_PRIME):
-        return _expand_neg_binary_prime(rule, conclusion, premises)
-    if rule is DerivedRuleId.NEG_R_PRIME:
-        if len(premises) != 2:
-            raise _schema_mismatch("NegR' takes two premises")
-        second = premises[1]
-        if second.sequent != conclusion:
-            raise _schema_mismatch("second premise must equal the conclusion")
-        first = premises[0]
-        for cand in sorted(conclusion.succ, key=formula_key):
-            if not isinstance(cand, Neg):
-                continue
-            delta = conclusion.succ - {cand}
-            if first.sequent in (Sequent(conclusion.ante, delta | {cand.body}), conclusion.with_succ(cand.body)):
-                return second
-        raise _schema_mismatch("first premise does not fit any negated succedent formula")
-    return _expand_quantifier_intro(rule, conclusion, premises)
+# Closing a sequent by an axiom
 
 
 def axiom_proof(s: Sequent) -> Proof:
     """The axiom on the least formula by formula_key that s has on both
     sides, weakened up to s."""
-    axiom = _axiom(min(s.ante & s.succ, key=formula_key))
+    phi = min(s.ante & s.succ, key=formula_key)
+    axiom = Proof(Sequent.make((phi,), (phi,)), R.AXIOM)
     return axiom if axiom.sequent == s else Proof(s, R.WEAKEN, premises=(axiom,))

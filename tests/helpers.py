@@ -900,7 +900,7 @@ def random_term_formula(rng: random.Random, depth: int) -> Formula:
 
 import dataclasses  # noqa: E402
 
-from ciore.fo_prover import decide_fo, derived_quantifier_expansions  # noqa: E402
+from ciore.fo_prover import decide_fo  # noqa: E402
 from ciore.sequents import STRUCTURAL_RULES, Proved  # noqa: E402
 
 _ATOM, _UNARY, _AND, _OR, _IMP, _QUANT = 5, 4, 3, 2, 1, 0
@@ -1085,4 +1085,211 @@ def corrupted_proofs(seed: int = 4040) -> list[Proof]:
             bad = corrupt(rng, proof, nodes)
             if bad is not None:
                 out.append(bad)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The paper's reproduction suites: the Hilbert axiom schemata, nine theorem
+# schemata and the derived rules with their printed expansions
+
+import enum  # noqa: E402
+from typing import Callable  # noqa: E402
+
+from ciore.sequents import rules_for  # noqa: E402
+
+#: The sixteen propositional schemata, in their customary order.
+PROPOSITIONAL_SCHEMATA: dict[str, Callable[[Formula, Formula, Formula], Formula]] = {
+    "Ax1": lambda a, b, c: Imp(a, Imp(b, a)),
+    "Ax2": lambda a, b, c: Imp(Imp(a, Imp(b, c)), Imp(Imp(a, b), Imp(a, c))),
+    "Ax3": lambda a, b, c: Imp(a, Imp(b, And(a, b))),
+    "Ax4": lambda a, b, c: Imp(And(a, b), a),
+    "Ax5": lambda a, b, c: Imp(And(a, b), b),
+    "Ax6": lambda a, b, c: Imp(a, Or(a, b)),
+    "Ax7": lambda a, b, c: Imp(b, Or(a, b)),
+    "Ax8": lambda a, b, c: Imp(Imp(a, c), Imp(Imp(b, c), Imp(Or(a, b), c))),
+    "Ax9": lambda a, b, c: Or(Imp(a, b), a),
+    "Ax10": lambda a, b, c: Or(a, Neg(a)),
+    "bc1": lambda a, b, c: Imp(Circ(a), Imp(a, Imp(Neg(a), b))),
+    "ci": lambda a, b, c: Imp(Neg(Circ(a)), And(a, Neg(a))),
+    "cf": lambda a, b, c: iff(Neg(Neg(a)), a),
+    "co1": lambda a, b, c: iff(Or(Circ(a), Circ(b)), Circ(And(a, b))),
+    "co2": lambda a, b, c: iff(Or(Circ(a), Circ(b)), Circ(Or(a, b))),
+    "co3": lambda a, b, c: iff(Or(Circ(a), Circ(b)), Circ(Imp(a, b))),
+}
+
+
+def theorem_suite(a: Formula | None = None, b: Formula | None = None) -> list[tuple[str, Sequent]]:
+    """Nine provable schemata: consistency facts and the propagation of both
+    consistency and contradictoriness through the binary connectives."""
+    a = a if a is not None else PropAtom("p")
+    b = b if b is not None else PropAtom("q")
+
+    def contradiction(f: Formula) -> Formula:
+        return And(f, Neg(f))
+
+    both = And(contradiction(a), contradiction(b))
+    either_consistent = Or(Circ(a), Circ(b))
+    items = [
+        ("contradiction-iff-inconsistency", iff(contradiction(a), Neg(Circ(a)))),
+        ("consistency-is-consistent", Circ(Circ(a))),
+        ("consistency-matches-negation", iff(Circ(a), Circ(Neg(a)))),
+        ("contradiction-propagates-and", iff(both, contradiction(And(a, b)))),
+        ("contradiction-propagates-or", iff(both, contradiction(Or(a, b)))),
+        ("contradiction-propagates-imp", iff(both, contradiction(Imp(a, b)))),
+        ("consistency-propagates-and", iff(either_consistent, Circ(And(a, b)))),
+        ("consistency-propagates-or", iff(either_consistent, Circ(Or(a, b)))),
+        ("consistency-propagates-imp", iff(either_consistent, Circ(Imp(a, b)))),
+    ]
+    return [(name, Sequent.make((), (phi,))) for name, phi in items]
+
+
+class DerivedRuleId(enum.Enum):
+    NEG_OR_R_PRIME = "NegOrR'"
+    NEG_AND_R_PRIME = "NegAndR'"
+    NEG_IMP_R_PRIME = "NegImpR'"
+    NEG_R_PRIME = "NegR'"
+    FORALL_INTRO = "ForallIntro"
+    EXISTS_INTRO = "ExistsIntro"
+
+
+def axiom(phi: Formula) -> Proof:
+    """The axiom  phi |- phi."""
+    return Proof(Sequent.make((phi,), (phi,)), _R.AXIOM)
+
+
+def _schema_mismatch(reason: str) -> LogicError:
+    return LogicError(f"derived rule schema mismatch: {reason}")
+
+
+def _expand_neg_binary_prime(
+    rule: DerivedRuleId, conclusion: Sequent, premises: Sequence[Proof]
+) -> Proof:
+    """NegR on ~(a # b) above the left rule of a # b: the derived rule's
+    premises are that left rule's."""
+    binop = {
+        DerivedRuleId.NEG_OR_R_PRIME: Or,
+        DerivedRuleId.NEG_AND_R_PRIME: And,
+        DerivedRuleId.NEG_IMP_R_PRIME: Imp,
+    }[rule]
+    for cand in sorted(conclusion.succ, key=formula_key):
+        if not (isinstance(cand, Neg) and isinstance(cand.body, binop)):
+            continue
+        (left_rule,) = rules_for(cand.body, LEFT)
+        _, deltas = rule_schema(left_rule, cand.body)
+        if len(premises) != len(deltas):
+            raise _schema_mismatch(f"{rule.value} takes {len(deltas)} premises")
+        wanted = [Sequent(conclusion.ante | frozenset(da), (conclusion.succ - {cand}) | frozenset(ds)) for da, ds in deltas]
+        if [p.sequent for p in premises] != wanted:
+            continue
+        inner = Proof(
+            Sequent(conclusion.ante | {cand.body}, conclusion.succ - {cand}),
+            left_rule,
+            principal=cand.body,
+            premises=tuple(premises),
+        )
+        return Proof(conclusion, _R.NEG_R, principal=cand, premises=(inner,))
+    raise _schema_mismatch("no succedent formula matches the premises")
+
+
+def _expand_quantifier_intro(rule: DerivedRuleId, conclusion: Sequent, premises: Sequence[Proof]) -> Proof:
+    if len(premises) != 1:
+        raise _schema_mismatch(f"{rule.value} takes one premise")
+    hyp = premises[0]
+    if conclusion.ante or len(conclusion.succ) != 1 or hyp.sequent.ante or len(hyp.sequent.succ) != 1:
+        raise _schema_mismatch("conclusion and premise must be single-succedent sequents with empty antecedent")
+    goal = next(iter(conclusion.succ))
+    given = next(iter(hyp.sequent.succ))
+    if not isinstance(goal, Imp) or not isinstance(given, Imp):
+        raise _schema_mismatch("conclusion and premise must be implications")
+
+    if rule is DerivedRuleId.FORALL_INTRO:
+        side_fixed, quantified, inst_part = goal.left, goal.right, given.right
+        if given.left != side_fixed or not isinstance(quantified, Forall):
+            raise _schema_mismatch("conclusion must be  phi -> forall x psi(x)  with matching phi")
+    else:
+        side_fixed, quantified, inst_part = goal.right, goal.left, given.left
+        if given.right != side_fixed or not isinstance(quantified, Exists):
+            raise _schema_mismatch("conclusion must be  exists x phi(x) -> psi  with matching psi")
+
+    candidates = sorted(free_variables(inst_part) - free_variables(side_fixed), key=var_index)
+    candidates.append(next(fresh_free_variables(conclusion.free_variables() | hyp.sequent.free_variables())))
+    var = next(
+        (
+            v
+            for v in candidates
+            if v not in free_variables(quantified) and instantiate(quantified, FreeVar(v)) == inst_part
+        ),
+        None,
+    )
+    if var is None:
+        raise _schema_mismatch("premise is not an instance of the quantified formula")
+    if var in free_variables(side_fixed):
+        raise _schema_mismatch(f"variable {var} must not occur in the fixed side")
+
+    # Splice the hypothesis in through a context-sharing cut on the premise
+    # implication, then introduce the quantifier and the implication.
+    a, b = given.left, given.right
+    n1 = Proof(hyp.sequent.with_ante(a), _R.WEAK_L, premises=(hyp,))
+    n2 = Proof(n1.sequent.with_succ(b), _R.WEAK_R, premises=(n1,))
+    ax_a = axiom(a)
+    n3 = Proof(ax_a.sequent.with_succ(b), _R.WEAK_R, premises=(ax_a,))
+    ax_b = axiom(b)
+    n4 = Proof(ax_b.sequent.with_ante(a), _R.WEAK_L, premises=(ax_b,))
+    n5 = Proof(Sequent.make((a, given), (b,)), _R.IMP_L, principal=given, premises=(n3, n4))
+    n6 = Proof(Sequent.make((a,), (b,)), _R.CUT, principal=given, premises=(n2, n5))
+    if rule is DerivedRuleId.FORALL_INTRO:
+        n7 = Proof(Sequent.make((a,), (quantified,)), _R.FORALL_R, principal=quantified, var=var, premises=(n6,))
+    else:
+        n7 = Proof(Sequent.make((quantified,), (b,)), _R.EXISTS_L, principal=quantified, var=var, premises=(n6,))
+    return Proof(conclusion, _R.IMP_R, principal=goal, premises=(n7,))
+
+
+def expand_derived_rule(rule: DerivedRuleId, conclusion: Sequent, premises: Sequence[Proof]) -> Proof:
+    """Macro-expand a derived rule applied to proofs of its premises.
+
+    The four primed right-negation rules expand cut-free; the two
+    quantifier-introduction rules expand through a cut.
+    """
+    if rule in (DerivedRuleId.NEG_OR_R_PRIME, DerivedRuleId.NEG_AND_R_PRIME, DerivedRuleId.NEG_IMP_R_PRIME):
+        return _expand_neg_binary_prime(rule, conclusion, premises)
+    if rule is DerivedRuleId.NEG_R_PRIME:
+        if len(premises) != 2:
+            raise _schema_mismatch("NegR' takes two premises")
+        second = premises[1]
+        if second.sequent != conclusion:
+            raise _schema_mismatch("second premise must equal the conclusion")
+        first = premises[0]
+        for cand in sorted(conclusion.succ, key=formula_key):
+            if not isinstance(cand, Neg):
+                continue
+            delta = conclusion.succ - {cand}
+            if first.sequent in (Sequent(conclusion.ante, delta | {cand.body}), conclusion.with_succ(cand.body)):
+                return second
+        raise _schema_mismatch("first premise does not fit any negated succedent formula")
+    return _expand_quantifier_intro(rule, conclusion, premises)
+
+
+def derived_quantifier_expansions() -> list[tuple[str, Proof]]:
+    """The two quantifier-introduction derived rules, replayed on provable
+    premises; the expansions go through a cut."""
+    p_free = PredAtom("P", (FreeVar("a1"),))
+    p_bound = PredAtom("P", (BoundVar("x"),))
+    forall_p = Forall("x", p_bound)
+    exists_p = Exists("x", p_bound)
+
+    out = []
+    premise = decide_fo(Sequent.make((), (Imp(forall_p, p_free),)))
+    if not isinstance(premise, Proved):
+        raise InternalError("forall-elimination premise should be provable")
+    conclusion = Sequent.make((), (Imp(forall_p, forall_p),))
+    out.append(
+        ("forall-introduction", expand_derived_rule(DerivedRuleId.FORALL_INTRO, conclusion, [premise.proof]))
+    )
+    premise = decide_fo(Sequent.make((), (Imp(p_free, exists_p),)))
+    if not isinstance(premise, Proved):
+        raise InternalError("exists-introduction premise should be provable")
+    conclusion = Sequent.make((), (Imp(exists_p, exists_p),))
+    out.append(
+        ("exists-introduction", expand_derived_rule(DerivedRuleId.EXISTS_INTRO, conclusion, [premise.proof]))
+    )
     return out

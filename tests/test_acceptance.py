@@ -8,12 +8,10 @@ import itertools
 import random
 import time
 
-from ciore.axioms import PROPOSITIONAL_SCHEMATA
 from ciore.fo_prover import (
     Proved as FoProved,
     Refuted as FoRefuted,
     decide_fo,
-    derived_quantifier_expansions,
     fo_regression_suite,
 )
 from ciore.fo_semantics import (
@@ -24,7 +22,7 @@ from ciore.fo_semantics import (
 )
 from ciore.matrix import HALF, ONE, VALUE_ORDER, ZERO, eval_formula, matrix_valid, sequent_satisfied
 from ciore.parsing import parse_sequent
-from ciore.prop_prover import Proved, Refuted, decide, theorem_suite
+from ciore.prop_prover import Proved, Refuted, decide
 from ciore.randgen import random_formula, random_sequent
 from ciore.sequents import Calculus, Proof, RuleId, Sequent, check_proof
 from ciore.syntax import (
@@ -45,11 +43,13 @@ from ciore.syntax import (
 )
 
 from helpers import (
+    PROPOSITIONAL_SCHEMATA,
     PROP_LOGICAL_RULES,
     QUANTIFIER_RULES,
     all_unary_structures,
     contradiction_scan,
     denote_components,
+    derived_quantifier_expansions,
     eliminate_cut,
     formulas_of_complexity,
     kernel_triple,
@@ -58,6 +58,7 @@ from helpers import (
     random_fo_rule_instance,
     random_structure,
     sides_upto,
+    theorem_suite,
     var_sorted,
 )
 

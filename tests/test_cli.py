@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from ciore import prop_prover
-from ciore.cli import main
+from ciore.cli import _COMMANDS, main
 from ciore.errors import LogicError
 from ciore.fo_prover import Refuted, decide_fo
 from ciore.fo_semantics import Structure, Triple, fo_sequent_satisfied, structure_from_json, structure_to_json
@@ -180,7 +181,7 @@ def test_goal_language_picks_the_prover(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["selftest", "--nodes", "5"],
+        ["countermodel", "--allow-cut", "|- p"],
         ["reduction-tree", "--json", "|- P(a1)"],
         ["check-proof", "--depth", "3"],
         ["prove", "--fo", "|- P(a1)"],
@@ -189,6 +190,11 @@ def test_goal_language_picks_the_prover(capsys):
 def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (64, "") and "unrecognized arguments" in err
+
+
+def test_removed_selftest_subcommand_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "selftest")
+    assert (code, out) == (64, "") and "invalid choice: 'selftest'" in err
 
 
 def test_check_proof_default_calculus_follows_the_end_sequent(tmp_path, capsys):
@@ -200,15 +206,17 @@ def test_check_proof_default_calculus_follows_the_end_sequent(tmp_path, capsys):
     assert code == 1 and out.startswith("proof rejected: ")
 
 
+_README = Path(__file__).parent.parent / "README.md"
+
+
 def _readme_commands() -> list[list[str]]:
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    block = _README.read_text().split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
 
 
 def test_readme_command_lines_are_accepted(tmp_path, capsys, monkeypatch):
     commands = _readme_commands()
-    assert len(commands) >= 9 and all(argv for argv in commands)
+    assert len(commands) >= 8 and all(argv for argv in commands)
     st = Structure(domain=("m0",), predicates={"P": Triple.from_values((("m0",),), {("m0",): ONE})})
     (tmp_path / "st.json").write_text(json.dumps(structure_to_json(st)))
     proof = prop_prover.decide(parse_sequent("|- o o p")).proof
@@ -217,6 +225,18 @@ def test_readme_command_lines_are_accepted(tmp_path, capsys, monkeypatch):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code != 64, (argv, err)
+
+
+def test_readme_flag_table_matches_the_parser():
+    table = _README.read_text().split("| subcommand | flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        names, flags = row.strip("|").split("|")
+        for name in re.findall(r"`([^`]+)`", names):
+            assert name not in documented, name
+            documented[name] = {word for word in flags.replace("`", " ").split() if word.startswith("--")}
+    taken = {name: {a for a in arguments if a.startswith("--")} for name, (_, _, arguments) in _COMMANDS.items()}
+    assert documented == taken
 
 
 def _closed_reader_exit(argv: list[str], read: int) -> tuple[int, str]:
@@ -247,6 +267,17 @@ def _closed_reader_exit(argv: list[str], read: int) -> tuple[int, str]:
 def test_closed_output_pipe_is_output_error(argv, read):
     code, err = _closed_reader_exit(argv, read)
     assert (code, err) == (74, "output error: [Errno 32] Broken pipe\n")
+
+
+def test_closed_standard_output_is_output_error():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    child = subprocess.run(
+        [sys.executable, "-m", "ciore.cli", "prove", "|- p"],
+        preexec_fn=lambda: os.close(1),  # Python then starts with sys.stdout None
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert (child.returncode, child.stderr) == (74, b"output error: standard output is closed\n")
 
 
 def test_parse_error_exit(capsys):
@@ -303,12 +334,6 @@ def test_reduction_tree_dump(capsys):
     assert code == 1
 
 
-def test_selftest(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert out.count("ok") == 4
-
-
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "check-proof", "/nonexistent/proof.json")
     assert code == 65
@@ -340,12 +365,6 @@ def test_atom_cap_environment_is_ignored(capsys, monkeypatch, value):
     code, _, err = run(capsys, "prove", f"|- {goal}")
     assert code == 2 and "cap is 12" in err
     assert run(capsys, "validity", "|- p | ~p")[0] == 0
-
-
-def test_selftest_ignores_atom_cap_environment(capsys, monkeypatch):
-    monkeypatch.setenv("CIORE_ATOM_CAP", "2")  # below the 3 atoms of the axiom instances
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0 and out.count("ok") == 4
 
 
 def test_too_deep_input_is_input_error_not_refutation(capsys):

@@ -15,7 +15,6 @@ from ciore.fo_prover import (
     Unknown,
     build_reduction_tree,
     decide_fo,
-    derived_quantifier_expansions,
     dump_tree,
     extract_countermodel,
     fo_regression_suite,
@@ -31,6 +30,7 @@ from helpers import (
     PROP_LOGICAL_RULES,
     QUANTIFIER_RULES,
     all_unary_structures,
+    derived_quantifier_expansions,
     per_tuple_countermodel,
     random_fo_rule_instance,
 )

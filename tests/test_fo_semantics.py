@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from ciore.axioms import PROPOSITIONAL_SCHEMATA
 from ciore.errors import LogicError
 from ciore.fo_semantics import (
     Structure,
@@ -40,6 +39,7 @@ from helpers import (
     AND_CELLS,
     IMP_CELLS,
     OR_CELLS,
+    PROPOSITIONAL_SCHEMATA,
     all_unary_structures,
     binary_table,
     denote_components,

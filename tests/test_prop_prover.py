@@ -11,7 +11,6 @@ from ciore.prop_prover import (
     Refuted,
     _next_reduction,
     decide,
-    theorem_suite,
 )
 from ciore.randgen import random_formula, random_sequent
 from ciore.sequents import (
@@ -28,7 +27,7 @@ from ciore.sequents import (
 )
 from ciore.syntax import And, Circ, Formula, PropAtom, iff
 
-from helpers import contradiction_scan, eliminate_cut, proof_respects_gsub, sequent_weight
+from helpers import contradiction_scan, eliminate_cut, proof_respects_gsub, sequent_weight, theorem_suite
 
 seq = parse_sequent
 p, q = PropAtom("p"), PropAtom("q")

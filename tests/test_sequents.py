@@ -11,12 +11,10 @@ from ciore.sequents import (
     QUANTIFIER_RULES,
     RULE_TABLE,
     Calculus,
-    DerivedRuleId,
     Proof,
     RuleId,
     Sequent,
     check_proof,
-    expand_derived_rule,
     premises_from_schema,
     proof_error,
     rule_instance_error,
@@ -26,10 +24,13 @@ from ciore.syntax import And, Circ, Imp, Neg, Or, PropAtom
 from helpers import (
     PROP_LOGICAL_RULES,
     BackwardApplication,
+    DerivedRuleId,
+    axiom,
     backward_applications,
     chained_premises,
     check_rule_instance,
     corrupted_proofs,
+    expand_derived_rule,
     proof_respects_gsub,
     random_fo_rule_instance,
     random_prop_instance,
@@ -79,17 +80,13 @@ def test_cut_shape():
     assert not check_rule_instance(R.CUT, conclusion, [seq("p, r |- q"), seq("p |- q, r")], r)
 
 
-def _axiom(phi):
-    return Proof(Sequent.make((phi,), (phi,)), R.AXIOM)
-
-
 def _printed_consistency_of_consistency(alpha):
     """The printed two-premise derivation of |- o o alpha, replayed node by
     node: axioms weakened, then CircL, NegCircL and CircR."""
     na = Neg(alpha)
-    ax1 = _axiom(alpha)
+    ax1 = axiom(alpha)
     w1 = Proof(Sequent.make((na, alpha), (alpha,)), R.WEAK_L, premises=(ax1,))
-    ax2 = _axiom(na)
+    ax2 = axiom(na)
     w2 = Proof(Sequent.make((na, alpha), (na,)), R.WEAK_L, premises=(ax2,))
     circ_l = Proof(Sequent.make((Circ(alpha), alpha, na), ()), R.CIRC_L, principal=Circ(alpha), premises=(w1, w2))
     neg_circ = Proof(Sequent.make((Circ(alpha), Neg(Circ(alpha))), ()), R.NEG_CIRC_L, principal=Neg(Circ(alpha)), premises=(circ_l,))
@@ -108,9 +105,9 @@ def test_replay_contradiction_iff_inconsistency_derivations():
     a = p
     na = Neg(a)
 
-    ax_a = _axiom(a)
+    ax_a = axiom(a)
     w_a = Proof(Sequent.make((na, a), (a,)), R.WEAK_L, premises=(ax_a,))
-    ax_na = _axiom(na)
+    ax_na = axiom(na)
     w_na = Proof(Sequent.make((na, a), (na,)), R.WEAK_L, premises=(ax_na,))
     circ = Proof(Sequent.make((na, a, Circ(a)), ()), R.CIRC_L, principal=Circ(a), premises=(w_a, w_na))
     neg_r = Proof(Sequent.make((na, a), (Neg(Circ(a)),)), R.NEG_R, principal=Neg(Circ(a)), premises=(circ,))
