@@ -70,12 +70,12 @@ R = RuleId
 DEFAULT_MAX_NODES = 20_000
 DEFAULT_MAX_DEPTH = 400
 
-#: Finite structures the refuter tries after the stage loop gives up, and
-#: the most points one of them may hold in a predicate's table (size ** arity
-#: rows) or reach in checking the goal (size ** (free variables + quantifier
-#: nesting): each assignment, and under it each value of the bound variables
-#: of nested quantifiers, is one point). A domain size is tried only while
-#: both stay within it.
+#: Finite structures the refuter tries after the stage loop gives up, and a
+#: bound on the work of each: a domain size is tried only while a predicate's
+#: table (size ** arity rows) and the goal's evaluations (size ** (free
+#: variables + quantifier nesting): each assignment, and under it each value
+#: of the bound variables of nested quantifiers) stay within it. It limits
+#: evaluations, not memory: a check holds one assignment per quantifier level.
 REFUTER_STRUCTURES = 64
 REFUTER_POINTS = 64
 

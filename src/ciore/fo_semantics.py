@@ -1,25 +1,25 @@
 """Finite first-order semantics over partial (three-valued) relations.
 
 A predicate denotes a triple: a partition of the tuple space into a true
-part, a false part and an inconsistent part. Formulas denote triples over
-assignment tuples: the connectives are the matrix's own truth functions
-(`matrix.evaluate` on bit sets over a list of assignment points, bit j for
-point j). A quantifier gives its bound variable one more column of the
-points and folds each point's block of values (`_leaf`), as the Tarskian
-clause does over s[x -> m] for every domain element m.
+part, a false part and an inconsistent part. A formula is evaluated at one
+assignment at a time, by the Tarskian clause: the connectives are the
+matrix's own truth functions (`matrix.evaluate` on one bit), an atom reads
+its triple, and a quantifier evaluates its body under s[x -> m] for one
+domain element m after another until an instance decides it (`_leaf`).
+`denote` collects the values of all assignments into a triple.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import syntax
 from .errors import LogicError
-from .matrix import HALF, ONE, VALUE_ORDER, ZERO, Leaf, TruthValue, evaluate, falsified
+from .matrix import _POINT, HALF, ONE, VALUE_ORDER, ZERO, Leaf, TruthValue, evaluate, falsified
 from .sequents import Sequent
-from .syntax import BoundVar, Const, Forall, Formula, FreeVar, PredAtom, PropAtom, Term
+from .syntax import BoundVar, Const, Forall, Formula, FreeVar, FunApp, PredAtom, PropAtom, Term
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +58,14 @@ class Triple:
 # Structures
 
 
+_SYMBOL_KINDS = {PropAtom: "propositional atom", PredAtom: "predicate", FunApp: "function", Const: "constant"}
+
+
+def _check_arity(kind: str, name: str, arity: int, used: int) -> None:
+    if arity != used:
+        raise LogicError(f"{kind} {name!r} has arity {arity} in the structure, used with {used} arguments")
+
+
 @dataclass(frozen=True)
 class Structure:
     """Finite partial structure: a nonempty domain, a triple for each
@@ -80,12 +88,8 @@ class Structure:
             ):
                 raise LogicError(f"predicate {name!r} must be a triple over the full tuple space")
         for name, table in self.functions.items():
-            arities = {len(args) for args in table}
-            if len(arities) != 1:
-                raise LogicError(f"function {name!r} has mixed arities")
-            arity = arities.pop()
-            if set(table) != set(itertools.product(self.domain, repeat=arity)):
-                raise LogicError(f"function {name!r} must be total")
+            if not table or set(table) != set(itertools.product(self.domain, repeat=self.function_arity(name))):
+                raise LogicError(f"function {name!r} must be total, with one arity")
             if not set(table.values()) <= elems:
                 raise LogicError(f"function {name!r} maps outside the domain")
         for name, value in self.constants.items():
@@ -96,122 +100,117 @@ class Structure:
         triple = self.predicates[name]
         return len(next(iter(triple.universe)))
 
+    def function_arity(self, name: str) -> int:
+        return len(next(iter(self.functions[name])))
+
+    def check_signature(self, formulas: Iterable[Formula]) -> None:
+        """Raise `LogicError` unless the structure interprets every symbol
+        of the formulas at the arity they use it with. It interprets no
+        propositional atom."""
+        arities = {("predicate", name): self.predicate_arity(name) for name in self.predicates}
+        arities |= {("function", name): self.function_arity(name) for name in self.functions}
+        arities |= {("constant", name): 0 for name in self.constants}
+        for phi in formulas:
+            for symbol in itertools.chain(syntax.subformulas(phi), syntax.terms(phi)):
+                kind = _SYMBOL_KINDS.get(type(symbol))
+                if kind is None:
+                    continue
+                if (kind, symbol.name) not in arities:
+                    raise LogicError(f"structure does not interpret {kind} {symbol.name!r}")
+                _check_arity(kind, symbol.name, arities[kind, symbol.name], len(getattr(symbol, "args", ())))
+
 
 Assignment = Mapping[str, str]
 
 
 def eval_term(t: Term, st: Structure, s: Assignment) -> str:
-    if isinstance(t, (FreeVar, BoundVar)):
+    kind = type(t)
+    if kind is FreeVar or kind is BoundVar:
         try:
             return s[t.name]
         except KeyError:
-            problem = "assignment does not cover variable" if isinstance(t, FreeVar) else "dangling bound variable"
+            problem = "assignment does not cover variable" if kind is FreeVar else "dangling bound variable"
             raise LogicError(f"{problem} {t.name}") from None
-    if isinstance(t, Const):
-        try:
-            return st.constants[t.name]
-        except KeyError:
-            raise LogicError(f"structure does not interpret constant {t.name!r}") from None
-    try:
-        table = st.functions[t.name]
-    except KeyError:
-        raise LogicError(f"structure does not interpret function {t.name!r}") from None
-    return table[tuple(eval_term(a, st, s) for a in t.args)]
-
-
-def _sorted_vars(names) -> tuple[str, ...]:
-    return tuple(sorted(names, key=syntax.var_index))
+    table = st.constants if kind is Const else st.functions
+    if t.name not in table:
+        raise LogicError(f"structure does not interpret {_SYMBOL_KINDS[kind]} {t.name!r}")
+    if kind is Const:
+        return table[t.name]
+    args = tuple(eval_term(a, st, s) for a in t.args)
+    if args not in table[t.name]:
+        _check_arity("function", t.name, st.function_arity(t.name), len(args))
+        raise LogicError(f"function {t.name!r} is not defined at {args!r}")
+    return table[t.name][args]
 
 
 def denote(phi: Formula, st: Structure, variables: tuple[str, ...] | None = None) -> Triple:
     """Triple over assignment tuples for the given variables (by default the
-    free variables of phi, least index first)."""
+    free variables of phi, least index first), phi evaluated at each."""
     free = syntax.free_variables(phi)
     if variables is None:
-        variables = _sorted_vars(free)
+        variables = sorted(free, key=syntax.var_index)
     if not free <= set(variables):
         raise LogicError("variable list does not cover the formula's free variables")
     if not all(map(syntax.is_free_var_name, variables)):
         raise LogicError("variable list names a variable outside the free-variable namespace")
-    points = list(itertools.product(st.domain, repeat=len(variables)))
-    zero, half = evaluate(phi, _leaf(st, variables, points), (1 << len(points)) - 1)
-    universe = frozenset(points)
-    minus, circ = _members(zero, points), _members(half, points)
-    return Triple(universe, universe - minus - circ, minus, circ)
+    st.check_signature([phi])
+    values = {}
+    for point in itertools.product(st.domain, repeat=len(variables)):
+        zero, half = evaluate(phi, _leaf(st, dict(zip(variables, point))), 1)
+        values[point] = ZERO if zero else HALF if half else ONE
+    return Triple.from_values(values.keys(), values)
 
 
-def _members(bits: int, points: list) -> frozenset:
-    """The points whose bits are set; bit j stands for points[j]."""
-    return frozenset(itertools.compress(points, map("1".__eq__, bin(bits)[:1:-1])))
-
-
-def _leaf(st: Structure, variables: tuple[str, ...], points: list) -> Leaf:
-    """The leaf for `matrix.evaluate` over `points`, a list of tuples of
-    domain elements for `variables`: the (zero, half) pair of an atom or a
-    quantified formula whose free variables `variables` cover, as bit sets,
-    bit j standing for points[j]. A quantifier evaluates its body with its
-    bound variable as one more column, over each point's block of |domain|
-    extended points, and folds the block: 1/2 where the whole block is 1/2;
-    else 0 where some bit is 0 (forall) or every bit is (exists); else 1. A
-    quantifier whose variable is already a column denotes its body, as
+def _leaf(st: Structure, s: Assignment) -> Leaf:
+    """The leaf for `matrix.evaluate` on one bit at the assignment s: the
+    (zero, half) pair of an atom or a quantified formula whose free
+    variables s covers, by the Tarskian clause. An atom reads its triple at
+    the row its terms name. A quantifier evaluates its body under
+    s[x -> m] for one domain element m after another and stops at the
+    first instance that decides it, a 0 for `forall` and a 1 for `exists`.
+    Otherwise it is 1/2 where every instance is 1/2; else 1 (`forall`), or
+    0 where every instance is 0 and 1 where some is not (`exists`). A
+    quantifier whose variable s already binds denotes its body, as
     `syntax.instantiate` lets the outer binder take the inner occurrences."""
-    top = (1 << len(points)) - 1
 
     def leaf(psi: Formula) -> tuple[int, int]:
-        if isinstance(psi, PropAtom):
-            raise LogicError("partial structures interpret predicates, not propositional atoms")
-        zero = half = 0
-        if isinstance(psi, PredAtom):
-            if psi.name not in st.predicates:
-                raise LogicError(f"structure does not interpret predicate {psi.name!r}")
-            triple = st.predicates[psi.name]
-            if st.predicate_arity(psi.name) != len(psi.args):
-                raise LogicError(f"predicate {psi.name!r} arity mismatch")
-            for j, combo in enumerate(points):
-                s = dict(zip(variables, combo))
-                value = triple.value_at(tuple(eval_term(t, st, s) for t in psi.args))
-                if value is ZERO:
-                    zero |= 1 << j
-                elif value is HALF:
-                    half |= 1 << j
-            return zero, half
-        if psi.var in variables:
-            return evaluate(psi.body, leaf, top)
-        extended = [combo + (m,) for combo in points for m in st.domain]
-        sub_zero, sub_half = evaluate(psi.body, _leaf(st, variables + (psi.var,), extended), (1 << len(extended)) - 1)
-        size = len(st.domain)
-        block = (1 << size) - 1
-        for j in range(len(points)):
-            z, h = sub_zero >> j * size & block, sub_half >> j * size & block
-            if h == block:
-                half |= 1 << j
-            elif z if isinstance(psi, Forall) else z == block:
-                zero |= 1 << j
-        return zero, half
+        kind = type(psi)
+        if kind is PredAtom:
+            return _POINT[st.predicates[psi.name].value_at(tuple(eval_term(t, st, s) for t in psi.args))]
+        if psi.var in s:
+            return evaluate(psi.body, leaf, 1)
+        decisive = _POINT[ZERO if kind is Forall else ONE]
+        every_zero = every_half = 1
+        for m in st.domain:
+            pair = evaluate(psi.body, _leaf(st, {**s, psi.var: m}), 1)
+            if pair == decisive:
+                return decisive
+            every_zero &= pair[0]
+            every_half &= pair[1]
+        return every_zero, every_half
 
     return leaf
 
 
 def fo_sequent_satisfied(st: Structure, s: Assignment, seq: Sequent) -> bool:
-    """True unless the assignment s, which must cover the sequent's free
-    variables, makes every antecedent formula designated and every
-    succedent formula 0."""
-    variables = _sorted_vars(seq.free_variables())
-    try:
-        point = tuple(s[v] for v in variables)
-    except KeyError as exc:
-        raise LogicError(f"assignment does not cover variable {exc.args[0]}") from None
-    if not set(point) <= set(st.domain):
-        raise LogicError(f"{point!r} is not in the triple's universe")
+    """True unless the assignment s, from free-variable names to domain
+    elements, makes every antecedent formula designated and every
+    succedent formula 0. The structure must interpret the sequent's
+    signature (`Structure.check_signature`). Reading a variable that s does
+    not cover, or a value outside the domain, raises `LogicError`; an
+    answer that reads neither holds for every completion of s."""
     # Sorted sides fix which formula decides first, so the cost of a check
     # does not follow the hash seed's set order.
-    return not falsified(seq.sorted_ante(), seq.sorted_succ(), _leaf(st, variables, [point]), 1)
+    return not falsified(seq.sorted_ante(), seq.sorted_succ(), _leaf(st, s), 1)
 
 
 def falsifying_assignment(st: Structure, seq: Sequent) -> dict[str, str] | None:
     """The first assignment of the sequent's free variables that falsifies
-    it, variables in index order and values in domain order; None if none does."""
-    variables = _sorted_vars(seq.free_variables())
+    it, variables in index order and values in domain order; None if none
+    does. Raises `LogicError` when the structure does not interpret the
+    sequent's signature, whatever its values."""
+    st.check_signature(seq.ante | seq.succ)
+    variables = sorted(seq.free_variables(), key=syntax.var_index)
     for combo in itertools.product(st.domain, repeat=len(variables)):
         assignment = dict(zip(variables, combo))
         if not fo_sequent_satisfied(st, assignment, seq):

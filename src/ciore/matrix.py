@@ -8,8 +8,8 @@ for formulas it marks.
 The five truth functions are stated once, in `evaluate`, on a formula's
 (zero, half) pair over a carrier: the points where it takes 0 and the
 points where it takes 1/2, with 1 on the rest of `top`. Any carrier with
-`&`, `|` and `^` works: a single bit (one valuation, as in the matrix
-search) or bit sets over assignment points (`fo_semantics.denote`).
+`&`, `|` and `^` works: one bit (a valuation in the matrix search, an
+assignment in `fo_semantics`) or frozensets (the tests' `kernel_triple`).
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _atom_leaf(lookup: Callable[[str], tuple]) -> Leaf:
     return leaf
 
 
-# One valuation on a one-bit carrier.
+# One valuation, or one assignment in `fo_semantics`, on a one-bit carrier.
 _POINT = {ZERO: (1, 0), HALF: (0, 1), ONE: (0, 0)}
 _POINTS = tuple(_POINT[value] for value in VALUE_ORDER)
 

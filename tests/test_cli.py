@@ -86,6 +86,34 @@ def test_validity_in_structure(tmp_path, capsys):
     assert json.loads(out) == {"assignment": {"a1": "1"}}
 
 
+@pytest.mark.parametrize("value", [ZERO, ONE], ids=["P=0", "P=1"])
+def test_structure_must_interpret_the_goal_whatever_its_values(tmp_path, capsys, value):
+    # with P = 0 the antecedent alone decides the goal, before Q(a1) or
+    # P(a1, a1) would be read; a mismatch is an input error all the same
+    space = (("0",), ("1",))
+    st = Structure(domain=("0", "1"), predicates={"P": Triple.from_values(space, dict.fromkeys(space, value))})
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(structure_to_json(st)))
+    for goal in ("P(a1) |- Q(a1)", "P(a1) |- P(a1, a1)"):
+        for command in ("validity", "countermodel"):
+            code, out, err = run(capsys, command, "--structure", str(path), goal)
+            assert (code, out) == (65, ""), (command, goal, err)
+
+
+def test_function_used_with_another_arity_is_input_error(tmp_path, capsys):
+    st = Structure(
+        domain=("0", "1"),
+        predicates={"P": Triple.from_values((("0",), ("1",)), {("0",): ONE, ("1",): ZERO})},
+        functions={"f": {("0",): "1", ("1",): "0"}},
+    )
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(structure_to_json(st)))
+    for command in ("validity", "countermodel"):
+        code, out, err = run(capsys, command, "--structure", str(path), "|- P(f(a1, a1))")
+        assert (code, out) == (65, ""), command
+        assert err == "input error: function 'f' has arity 1 in the structure, used with 2 arguments\n"
+
+
 def test_countermodel_json_is_json_for_every_answer(tmp_path, capsys):
     st = Structure(
         domain=("0", "1"),

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -150,8 +152,8 @@ def test_nested_and_rebinding_quantifiers_match_component_formulas():
 
 
 def test_model_checking_substitutes_nothing(monkeypatch):
-    # a quantifier's bound variable is one more column of the assignment
-    # points, read by eval_term; no instance of the body is built
+    # a quantifier evaluates its body under s[x -> m], and eval_term reads
+    # the bound variable from the assignment; no instance of the body is built
     goal = parse_sequent("forall x. exists y. R(x, y), P(a1) |- exists y. forall x. R(x, y)")
     nested = parse_formula("forall x. exists y. o R(x, y) & P(y)")
     structures = list(enumerate_structures(("m0", "m1"), {"R": 2, "P": 1}))
@@ -171,7 +173,7 @@ def test_model_checking_substitutes_nothing(monkeypatch):
     assert eval_term(BoundVar("x"), st, {"x": "1"}) == "1"
     with pytest.raises(LogicError, match="dangling bound variable x"):
         eval_term(BoundVar("x"), st, {"a1": "1"})
-    # a bound name among the caller's columns would be read as bound outside
+    # a bound name among the caller's variables would be read as bound outside
     with pytest.raises(LogicError, match="free-variable namespace"):
         denote(parse_formula("forall x. P(x)"), st, ("x",))
 
@@ -193,6 +195,93 @@ def test_eval_term():
     assert eval_term(FreeVar("a1"), st, {"a1": "0"}) == "0"
     assert eval_term(Const("c"), st, {}) == "1"
     assert eval_term(FunApp("f", (FreeVar("a1"),)), st, {"a1": "0"}) == "1"
+
+
+def test_function_used_with_another_arity_is_a_logic_error():
+    st = Structure(
+        domain=("0", "1"),
+        predicates={"P": Triple.from_values(tuple_space(("0", "1"), 1), {("0",): ONE, ("1",): ONE})},
+        functions={"f": {("0",): "1", ("1",): "0"}},
+    )
+    message = "function 'f' has arity 1 in the structure, used with 2 arguments"
+    with pytest.raises(LogicError, match=message):
+        eval_term(FunApp("f", (FreeVar("a1"), FreeVar("a1"))), st, {"a1": "0"})
+    with pytest.raises(LogicError, match=message):
+        falsifying_assignment(st, parse_sequent("|- P(f(a1, a1))"))
+    with pytest.raises(LogicError, match=re.escape("function 'f' is not defined at ('2',)")):
+        eval_term(FunApp("f", (FreeVar("a1"),)), st, {"a1": "2"})
+
+
+@pytest.mark.parametrize("value", [ZERO, ONE], ids=["P=0", "P=1"])
+def test_signature_is_checked_before_any_value(value):
+    # with P = 0 the antecedent alone decides the sequent, before Q(a1) or
+    # P(a1, a1) would be read; the signature is checked before any value
+    space = tuple_space(("0", "1"), 1)
+    st = Structure(domain=("0", "1"), predicates={"P": Triple.from_values(space, dict.fromkeys(space, value))})
+    cases = [
+        ("P(a1) |- Q(a1)", "structure does not interpret predicate 'Q'"),
+        ("P(a1) |- P(a1, a1)", "predicate 'P' has arity 1 in the structure, used with 2 arguments"),
+        ("P(a1) |- p", "structure does not interpret propositional atom 'p'"),
+        ("P(a1) |- P(c)", "structure does not interpret constant 'c'"),
+        ("P(a1) |- P(g(a1))", "structure does not interpret function 'g'"),
+    ]
+    for text, message in cases:
+        goal = parse_sequent(text)
+        with pytest.raises(LogicError, match=re.escape(message)):
+            falsifying_assignment(st, goal)
+        with pytest.raises(LogicError, match=re.escape(message)):
+            denote(next(iter(goal.succ)), st)
+
+
+def _counted_value_at(monkeypatch) -> list:
+    reads = []
+    value_at = Triple.value_at
+
+    def counted(triple, x):
+        reads.append(x)
+        return value_at(triple, x)
+
+    monkeypatch.setattr(Triple, "value_at", counted)
+    return reads
+
+
+def _unary_structure(size: int, values: dict) -> Structure:
+    """P over m0 … m(size-1): the given values, 1 elsewhere."""
+    domain = tuple(f"m{i}" for i in range(size))
+    space = tuple_space(domain, 1)
+    triple = Triple.from_values(space, {row: values.get(row[0], ONE) for row in space})
+    return Structure(domain=domain, predicates={"P": triple})
+
+
+def test_forall_stops_at_its_first_instance_that_is_0(monkeypatch):
+    st = _unary_structure(5, {"m0": ZERO})
+    reads = _counted_value_at(monkeypatch)
+    assert falsifying_assignment(st, parse_sequent("|- forall x1. forall x2. forall x3. P(x1)")) == {}
+    assert reads == [("m0",)]
+
+
+def test_exists_stops_at_its_first_instance_that_is_1(monkeypatch):
+    reads = _counted_value_at(monkeypatch)
+    assert falsifying_assignment(_unary_structure(5, {}), parse_sequent("|- exists x1. exists x2. P(x2)")) is None
+    assert reads == [("m0",)]
+    reads.clear()
+    # the instances are read up to the first that is 1
+    st = _unary_structure(5, {"m0": ZERO, "m1": HALF})
+    assert falsifying_assignment(st, parse_sequent("|- exists x. P(x)")) is None
+    assert reads == [("m0",), ("m1",), ("m2",)]
+
+
+def test_nested_quantifiers_hold_one_assignment_per_level():
+    # 10 ** 6 assignments of the bound variables; the first instance decides
+    st = _unary_structure(10, {"m0": ZERO})
+    goal = parse_sequent("|- forall x1. forall x2. forall x3. forall x4. forall x5. forall x6. P(x1)")
+    tracemalloc.start()
+    try:
+        assert falsifying_assignment(st, goal) == {}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 def test_denote_examples():
