@@ -21,11 +21,10 @@ from __future__ import annotations
 import collections
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from typing import ClassVar, Union
+from typing import NamedTuple, Union
 
 from .errors import InternalError, LogicError
-from .fo_semantics import Structure, Triple, enumerate_structures, falsifying_assignment, fo_sequent_satisfied
+from .fo_semantics import Structure, Triple, enumerate_structures, fo_sequent_satisfied, unchecked_falsifying_assignment
 from .parsing import format_formula, format_sequent
 from .sequents import (
     EIGEN_RULES,
@@ -147,31 +146,33 @@ def _indexed(candidates: Candidates, ante: Iterable[Formula], succ: Iterable[For
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class PrincipalReduction:
+class PrincipalReduction(NamedTuple):
     principal: Formula
     rule: RuleId
     var: str | None
     options: tuple[tuple[tuple[Formula, ...], tuple[Formula, ...]], ...]
 
 
-@dataclass
 class ReductionNode:
-    sequent: Sequent
-    created_at_stage: int
-    phase: RuleId | None = None  # rule of the reduction that created this node
-    marks: dict[MarkKey, int] = field(default_factory=dict)
-    principals: tuple[PrincipalReduction, ...] = ()
-    children: list["ReductionNode"] = field(default_factory=list)
-    candidates: Candidates = field(kw_only=True, repr=False)
+    """A node of the reduction tree. ``phase`` is the rule of the reduction
+    that created it; `_expand_leaf` sets its principals and appends its
+    children."""
+
+    __slots__ = ("sequent", "created_at_stage", "phase", "marks", "principals", "children", "candidates")
+
+    def __init__(self, sequent: Sequent, created_at_stage: int, phase=None, marks=None, *, candidates: Candidates):
+        self.sequent, self.created_at_stage, self.phase = sequent, created_at_stage, phase
+        self.marks: dict[MarkKey, int] = {} if marks is None else marks
+        self.principals: tuple[PrincipalReduction, ...] = ()
+        self.children: list[ReductionNode] = []
+        self.candidates = candidates
 
     @property
     def closed(self) -> bool:
         return self.sequent.closed_by_axiom
 
 
-@dataclass
-class ReductionTree:
+class ReductionTree(NamedTuple):
     root: ReductionNode
     status: str  # "closed" | "refuted" | "stalled" | "budget"
     stages: int
@@ -374,17 +375,15 @@ def _assemble(node: ReductionNode) -> Proof:
 # Verdicts
 
 
-@dataclass(frozen=True, slots=True)
-class Refuted:
-    status: ClassVar[str] = "refuted"
+class Refuted(NamedTuple):
     structure: Structure
     assignment: dict[str, str]
+    status = "refuted"
 
 
-@dataclass(frozen=True, slots=True)
-class Unknown:
-    status: ClassVar[str] = "unknown"
+class Unknown(NamedTuple):
     report: str
+    status = "unknown"
 
 
 FoVerdict = Union[Proved, Refuted, Unknown]
@@ -407,8 +406,10 @@ def refute_finitely(s: Sequent) -> tuple[tuple[Structure, dict[str, str]] | None
     )
     tried = size = 0
     for st in itertools.islice(structures, REFUTER_STRUCTURES):
+        if not tried:  # every structure interprets the same predicates
+            st.check_signature(s.ante | s.succ)
         tried, size = tried + 1, len(st.domain)
-        assignment = falsifying_assignment(st, s)
+        assignment = unchecked_falsifying_assignment(st, s)
         if assignment is not None:
             return (st, assignment), tried, size
     return None, tried, size

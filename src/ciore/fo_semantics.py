@@ -12,8 +12,7 @@ domain element m after another until an instance decides it (`_leaf`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import syntax
 from .errors import LogicError
@@ -22,19 +21,22 @@ from .sequents import Sequent
 from .syntax import BoundVar, Const, Forall, Formula, FreeVar, FunApp, PredAtom, PropAtom, Term
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """A map X -> {1, 1/2, 0}, kept as the partition it induces."""
-
+class _TripleFields(NamedTuple):
     universe: frozenset
     plus: frozenset
     minus: frozenset
     circ: frozenset
 
-    def __post_init__(self):
-        parts = [self.plus, self.minus, self.circ]
-        if self.plus | self.minus | self.circ != self.universe or sum(map(len, parts)) != len(self.universe):
+
+class Triple(_TripleFields):
+    """A map X -> {1, 1/2, 0}, kept as the partition it induces."""
+
+    __slots__ = ()
+
+    def __new__(cls, universe: frozenset, plus: frozenset, minus: frozenset, circ: frozenset):
+        if plus | minus | circ != universe or sum(map(len, (plus, minus, circ))) != len(universe):
             raise LogicError("triple components must partition the universe")
+        return super().__new__(cls, universe, plus, minus, circ)
 
     @staticmethod
     def from_values(universe, values: Mapping) -> "Triple":
@@ -66,17 +68,29 @@ def _check_arity(kind: str, name: str, arity: int, used: int) -> None:
         raise LogicError(f"{kind} {name!r} has arity {arity} in the structure, used with {used} arguments")
 
 
-@dataclass(frozen=True)
-class Structure:
-    """Finite partial structure: a nonempty domain, a triple for each
-    predicate over its tuple space, total functions and constants."""
-
+class _StructureFields(NamedTuple):
     domain: tuple[str, ...]
-    predicates: dict[str, Triple] = field(default_factory=dict)
-    functions: dict[str, dict[tuple[str, ...], str]] = field(default_factory=dict)
-    constants: dict[str, str] = field(default_factory=dict)
+    predicates: dict[str, Triple]
+    functions: dict[str, dict[tuple[str, ...], str]]
+    constants: dict[str, str]
 
-    def __post_init__(self):
+
+class Structure(_StructureFields):
+    """Finite partial structure: a nonempty domain, a triple for each
+    predicate over its tuple space, total functions and constants. A table
+    left out is empty."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        domain: tuple[str, ...],
+        predicates: dict[str, Triple] | None = None,
+        functions: dict[str, dict[tuple[str, ...], str]] | None = None,
+        constants: dict[str, str] | None = None,
+    ):
+        tables = [{} if table is None else table for table in (predicates, functions, constants)]
+        self = super().__new__(cls, domain, *tables)
         if not self.domain:
             raise LogicError("the domain must be nonempty")
         if len(set(self.domain)) != len(self.domain):
@@ -95,6 +109,7 @@ class Structure:
         for name, value in self.constants.items():
             if value not in elems:
                 raise LogicError(f"constant {name!r} denotes no domain element")
+        return self
 
     def predicate_arity(self, name: str) -> int:
         triple = self.predicates[name]
@@ -210,6 +225,12 @@ def falsifying_assignment(st: Structure, seq: Sequent) -> dict[str, str] | None:
     does. Raises `LogicError` when the structure does not interpret the
     sequent's signature, whatever its values."""
     st.check_signature(seq.ante | seq.succ)
+    return unchecked_falsifying_assignment(st, seq)
+
+
+def unchecked_falsifying_assignment(st: Structure, seq: Sequent) -> dict[str, str] | None:
+    """`falsifying_assignment` for a structure already known to interpret
+    the sequent's signature."""
     variables = sorted(seq.free_variables(), key=syntax.var_index)
     for combo in itertools.product(st.domain, repeat=len(variables)):
         assignment = dict(zip(variables, combo))

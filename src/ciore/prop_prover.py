@@ -13,8 +13,7 @@ lowers the weight, so the search ends whatever the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import NamedTuple, Union
 
 from .errors import InternalError, LogicError
 from .matrix import HALF, ONE, ZERO, TruthValue, capped_atoms, sequent_satisfied
@@ -45,10 +44,9 @@ _DECREASING_PREMISE_COUNT = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Refuted:
-    status: ClassVar[str] = "refuted"
+class Refuted(NamedTuple):
     valuation: dict[str, TruthValue]
+    status = "refuted"
 
 
 Verdict = Union[Proved, Refuted]

@@ -11,8 +11,7 @@ duplicate either way).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .syntax import (
     BINARY_TYPES,
@@ -36,8 +35,7 @@ LEFT = "L"
 RIGHT = "R"
 
 
-@dataclass(frozen=True, slots=True)
-class Sequent:
+class Sequent(NamedTuple):
     ante: frozenset[Formula]
     succ: frozenset[Formula]
 
@@ -188,8 +186,7 @@ _CALCULUS_RULES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Proof:
+class Proof(NamedTuple):
     """Rule-labelled proof tree; ``var`` carries the instantiating free
     variable or eigenvariable of quantifier rules, and the cut formula is the
     ``principal`` of a Cut node."""
@@ -212,12 +209,11 @@ class Proof:
             stack += reversed(node.premises)
 
 
-@dataclass(frozen=True, slots=True)
-class Proved:
+class Proved(NamedTuple):
     """Verdict of either prover: a cut-free proof of the goal."""
 
-    status: ClassVar[str] = "proved"
     proof: Proof
+    status = "proved"
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +231,7 @@ class Proved:
 Delta = tuple[tuple[Formula, ...], tuple[Formula, ...]]
 
 
-@dataclass(frozen=True, slots=True)
-class RuleShape:
+class RuleShape(NamedTuple):
     """One row of the rule table."""
 
     side: str

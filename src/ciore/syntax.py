@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import LogicError
@@ -34,12 +33,24 @@ def is_free_var_name(name: str) -> bool:
 class _Node:
     """What every term and formula node holds besides its fields: its hash,
     set at construction, and its formula_key, free variables and text
-    (`parsing.format_formula`), each set on first request."""
+    (`parsing.format_formula`), each set on first request. Nodes are
+    immutable: the package writes the cached attributes with
+    ``object.__setattr__``."""
 
     __slots__ = ("_hash", "_key", "_free", "_text")
 
     def __hash__(self):
         return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the constructor, so they
@@ -48,14 +59,14 @@ class _Node:
 
 
 def _interned(cls):
-    """Make cls a frozen dataclass whose constructor returns the one node with
-    the given fields. A new node is validated (``__post_init__``) before it
-    enters the table, so an invalid construction leaves no entry. The stored
-    hash is the hash of the field tuple, the frozen dataclass hash, so
-    frozenset order is that of uninterned nodes. ``__eq__`` stays the
-    dataclass one; equal nodes are identical, so it runs only on collisions."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    init, names, nodes = cls.__init__, cls.__match_args__, {}
+    """Rebuild cls as an immutable slotted class, its fields named by its
+    annotations, whose constructor returns the one node with the given
+    fields. A new node is validated (``__post_init__``) before it enters the
+    table, so an invalid construction leaves no entry. The stored hash is
+    the hash of the field tuple, so frozenset order is that of uninterned
+    nodes. Equality is identity, which interning makes structural."""
+    names, nodes = tuple(cls.__annotations__), {}
+    post_init = getattr(cls, "__post_init__", None)
 
     def __new__(kind, *fields, **named):
         if named:
@@ -64,16 +75,21 @@ def _interned(cls):
                 raise TypeError(f"{kind.__name__}() got unexpected keyword arguments {sorted(named)}")
         node = nodes.get(fields)
         if node is None:
+            if len(fields) != len(names):
+                raise TypeError(f"{kind.__name__}() takes the fields {', '.join(names)}")
             node = object.__new__(kind)
-            init(node, *fields)
+            for name, value in zip(names, fields):
+                object.__setattr__(node, name, value)
+            if post_init is not None:
+                post_init(node)
             object.__setattr__(node, "_hash", hash(fields))
             node = nodes.setdefault(fields, node)  # a node another thread built first wins
         return node
 
-    cls.__new__ = staticmethod(__new__)
-    cls.__hash__ = _Node.__hash__
-    del cls.__init__  # __new__ has set the fields; object.__init__ ignores the arguments
-    return cls
+    # __new__ sets the fields, and object.__init__ ignores the arguments.
+    namespace = {key: value for key, value in vars(cls).items() if key not in ("__dict__", "__weakref__")}
+    namespace.update(__slots__=names, __match_args__=names, __new__=__new__)
+    return type(cls.__name__, cls.__bases__, namespace)
 
 
 # ---------------------------------------------------------------------------

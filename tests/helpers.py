@@ -898,8 +898,6 @@ def random_term_formula(rng: random.Random, depth: int) -> Formula:
 # recursive formula printer, the chained premise construction and the
 # recursive proof checker with its path built at every node
 
-import dataclasses  # noqa: E402
-
 from ciore.fo_prover import decide_fo  # noqa: E402
 from ciore.sequents import STRUCTURAL_RULES, Proved  # noqa: E402
 
@@ -1000,7 +998,7 @@ def _replace_at(proof: Proof, path: tuple[int, ...], new: Proof) -> Proof:
         return new
     premises = list(proof.premises)
     premises[path[0]] = _replace_at(premises[path[0]], path[1:], new)
-    return dataclasses.replace(proof, premises=tuple(premises))
+    return proof._replace(premises=tuple(premises))
 
 
 def _formula_pool(node: Proof) -> list[Formula]:
@@ -1021,7 +1019,7 @@ def _swap_premise(rng: random.Random, proof: Proof, nodes) -> Proof | None:
         premises[i], premises[j] = premises[j], premises[i]
     else:
         premises[0] = rng.choice(nodes)[1]
-    return _replace_at(proof, path, dataclasses.replace(node, premises=tuple(premises)))
+    return _replace_at(proof, path, node._replace(premises=tuple(premises)))
 
 
 def _change_principal(rng: random.Random, proof: Proof, nodes) -> Proof | None:
@@ -1031,14 +1029,14 @@ def _change_principal(rng: random.Random, proof: Proof, nodes) -> Proof | None:
         return None
     path, node = rng.choice(with_principal)
     others = [f for f in _formula_pool(node) if f != node.principal] or [Neg(node.principal)]
-    return _replace_at(proof, path, dataclasses.replace(node, principal=rng.choice(others)))
+    return _replace_at(proof, path, node._replace(principal=rng.choice(others)))
 
 
 def _change_rule(rng: random.Random, proof: Proof, nodes) -> Proof | None:
     """A node's rule replaced by another rule, often one outside the calculus."""
     path, node = rng.choice(nodes)
     rule = rng.choice([rule for rule in RuleId if rule is not node.rule])
-    return _replace_at(proof, path, dataclasses.replace(node, rule=rule))
+    return _replace_at(proof, path, node._replace(rule=rule))
 
 
 def _insert_cut(rng: random.Random, proof: Proof, nodes) -> Proof | None:

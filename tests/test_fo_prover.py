@@ -19,7 +19,7 @@ from ciore.fo_prover import (
     extract_countermodel,
     fo_regression_suite,
 )
-from ciore.fo_semantics import fo_sequent_satisfied, fo_sequent_valid_in, structure_to_json
+from ciore.fo_semantics import Structure, fo_sequent_satisfied, fo_sequent_valid_in, structure_to_json
 from ciore.parsing import format_sequent, parse_formula, parse_sequent
 from ciore.randgen import random_fo_formula
 from ciore.sequents import RULE_TABLE, Calculus, RuleId, Sequent, check_proof, formula_key, proof_error, rules_for
@@ -225,6 +225,21 @@ def test_budget_exhaustion_reports_unknown():
     verdict = decide_fo(swap, max_nodes=50, max_depth=30)
     assert isinstance(verdict, Refuted) and verdict.structure.domain == ("m0", "m1")
     assert not fo_sequent_satisfied(verdict.structure, verdict.assignment, swap)
+
+
+def test_finite_refuter_checks_the_signature_once(monkeypatch):
+    # every structure it tries interprets exactly the goal's predicates
+    checked, check = [], Structure.check_signature
+
+    def counted(st, formulas):
+        checked.append(st.domain)
+        return check(st, formulas)
+
+    monkeypatch.setattr(Structure, "check_signature", counted)
+    swap = seq("|- (forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)")
+    verdict = decide_fo(swap, max_nodes=50, max_depth=30)
+    assert isinstance(verdict, Refuted) and verdict.structure.domain == ("m0", "m1")
+    assert checked == [("m0",)]
 
 
 def test_finite_refuter_bounds_the_points_of_a_structure():

@@ -450,6 +450,10 @@ def test_structure_totality_checks():
     triple = Triple.from_values(space, {("0",): ONE, ("1",): ONE})
     with pytest.raises(LogicError):
         Structure(domain=(), predicates={})
+    with pytest.raises(LogicError, match="distinct"):
+        Structure(domain=("0", "0"), predicates={"P": triple})
+    with pytest.raises(LogicError, match="full tuple space"):  # the row ("2",) is missing
+        Structure(domain=("0", "1", "2"), predicates={"P": triple})
     with pytest.raises(LogicError):
         Structure(domain=("0", "1"), predicates={"P": triple}, functions={"f": {("0",): "1"}})
     with pytest.raises(LogicError):

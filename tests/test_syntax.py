@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 import random
@@ -7,6 +6,7 @@ import sys
 
 import pytest
 
+from ciore import syntax
 from ciore.errors import LogicError
 from ciore.parsing import format_formula, parse_formula
 from ciore.syntax import (
@@ -263,14 +263,14 @@ def test_free_variables_are_stored_on_the_node():
 
 
 def _fields(node) -> tuple:
-    return tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+    return tuple(getattr(node, name) for name in node.__match_args__)
 
 
 def _rebuild(x):
     """x constructed afresh, bottom up, from its fields."""
     if isinstance(x, tuple):
         return tuple(map(_rebuild, x))
-    if dataclasses.is_dataclass(x):
+    if isinstance(x, syntax._Node):
         return type(x)(*map(_rebuild, _fields(x)))
     return x
 
@@ -281,7 +281,8 @@ def test_equal_constructions_are_one_node_hashed_as_a_dataclass():
         phi = random_term_formula(rng, 5)
         assert _rebuild(phi) is phi
         for node in [*subformulas(phi), *terms(phi)]:
-            # the frozen dataclass hash, so frozenset order does not change
+            # the hash of the field tuple, which a frozen dataclass also gives,
+            # so frozenset order does not change
             assert hash(node) == hash(_fields(node))
     a1 = FreeVar("a1")
     assert FreeVar(name="a1") is a1
