@@ -121,44 +121,9 @@ STRUCTURAL_RULES = frozenset({R.AXIOM, R.WEAK_L, R.WEAK_R, R.WEAKEN})
 #: conclusion.
 EIGEN_RULES = frozenset({R.FORALL_R, R.EXISTS_L, R.CIRC_EXISTS_L})
 
-QUANTIFIER_RULES = frozenset(
-    {
-        R.FORALL_L,
-        R.FORALL_R,
-        R.EXISTS_L,
-        R.EXISTS_R,
-        R.CIRC_FORALL_L,
-        R.CIRC_FORALL_R,
-        R.CIRC_EXISTS_L,
-        R.CIRC_EXISTS_R,
-    }
-)
-
-_GCIORE_LOGICAL = frozenset(
-    {
-        R.OR_L,
-        R.OR_R,
-        R.NEG_OR_L,
-        R.NEG_OR_R,
-        R.AND_L,
-        R.AND_R,
-        R.NEG_AND_L,
-        R.NEG_AND_R,
-        R.IMP_L,
-        R.IMP_R,
-        R.NEG_IMP_L,
-        R.NEG_IMP_R,
-        R.NEG_R,
-        R.NEG_NEG_L,
-        R.NEG_NEG_R,
-        R.CIRC_L,
-        R.CIRC_R,
-        R.NEG_CIRC_L,
-    }
-)
-
+#: The multi-premise right-negation forms of GCiore', each stated in the rule
+#: table for the shape of the GCiore rule it replaces.
 _PRIMED_FORMS = frozenset({R.NEG_OR_R2, R.NEG_AND_R2, R.NEG_IMP_R2, R.NEG_R2})
-_REPLACED_BY_PRIMED = frozenset({R.NEG_OR_R, R.NEG_AND_R, R.NEG_IMP_R, R.NEG_R})
 
 
 class Calculus(enum.Enum):
@@ -177,13 +142,6 @@ class Calculus(enum.Enum):
     @property
     def rules(self) -> frozenset[RuleId]:
         return _CALCULUS_RULES[self]
-
-
-_CALCULUS_RULES = {
-    Calculus.GCIORE: _GCIORE_LOGICAL,
-    Calculus.GCIORE_PRIME: (_GCIORE_LOGICAL - _REPLACED_BY_PRIMED) | _PRIMED_FORMS,
-    Calculus.GQCIORE: _GCIORE_LOGICAL | _PRIMED_FORMS | QUANTIFIER_RULES,
-}
 
 
 class Proof(NamedTuple):
@@ -226,7 +184,8 @@ class Proved(NamedTuple):
 # a function of the principal's parts: the operands of the binary connective
 # at or under the top, the body of a unary one, or the instance of a
 # quantifier at the rule's variable. The checker and both provers read this
-# table and nothing else.
+# table, and each calculus's rule set is read off it; only which rules are
+# primed forms and which take an eigenvariable are listed by name.
 
 Delta = tuple[tuple[Formula, ...], tuple[Formula, ...]]
 
@@ -292,8 +251,22 @@ RULE_TABLE: dict[RuleId, RuleShape] = {
 
 _RULES_BY_SHAPE: dict[tuple[str, type, type | None], tuple[RuleId, ...]] = {}
 for _rule, _shape in RULE_TABLE.items():
-    _key = (_shape.side, _shape.outer, _shape.inner)
-    _RULES_BY_SHAPE[_key] = _RULES_BY_SHAPE.get(_key, ()) + (_rule,)
+    _RULES_BY_SHAPE[_shape[:3]] = _RULES_BY_SHAPE.get(_shape[:3], ()) + (_rule,)
+
+# The calculi's rule sets. GCiore' trades each rule that shares a shape with
+# a primed form for that form; GQCiore admits every row.
+QUANTIFIER_RULES = frozenset(
+    rule for rule, shape in RULE_TABLE.items() if shape.outer in QUANTIFIER_TYPES or shape.inner in QUANTIFIER_TYPES
+)
+_GCIORE = frozenset(RULE_TABLE) - QUANTIFIER_RULES - _PRIMED_FORMS
+_REPLACED_BY_PRIMED = frozenset(
+    rule for primed in _PRIMED_FORMS for rule in _RULES_BY_SHAPE[RULE_TABLE[primed][:3]] if rule not in _PRIMED_FORMS
+)
+_CALCULUS_RULES = {
+    Calculus.GCIORE: _GCIORE,
+    Calculus.GCIORE_PRIME: (_GCIORE - _REPLACED_BY_PRIMED) | _PRIMED_FORMS,
+    Calculus.GQCIORE: frozenset(RULE_TABLE),
+}
 
 
 def rules_for(phi: Formula, side: str) -> tuple[RuleId, ...]:
@@ -373,7 +346,7 @@ def rule_instance_error(
         if len(conclusion.ante) == 1 and conclusion.ante == conclusion.succ:
             return None
         return "axiom must be of the shape  a |- a"
-    if rule in (R.WEAK_L, R.WEAK_R, R.WEAKEN):
+    if rule in STRUCTURAL_RULES:  # a weakening: the axiom returned above
         if len(premises) != 1:
             return "weakening takes exactly one premise"
         p = premises[0]

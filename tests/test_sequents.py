@@ -8,6 +8,7 @@ from ciore.matrix import matrix_valid, sequent_atoms, sequent_satisfied, valuati
 from ciore.parsing import parse_formula, parse_sequent
 from ciore.prop_prover import Proved, decide
 from ciore.sequents import (
+    EIGEN_RULES,
     QUANTIFIER_RULES,
     RULE_TABLE,
     Calculus,
@@ -21,6 +22,8 @@ from ciore.sequents import (
 )
 from ciore.syntax import And, Circ, Imp, Neg, Or, PropAtom
 
+from helpers import EIGEN_RULES as LISTED_EIGEN_RULES
+from helpers import QUANTIFIER_RULES as LISTED_QUANTIFIER_RULES
 from helpers import (
     PROP_LOGICAL_RULES,
     BackwardApplication,
@@ -182,6 +185,17 @@ def test_backward_applications_enumeration_is_deterministic():
     assert first == second
     rule_positions = [a.rule for a in first]
     assert rule_positions == sorted(rule_positions, key=lambda rule: list(RuleId).index(rule))
+
+
+def test_calculus_rule_sets_match_the_listed_rules():
+    # sequents reads these sets off RULE_TABLE; helpers lists them by hand
+    assert QUANTIFIER_RULES == frozenset(LISTED_QUANTIFIER_RULES)
+    assert EIGEN_RULES == frozenset(LISTED_EIGEN_RULES)
+    gciore, prime = Calculus.GCIORE.rules, Calculus.GCIORE_PRIME.rules
+    assert gciore | prime == frozenset(PROP_LOGICAL_RULES)
+    assert prime - gciore == {R.NEG_OR_R2, R.NEG_AND_R2, R.NEG_IMP_R2, R.NEG_R2}
+    assert gciore - prime == {R.NEG_OR_R, R.NEG_AND_R, R.NEG_IMP_R, R.NEG_R}
+    assert Calculus.GQCIORE.rules == frozenset(RULE_TABLE)
 
 
 def test_local_soundness_random_instances():
