@@ -11,23 +11,19 @@ from typing import Mapping, Sequence
 
 from .sequents import Sequent
 from .syntax import (
-    And,
+    BINARY_TYPES,
     Circ,
     Exists,
     Forall,
     Formula,
     FreeVar,
-    Imp,
     Neg,
-    Or,
     PredAtom,
     PropAtom,
     bind,
     bound_names,
     free_variables,
 )
-
-_BINARY = (And, Or, Imp)
 
 
 def random_formula(rng: random.Random, atom_names: Sequence[str], max_depth: int) -> Formula:
@@ -39,7 +35,7 @@ def random_formula(rng: random.Random, atom_names: Sequence[str], max_depth: int
         return Neg(random_formula(rng, atom_names, max_depth - 1))
     if shape == 1:
         return Circ(random_formula(rng, atom_names, max_depth - 1))
-    ctor = _BINARY[shape - 2]
+    ctor = BINARY_TYPES[shape - 2]
     return ctor(
         random_formula(rng, atom_names, max_depth - 1),
         random_formula(rng, atom_names, max_depth - 1),
@@ -80,7 +76,7 @@ def random_fo_formula(
             return Neg(build(depth - 1))
         if shape == 1:
             return Circ(build(depth - 1))
-        ctor = _BINARY[shape - 2]
+        ctor = BINARY_TYPES[shape - 2]
         return ctor(build(depth - 1), build(depth - 1))
 
     phi = build(max_depth)

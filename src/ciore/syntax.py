@@ -181,14 +181,17 @@ class Imp(_Node):
     right: Formula
 
 
+def _check_bound_name(quantifier) -> None:
+    if is_free_var_name(quantifier.var):
+        raise LogicError(f"quantified variable {quantifier.var!r} must not use the free-variable namespace")
+
+
 @_interned
 class Forall(_Node):
     var: str
     body: Formula
 
-    def __post_init__(self):
-        if is_free_var_name(self.var):
-            raise LogicError(f"quantified variable {self.var!r} must not use the free-variable namespace")
+    __post_init__ = _check_bound_name
 
 
 @_interned
@@ -196,9 +199,7 @@ class Exists(_Node):
     var: str
     body: Formula
 
-    def __post_init__(self):
-        if is_free_var_name(self.var):
-            raise LogicError(f"quantified variable {self.var!r} must not use the free-variable namespace")
+    __post_init__ = _check_bound_name
 
 
 Formula = Union[PropAtom, PredAtom, Neg, Circ, And, Or, Imp, Forall, Exists]

@@ -182,8 +182,9 @@ def test_namespace_discipline():
         FreeVar("x")
     with pytest.raises(LogicError):
         BoundVar("a1")
-    with pytest.raises(LogicError):
-        Forall("a1", P(FreeVar("a2")))
+    for quantifier in (Forall, Exists):
+        with pytest.raises(LogicError, match="quantified variable 'a1' must not use the free-variable namespace"):
+            quantifier("a1", P(FreeVar("a2")))
 
 
 def test_validate_shadowing_and_scope():
