@@ -93,7 +93,7 @@ PHASES: tuple[RuleId | None, ...] = (
     R.IMP_L,
     R.IMP_R,
     R.NEG_OR_L,
-    R.NEG_OR_R,
+    R.NEG_OR_R2,
     R.NEG_AND_L,
     R.NEG_AND_R2,
     R.NEG_IMP_L,

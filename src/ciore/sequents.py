@@ -130,9 +130,9 @@ class Calculus(enum.Enum):
     """The three calculi; `rules` is the set of logical rules each admits.
 
     The first-order calculus admits both right-negation variants: its
-    reduction-tree search reduces negated conjunctions and implications on
-    the right with the invertible multi-premise forms, so the proofs it
-    emits use those alongside the plain rules.
+    reduction-tree search reduces negated disjunctions, conjunctions and
+    implications on the right with the invertible multi-premise forms, so
+    the proofs it emits use those alongside the plain rules.
     """
 
     GCIORE = "GCiore"

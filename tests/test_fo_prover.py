@@ -366,6 +366,18 @@ def test_dump_format():
     assert any("marks:" in line for line in lines)
 
 
+def test_negated_disjunction_on_the_right_is_reduced_invertibly():
+    # NEG_OR_R keeps one of a, ~a, b, ~b per premise, so a saturated branch
+    # need not falsify ~(a | b) and this valid goal used to stall at 35
+    # nodes; NEG_OR_R2 keeps the saturated branch a countermodel
+    s = seq("|- forall x2. exists x1. ~(P(x1) | P(x2)) | P(x2)")
+    tree = build_reduction_tree(s, max_nodes=200, max_depth=200)
+    assert (tree.status, tree.node_count, tree.stages) == ("closed", 29, 65)
+    verdict = decide_fo(s, max_nodes=200, max_depth=200)
+    assert isinstance(verdict, Proved) and check_proof(verdict.proof, Calculus.GQCIORE)
+    assert any(node.rule is RuleId.NEG_OR_R2 for node in verdict.proof.nodes())
+
+
 def test_unverifiable_saturation_is_unknown_never_wrong():
     # no rule decomposes a negated universal on the left; the atom recipe
     # cannot express "P is 1/2 everywhere", so the only honest outcome of
@@ -418,7 +430,7 @@ _SHAPE_PHASES = [
     ("forall x. P(x)", _K.FORALL_L, _K.FORALL_R),
     ("exists x. P(x)", _K.EXISTS_L, _K.EXISTS_R),
     ("~(P(a1) & P(a2))", _K.NEG_AND_L, _K.NEG_AND_R2),
-    ("~(P(a1) | P(a2))", _K.NEG_OR_L, _K.NEG_OR_R),
+    ("~(P(a1) | P(a2))", _K.NEG_OR_L, _K.NEG_OR_R2),
     ("~(P(a1) -> P(a2))", _K.NEG_IMP_L, _K.NEG_IMP_R2),
     ("~~P(a1)", _K.NEG_NEG_L, _K.NEG_NEG_R),
     ("~o P(a1)", _K.NEG_CIRC_L, _K.NEG_R),
@@ -436,9 +448,10 @@ _SHAPE_PHASES = [
 
 
 # Case ids keep the names the cases had when phases were a `PhaseKind`
-# enum, whose negated-& and negated--> right phases were NEG_AND_R and
-# NEG_IMP_R; the rules themselves are checked as `RuleId`s.
-_PHASE_KIND_NAME = {_K.NEG_AND_R2: "NEG_AND_R", _K.NEG_IMP_R2: "NEG_IMP_R"}
+# enum, whose negated-|, negated-& and negated--> right phases were
+# NEG_OR_R, NEG_AND_R and NEG_IMP_R; the rules themselves are checked as
+# `RuleId`s.
+_PHASE_KIND_NAME = {_K.NEG_OR_R2: "NEG_OR_R", _K.NEG_AND_R2: "NEG_AND_R", _K.NEG_IMP_R2: "NEG_IMP_R"}
 
 
 def _phase_id(rule):

@@ -59,8 +59,8 @@ from ciore.syntax import formula_key, var_index
 
 PINNED = {
     "falsifying_assignments": "3c7a5e434888a0c0846a9714c0873ba2a3b3aafca6a0157b3aa23f8ce6e48cc6",
-    "fo_trees": "b989a2a0688ebddd9d0358ff1e7ab389bce856ab5463fea75c75615063be128e",
-    "fo_verdicts": "461dd669cfdbb55f119e3967691e95d3b4b8314e016ca0ca2aeccd5bed83244f",
+    "fo_trees": "4f934e7efd0a5002f7b812e0924af3e0bff5078fa3c72771156354aba0ca7676",
+    "fo_verdicts": "5a580eff575096a4672f0e13291409b84a1a2a07761c400a832cb6a2dda179a1",
     "parse_outcomes": "e806aa4a92e5b33cdfa537da3f547b636d51e2a954da714cca352e32a868c717",
     "proof_errors": "cc5cc56242d879aa0c9cb3ed78570d1f6ea0abd06b3a65d9d10f38262afc97b7",
     "prop_verdicts": "ad5f2c9e562fd1dad9b745eedcbf7049fe2c3b7172cb2d461fa3c3cd90805f35",
