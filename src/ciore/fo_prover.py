@@ -25,6 +25,7 @@ from typing import NamedTuple, Union
 
 from .errors import InternalError, LogicError
 from .fo_semantics import Structure, Triple, enumerate_structures, fo_sequent_satisfied, unchecked_falsifying_assignment
+from .matrix import HALF, ONE, leaf_values
 from .parsing import format_formula, format_sequent
 from .sequents import (
     EIGEN_RULES,
@@ -52,7 +53,6 @@ from .syntax import (
     FreeVar,
     FunApp,
     Imp,
-    Neg,
     PredAtom,
     PropAtom,
     fresh_free_variables,
@@ -311,31 +311,25 @@ def build_reduction_tree(
 
 
 def extract_countermodel(leaf: Sequent, goal: Sequent, arities: dict[str, int]) -> tuple[Structure, dict[str, str]] | None:
-    """Recipe: domain = the leaf's free variables; a predicate holds (1)
-    where only the atom sits on the left, is inconsistent (1/2) where atom
-    and negated atom both do, and fails (0) elsewhere. The result is only
-    returned if it verifiably falsifies the goal. Sequents only grow along
-    a branch, and every formula a reduction adds is an instance of a goal
-    subformula, so the leaf holds the goal and has exactly its predicates,
-    whose arities the caller passes in; their values are read off the
-    leaf's antecedent atoms in one pass."""
+    """Recipe: domain = the leaf's free variables; each predicate's table
+    holds the values `matrix.leaf_values` reads off the leaf's antecedent
+    atoms (1 where only the atom sits on the left, 1/2 where atom and
+    negated atom both do, 0 elsewhere). The result is only returned if it
+    verifiably falsifies the goal. Sequents only grow along a branch, and
+    every formula a reduction adds is an instance of a goal subformula, so
+    the leaf holds the goal and has exactly its predicates, whose arities
+    the caller passes in, and its atoms' arguments are free variables."""
     domain = tuple(sorted(leaf.free_variables(), key=var_index)) or ("a1",)
 
-    held: dict[str, set] = collections.defaultdict(set)  # predicate -> tuples whose atom is on the left
-    negated: dict[str, set] = collections.defaultdict(set)  # ... whose negated atom is on the left too
-    for phi in leaf.ante:
-        if type(phi) is Neg:
-            phi, tuples = phi.body, negated
-        else:
-            tuples = held
-        if type(phi) is PredAtom and all(type(t) is FreeVar for t in phi.args):
-            tuples[phi.name].add(tuple(t.name for t in phi.args))
+    rows = collections.defaultdict(lambda: {ONE: set(), HALF: set()})  # predicate -> value -> its rows
+    for atom, value in leaf_values(leaf.ante).items():
+        rows[atom.name][value].add(tuple(t.name for t in atom.args))
 
     predicates: dict[str, Triple] = {}
     for name, arity in sorted(arities.items()):
         space = frozenset(itertools.product(domain, repeat=arity))
-        plus, circ = held[name] - negated[name], held[name] & negated[name]
-        predicates[name] = Triple(space, frozenset(plus), space - held[name], frozenset(circ))
+        plus, circ = rows[name][ONE], rows[name][HALF]
+        predicates[name] = Triple(space, frozenset(plus), space - plus - circ, frozenset(circ))
 
     structure = Structure(domain=domain, predicates=predicates)
     assignment = {v: v for v in domain}

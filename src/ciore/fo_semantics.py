@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import syntax
 from .errors import LogicError
-from .matrix import _POINT, HALF, ONE, VALUE_ORDER, ZERO, Leaf, TruthValue, evaluate, falsified
+from .matrix import _POINT, _VALUE, HALF, ONE, VALUE_ORDER, ZERO, Leaf, TruthValue, evaluate, falsified
 from .sequents import Sequent
 from .syntax import BoundVar, Const, Forall, Formula, FreeVar, FunApp, PredAtom, PropAtom, Term
 
@@ -171,8 +171,7 @@ def denote(phi: Formula, st: Structure, variables: tuple[str, ...] | None = None
     st.check_signature([phi])
     values = {}
     for point in itertools.product(st.domain, repeat=len(variables)):
-        zero, half = evaluate(phi, _leaf(st, dict(zip(variables, point))), 1)
-        values[point] = ZERO if zero else HALF if half else ONE
+        values[point] = _VALUE[evaluate(phi, _leaf(st, dict(zip(variables, point))), 1)]
     return Triple.from_values(values.keys(), values)
 
 

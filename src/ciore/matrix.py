@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 from . import syntax
 from .errors import AtomCapExceeded, LogicError, UsageError
 from .sequents import Sequent
-from .syntax import And, Circ, Formula, Imp, Neg, Or, PropAtom
+from .syntax import And, Circ, Formula, Imp, Neg, Or, PredAtom, PropAtom
 
 DEFAULT_ATOM_CAP = 12
 
@@ -101,8 +101,10 @@ def _atom_leaf(lookup: Callable[[str], tuple]) -> Leaf:
     return leaf
 
 
-# One valuation, or one assignment in `fo_semantics`, on a one-bit carrier.
+# One valuation, or one assignment in `fo_semantics`, on a one-bit carrier:
+# the (zero, half) pair of each value, and the value of each pair.
 _POINT = {ZERO: (1, 0), HALF: (0, 1), ONE: (0, 0)}
+_VALUE = {point: value for value, point in _POINT.items()}
 _POINTS = tuple(_POINT[value] for value in VALUE_ORDER)
 
 
@@ -112,13 +114,20 @@ def _valuation_leaf(v: Valuation) -> Leaf:
 
 def eval_formula(phi: Formula, v: Valuation) -> TruthValue:
     """Evaluate a propositional formula under a valuation total on its atoms."""
-    zero, half = evaluate(phi, _valuation_leaf(v), 1)
-    return ZERO if zero else HALF if half else ONE
+    return _VALUE[evaluate(phi, _valuation_leaf(v), 1)]
 
 
 def sequent_satisfied(v: Valuation, s: Sequent) -> bool:
     """True unless every antecedent formula is designated and no succedent one is."""
     return not falsified(s.ante, s.succ, _valuation_leaf(v), 1)
+
+
+def leaf_values(ante: frozenset[Formula]) -> dict[Formula, TruthValue]:
+    """The countermodel read off the antecedent of a saturated leaf, by both
+    provers: an atom on the left is 1, or 1/2 where its negation is on the
+    left too. An atom left out of the result is 0."""
+    negated = {phi.body for phi in ante if type(phi) is Neg}
+    return {phi: HALF if phi in negated else ONE for phi in ante if type(phi) is PropAtom or type(phi) is PredAtom}
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +171,7 @@ def find_countermodel(s: Sequent, atom_cap: int | None = None) -> dict[str, Trut
     ante, succ = s.sorted_ante(), s.sorted_succ()
     for combo in itertools.product(_POINTS, repeat=len(names)):
         if falsified(ante, succ, _atom_leaf(dict(zip(names, combo)).__getitem__), 1):
-            return {name: VALUE_ORDER[_POINTS.index(point)] for name, point in zip(names, combo)}
+            return {name: _VALUE[point] for name, point in zip(names, combo)}
     return None
 
 

@@ -32,6 +32,7 @@ from .syntax import (
     PropAtom,
     Term,
     is_free_var_name,
+    parts,
 )
 
 #: The binary connectives, loosest first: each row is a token, its
@@ -120,17 +121,17 @@ class _Parser:
         row = _BY_TOKEN.get(self.tok)
         while row is not None and row[0] >= floor:
             level, ctor, right = row
-            token, parts = self.tok, [out]
+            token, operands = self.tok, [out]
             while self.tok == token:
                 self.advance()
-                parts.append(self.formula(scope, level + 1))
-            self.reach(self.peak + len(parts) - 1)  # the deepest operand, plus the chain's links
+                operands.append(self.formula(scope, level + 1))
+            self.reach(self.peak + len(operands) - 1)  # the deepest operand, plus the chain's links
             if right:
-                out = parts.pop()
-                while parts:
-                    out = ctor(parts.pop(), out)
+                out = operands.pop()
+                while operands:
+                    out = ctor(operands.pop(), out)
             else:
-                out = functools.reduce(ctor, parts)
+                out = functools.reduce(ctor, operands)
             row = _BY_TOKEN.get(self.tok)
         if self.peak < outer:
             self.peak = outer
@@ -288,15 +289,6 @@ def _format(phi: Formula) -> str:
     return f"{word} {phi.var}. {phi.body._text}"
 
 
-def _children(phi: Formula) -> tuple[Formula, ...]:
-    kind = type(phi)
-    if kind in _BY_CTOR:
-        return phi.left, phi.right
-    if kind is PropAtom or kind is PredAtom:
-        return ()
-    return (phi.body,)
-
-
 def format_formula(phi: Formula) -> str:
     """The text of phi, formatted once per node and stored on it. A node's
     text does not depend on where it occurs (its parent adds any
@@ -309,7 +301,7 @@ def format_formula(phi: Formula) -> str:
     stack = [phi]
     while stack:
         f = stack[-1]
-        missing = [c for c in _children(f) if not hasattr(c, "_text")]
+        missing = [c for c in parts(f) if not hasattr(c, "_text")]
         if missing:
             stack += missing
             continue

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .errors import InternalError, LogicError
-from .matrix import HALF, ONE, ZERO, TruthValue, capped_atoms, sequent_satisfied
+from .matrix import ZERO, TruthValue, capped_atoms, leaf_values, sequent_satisfied
 from .sequents import (
     LEFT,
     RIGHT,
@@ -31,7 +31,7 @@ from .sequents import (
     premises_from_schema,
     rules_for,
 )
-from .syntax import Formula, Neg, PropAtom, is_literal, is_propositional
+from .syntax import Formula, PropAtom, is_literal, is_propositional
 
 R = RuleId
 
@@ -108,12 +108,8 @@ def decide(s: Sequent, atom_cap: int | None = None) -> Verdict:
     result = _decide(s, frozenset())
     if isinstance(result, Proof):
         return Proved(result)
-    # Read off the saturated leaf: an atom is 1 on the left, 1/2 where its
-    # negation is there too, and 0 elsewhere.
-    v: dict[str, TruthValue] = {}
-    for name in names:
-        atom = PropAtom(name)
-        v[name] = (HALF if Neg(atom) in result.ante else ONE) if atom in result.ante else ZERO
+    values = leaf_values(result.ante)
+    v = {name: values.get(PropAtom(name), ZERO) for name in names}
     if sequent_satisfied(v, s):
         raise InternalError("refuting valuation fails to falsify the sequent")
     return Refuted(v)

@@ -7,7 +7,7 @@ an explicit random.Random so runs are reproducible.
 from __future__ import annotations
 
 import random
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .sequents import Sequent
 from .syntax import (
@@ -26,20 +26,23 @@ from .syntax import (
 )
 
 
+_CONNECTIVES = (Neg, Circ, *BINARY_TYPES)
+
+
+def _random_tree(rng: random.Random, depth: int, leaf_chance: float, leaf: Callable[[], Formula]) -> Formula:
+    """Connective tree of nesting depth at most `depth`: a leaf from `leaf`
+    at depth 0 and with chance `leaf_chance` above it, else one of the five
+    connectives, equally likely, over subtrees built left to right."""
+    if depth == 0 or rng.random() < leaf_chance:
+        return leaf()
+    ctor = _CONNECTIVES[rng.randrange(len(_CONNECTIVES))]
+    arity = 2 if ctor in BINARY_TYPES else 1
+    return ctor(*[_random_tree(rng, depth - 1, leaf_chance, leaf) for _ in range(arity)])
+
+
 def random_formula(rng: random.Random, atom_names: Sequence[str], max_depth: int) -> Formula:
     """Quantifier-free formula of nesting depth at most max_depth."""
-    if max_depth == 0 or rng.random() < 0.25:
-        return PropAtom(rng.choice(list(atom_names)))
-    shape = rng.randrange(5)
-    if shape == 0:
-        return Neg(random_formula(rng, atom_names, max_depth - 1))
-    if shape == 1:
-        return Circ(random_formula(rng, atom_names, max_depth - 1))
-    ctor = BINARY_TYPES[shape - 2]
-    return ctor(
-        random_formula(rng, atom_names, max_depth - 1),
-        random_formula(rng, atom_names, max_depth - 1),
-    )
+    return _random_tree(rng, max_depth, 0.25, lambda: PropAtom(rng.choice(list(atom_names))))
 
 
 def random_sequent(
@@ -68,18 +71,7 @@ def random_fo_formula(
         args = tuple(FreeVar(rng.choice(list(variables))) for _ in range(predicates[name]))
         return PredAtom(name, args)
 
-    def build(depth: int) -> Formula:
-        if depth == 0 or rng.random() < 0.3:
-            return atom()
-        shape = rng.randrange(5)
-        if shape == 0:
-            return Neg(build(depth - 1))
-        if shape == 1:
-            return Circ(build(depth - 1))
-        ctor = BINARY_TYPES[shape - 2]
-        return ctor(build(depth - 1), build(depth - 1))
-
-    phi = build(max_depth)
+    phi = _random_tree(rng, max_depth, 0.3, atom)
     while rng.random() < quantifier_chance:
         free = sorted(free_variables(phi))
         if not free:

@@ -14,7 +14,6 @@ import enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .syntax import (
-    BINARY_TYPES,
     QUANTIFIER_TYPES,
     And,
     Circ,
@@ -29,6 +28,7 @@ from .syntax import (
     free_variables,
     instantiate,
     is_free_var_name,
+    parts,
 )
 
 LEFT = "L"
@@ -295,12 +295,8 @@ def rule_schema(rule: RuleId, principal: Formula, var: str | None = None) -> tup
     if isinstance(node, QUANTIFIER_TYPES):
         if var is None or not is_free_var_name(var):
             return None
-        parts = (instantiate(node, FreeVar(var)),)
-    elif isinstance(node, BINARY_TYPES):
-        parts = (node.left, node.right)
-    else:
-        parts = (node.body,)
-    return shape.side, shape.premises(*parts)
+        return shape.side, shape.premises(instantiate(node, FreeVar(var)))
+    return shape.side, shape.premises(*parts(node))
 
 
 def _premises(conclusion: Sequent, side: str, deltas: Iterable[Delta], principal: Formula, keep_principal: bool) -> list[Sequent]:

@@ -214,8 +214,20 @@ def iff(a: Formula, b: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Traversals: one preorder walk over formulas and one over terms, which every
-# structural query below reads. The formula classes have no subclasses.
+# Traversals: `parts` is the one list of a formula's immediate subformulas.
+# Every walk over formulas reads it: the preorder walk below, which every
+# structural query reads, substitution, and the printer. One more preorder
+# walk covers terms. The formula classes have no subclasses.
+
+
+def parts(phi: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of phi, left to right."""
+    kind = type(phi)
+    if kind is And or kind is Or or kind is Imp:
+        return phi.left, phi.right
+    if kind is PropAtom or kind is PredAtom:
+        return ()
+    return (phi.body,)
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
@@ -224,11 +236,7 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
     while stack:
         f = stack.pop()
         yield f
-        kind = type(f)
-        if kind is And or kind is Or or kind is Imp:
-            stack += (f.right, f.left)
-        elif kind is Neg or kind is Circ or kind is Forall or kind is Exists:
-            stack.append(f.body)
+        stack += parts(f)[::-1]
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -300,15 +308,11 @@ def quantifier_depth(phi: Formula) -> int:
     deepest, stack = 0, [(phi, 0)]
     while stack:
         f, depth = stack.pop()
-        kind = type(f)
-        if kind is Forall or kind is Exists:
+        if type(f) is Forall or type(f) is Exists:
             depth += 1
             deepest = max(deepest, depth)
-            stack.append((f.body, depth))
-        elif kind is And or kind is Or or kind is Imp:
-            stack += ((f.left, depth), (f.right, depth))
-        elif kind is Neg or kind is Circ:
-            stack.append((f.body, depth))
+        for g in parts(f):
+            stack.append((g, depth))
     return deepest
 
 
@@ -353,15 +357,13 @@ def _replace_in_term(t: Term, old: FreeVar | BoundVar, new: Term) -> Term:
 def _replace_var(phi: Formula, old: FreeVar | BoundVar, new: Term) -> Formula:
     """phi with every occurrence of the variable ``old`` replaced by ``new``;
     the one term-mapping walk behind substitution, binding and instantiation."""
-    if isinstance(phi, PredAtom):
+    kind = type(phi)
+    if kind is PredAtom:
         return PredAtom(phi.name, tuple(_replace_in_term(a, old, new) for a in phi.args))
-    if isinstance(phi, (Neg, Circ)):
-        return type(phi)(_replace_var(phi.body, old, new))
-    if isinstance(phi, BINARY_TYPES):
-        return type(phi)(_replace_var(phi.left, old, new), _replace_var(phi.right, old, new))
-    if isinstance(phi, QUANTIFIER_TYPES):
-        return type(phi)(phi.var, _replace_var(phi.body, old, new))
-    return phi
+    if kind is PropAtom:
+        return phi
+    replaced = [_replace_var(f, old, new) for f in parts(phi)]
+    return kind(phi.var, *replaced) if kind is Forall or kind is Exists else kind(*replaced)
 
 
 def substitute(phi: Formula, name: str, t: Term) -> Formula:

@@ -9,8 +9,11 @@ from ciore.matrix import (
     ONE,
     VALUE_ORDER,
     ZERO,
+    _POINT,
+    _VALUE,
     eval_formula,
     find_countermodel,
+    leaf_values,
     matrix_valid,
     sequent_atoms,
     sequent_satisfied,
@@ -20,7 +23,7 @@ from ciore.matrix import (
 from ciore.parsing import parse_formula, parse_sequent
 from ciore.randgen import random_sequent
 from ciore.sequents import Sequent
-from ciore.syntax import Neg, PropAtom
+from ciore.syntax import And, Circ, FreeVar, Neg, PredAtom, PropAtom
 
 from helpers import (
     AND_CELLS,
@@ -64,6 +67,20 @@ def test_eval_examples():
     assert eval_formula(parse_formula("o p"), {"p": HALF}) is ZERO
     assert eval_formula(parse_formula("~p"), {"p": HALF}) is HALF
     assert eval_formula(parse_formula("p -> q"), {"p": ZERO, "q": ZERO}) is ONE
+
+
+@pytest.mark.parametrize("value", VALUE_ORDER)
+def test_value_of_a_kernel_pair_inverts_its_point(value):
+    assert _VALUE[_POINT[value]] is value
+
+
+def test_leaf_values_read_the_antecedent_atoms():
+    r, s = PropAtom("r"), PropAtom("s")
+    pa, pb = (PredAtom("P", (FreeVar(name),)) for name in ("a1", "a2"))
+    ante = frozenset([p, q, Neg(q), Neg(r), Neg(And(p, s)), Circ(s), pa, pb, Neg(pb)])
+    # p and P(a1) alone are 1, q and P(a2) with their negations 1/2; r, whose
+    # negation alone is there, and s, inside compounds only, are absent (0)
+    assert leaf_values(ante) == {p: ONE, q: HALF, pa: ONE, pb: HALF}
 
 
 def test_eval_errors():

@@ -33,6 +33,7 @@ from ciore.syntax import (
     instantiate,
     is_literal,
     is_propositional,
+    parts,
     quantifier_depth,
     subformulas,
     substitute,
@@ -57,6 +58,25 @@ p, q = PropAtom("p"), PropAtom("q")
 
 def P(*terms):
     return PredAtom("P", terms)
+
+
+@pytest.mark.parametrize(
+    "phi, expected",
+    [
+        (p, ()),
+        (P(FreeVar("a1")), ()),
+        (Neg(p), (p,)),
+        (Circ(q), (q,)),
+        (And(p, q), (p, q)),
+        (Or(q, p), (q, p)),
+        (Imp(p, Neg(q)), (p, Neg(q))),
+        (Forall("x", P(BoundVar("x"))), (P(BoundVar("x")),)),
+        (Exists("x", Circ(p)), (Circ(p),)),
+    ],
+    ids=["PropAtom", "PredAtom", "Neg", "Circ", "And", "Or", "Imp", "Forall", "Exists"],
+)
+def test_parts_are_the_immediate_subformulas_left_to_right(phi, expected):
+    assert parts(phi) == expected
 
 
 def test_substitute_single_occurrence():
