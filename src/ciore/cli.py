@@ -74,6 +74,8 @@ def _read_json(path: str, convert):
     '-'. A file that cannot be opened or read is an input error. The JSON
     reader recurses once per nesting level, and `proof_from_json` once per
     proof level, so input nested past Python's recursion limit is one too."""
+    if path == "-" and sys.stdin is None:  # Python started with descriptor 0 closed
+        raise LogicError("standard input is closed")
     try:
         if path == "-":
             return convert(json.loads(sys.stdin.read()))
@@ -201,45 +203,53 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _discard(stream) -> None:
+    """Point the stream's descriptor at the null device. Python flushes
+    standard output and standard error once more at exit, and exits 120 if
+    that fails, so output left unwritten goes there."""
+    with contextlib.suppress(io.UnsupportedOperation):  # a stream with no descriptor
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _report(code: int, message: str) -> int:
+    """code, after message is written to standard error, when there is one
+    (``print`` to a None stream would write to standard output) and it can
+    be written."""
+    if sys.stderr is not None:
+        try:
+            print(message, file=sys.stderr, flush=True)
+        except OSError:
+            _discard(sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if sys.stdout is None:  # Python started with descriptor 1 closed
-            print("output error: standard output is closed", file=sys.stderr)
-            return EXIT_IOERR
+            return _report(EXIT_IOERR, "output error: standard output is closed")
         code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(EXIT_USAGE, f"usage error: {exc}")
     except AtomCapExceeded as exc:
-        print(f"unknown: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
+        return _report(EXIT_UNKNOWN, f"unknown: {exc}")
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _report(EXIT_DATA, f"parse error: {exc}")
     except LogicError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _report(EXIT_DATA, f"input error: {exc}")
     except OSError as exc:
         # Input files are read by `_read_json`, so this is a failed write.
-        # Python flushes stdout once more at exit and exits 120 if that
-        # fails too, so the output left unwritten goes to the null device.
-        print(f"output error: {exc}", file=sys.stderr)
-        with contextlib.suppress(io.UnsupportedOperation):  # a stream with no descriptor
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_IOERR
+        _discard(sys.stdout)
+        return _report(EXIT_IOERR, f"output error: {exc}")
     except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report(EXIT_INTERNAL, f"internal error: {exc}")
     except RecursionError:
-        print("internal error: input nested too deeply for the recursive traversals", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report(EXIT_INTERNAL, "internal error: input nested too deeply for the recursive traversals")
     except MemoryError:
-        print("internal error: out of memory", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report(EXIT_INTERNAL, "internal error: out of memory")
 
 
 if __name__ == "__main__":

@@ -308,6 +308,44 @@ def test_closed_standard_output_is_output_error():
     assert (child.returncode, child.stderr) == (74, b"output error: standard output is closed\n")
 
 
+def _closed_error_pipe_exit(argv: list[str]) -> int:
+    """The exit code of the command line when its standard error is a pipe
+    whose reader has closed it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        child = subprocess.run([sys.executable, "-m", "ciore.cli", *argv], stdout=subprocess.DEVNULL, stderr=writer, env=env)
+    finally:
+        os.close(writer)
+    return child.returncode
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["prove", "--nodes", "0", "|- p"], 64),
+        (["prove", "p &"], 65),
+        (["prove", "|- " + " | ".join(f"v{i}" for i in range(13))], 2),
+    ],
+    ids=["usage", "parse", "atom-cap"],
+)
+def test_closed_error_pipe_keeps_the_exit_code(argv, code):
+    assert _closed_error_pipe_exit(argv) == code
+
+
+@pytest.mark.parametrize("argv", [["check-proof"], ["validity", "--structure", "-", "P(a1) |- P(a1)"]])
+def test_closed_standard_input_is_input_error(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    child = subprocess.run(
+        [sys.executable, "-m", "ciore.cli", *argv],
+        preexec_fn=lambda: os.close(0),  # Python then starts with sys.stdin None
+        capture_output=True,
+        env=env,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (65, b"", b"input error: standard input is closed\n")
+
+
 def test_parse_error_exit(capsys):
     code, _, err = run(capsys, "prove", "p & |- q")
     assert code == 65 and "parse error" in err
