@@ -208,7 +208,10 @@ def _discard(stream) -> None:
     standard output and standard error once more at exit, and exits 120 if
     that fails, so output left unwritten goes there."""
     with contextlib.suppress(io.UnsupportedOperation):  # a stream with no descriptor
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+        if null != fd:  # the descriptor was closed, and the null device took it
+            os.dup2(null, fd)
+            os.close(null)
 
 
 def _report(code: int, message: str) -> int:

@@ -346,23 +346,24 @@ def _assemble(node: ReductionNode) -> Proof:
     if not node.children:
         return axiom_proof(node.sequent)
 
-    # `_expand_leaf` made the children in `itertools.product` order over the
-    # principals' options, which is the order `derive` reaches its leaves.
-    children = iter(node.children)
+    return _derive(node, iter(node.children), 0, node.sequent)
 
-    def derive(i: int, current: Sequent) -> Proof:
-        if i == len(node.principals):
-            child = next(children)
-            assert child.sequent == current
-            return _assemble(child)
-        red = node.principals[i]
-        subs = []
-        for add_ante, add_succ in red.options:
-            premise = Sequent(current.ante.union(add_ante), current.succ.union(add_succ))
-            subs.append(derive(i + 1, premise))
-        return Proof(current, red.rule, principal=red.principal, var=red.var, premises=tuple(subs))
 
-    return derive(0, node.sequent)
+def _derive(node: ReductionNode, children: Iterator[ReductionNode], i: int, current: Sequent) -> Proof:
+    """The proof of current from node's principals i, i+1, ...; its leaves
+    take the next of node's children. `_expand_leaf` made the children in
+    `itertools.product` order over the principals' options, which is the
+    order this reaches its leaves."""
+    if i == len(node.principals):
+        child = next(children)
+        assert child.sequent == current
+        return _assemble(child)
+    red = node.principals[i]
+    subs = []
+    for add_ante, add_succ in red.options:
+        premise = Sequent(current.ante.union(add_ante), current.succ.union(add_succ))
+        subs.append(_derive(node, children, i + 1, premise))
+    return Proof(current, red.rule, principal=red.principal, var=red.var, premises=tuple(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +441,9 @@ def decide_fo(s: Sequent, max_nodes: int = DEFAULT_MAX_NODES, max_depth: int = D
 
 def dump_tree(tree: ReductionTree) -> str:
     lines = [f"status={tree.status} stages={tree.stages} nodes={tree.node_count}"]
-
-    def walk(node: ReductionNode, indent: str) -> None:
+    stack = [(tree.root, "")]
+    while stack:  # preorder
+        node, indent = stack.pop()
         phase = node.phase.value if node.phase else "start"
         flags = []
         if not node.children:
@@ -453,10 +455,7 @@ def dump_tree(tree: ReductionTree) -> str:
                 flags.append("marks: " + "; ".join(shown))
         suffix = f" [{'; '.join(flags)}]" if flags else ""
         lines.append(f"{indent}k={phase} {format_sequent(node.sequent)}{suffix}")
-        for child in node.children:
-            walk(child, indent + "  ")
-
-    walk(tree.root, "")
+        stack += [(child, indent + "  ") for child in reversed(node.children)]
     return "\n".join(lines)
 
 

@@ -192,7 +192,7 @@ def _leaf(st: Structure, s: Assignment) -> Leaf:
         if kind is PredAtom:
             return _POINT[st.predicates[psi.name].value_at(tuple(eval_term(t, st, s) for t in psi.args))]
         if psi.var in s:
-            return evaluate(psi.body, leaf, 1)
+            return evaluate(psi.body, _leaf(st, s), 1)
         decisive = _POINT[ZERO if kind is Forall else ONE]
         every_zero = every_half = 1
         for m in st.domain:

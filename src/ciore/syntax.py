@@ -27,7 +27,10 @@ def is_free_var_name(name: str) -> bool:
 # Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006):
 # equal constructions return one node, so set and dict lookups on formulas
 # resolve by identity, and no hash, key or text walks a subtree twice. The
-# tables hold every node built for the life of the process.
+# tables hold every node built, and the attributes it caches, for the life
+# of the process. The cached values are shared where they repeat: one copy
+# of each free-variable set (`_FREE_SETS`) and of each (tag, name) pair of
+# a key (`_PAIRS`).
 
 
 class _Node:
@@ -405,6 +408,10 @@ def instantiate(phi: Formula, t: Term) -> Formula:
 _TERM_TAGS = {FreeVar: 0, BoundVar: 1, Const: 2, FunApp: 3}
 _FORMULA_TAGS = {PropAtom: 0, PredAtom: 1, Neg: 2, Circ: 3, And: 4, Or: 5, Imp: 6, Forall: 7, Exists: 8}
 
+#: One copy of each distinct (tag, name) pair that keys hold, so a key costs
+#: one pointer per element; a few dozen pairs cover most runs.
+_PAIRS: dict[tuple[int, str], tuple[int, str]] = {}
+
 
 def formula_key(phi: Formula) -> tuple:
     """Total order key on formulas; preorder flattening of the syntax tree,
@@ -426,6 +433,7 @@ def formula_key(phi: Formula) -> tuple:
             out.append((tag, f.var))
         else:
             out.append((tag, ""))
-    key = tuple(out)
+    pair = _PAIRS.setdefault
+    key = tuple([pair(p, p) for p in out])
     object.__setattr__(phi, "_key", key)
     return key

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from ciore import prop_prover
+from ciore import cli, prop_prover
 from ciore.cli import _COMMANDS, main
 from ciore.errors import LogicError
 from ciore.fo_prover import Refuted, decide_fo
@@ -344,6 +344,22 @@ def test_closed_standard_input_is_input_error(argv):
         env=env,
     )
     assert (child.returncode, child.stdout, child.stderr) == (65, b"", b"input error: standard input is closed\n")
+
+
+def test_discarding_a_stream_closes_the_null_descriptor(monkeypatch, tmp_path):
+    opened, real_open = [], os.open
+
+    def record_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(os, "open", record_open)
+    with open(tmp_path / "out", "w") as stream:
+        cli._discard(stream)
+        monkeypatch.undo()
+        assert len(opened) == 1 and opened[0] != stream.fileno()
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
 
 
 def test_parse_error_exit(capsys):

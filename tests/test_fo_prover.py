@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -225,6 +226,29 @@ def test_budget_exhaustion_reports_unknown():
     verdict = decide_fo(swap, max_nodes=50, max_depth=30)
     assert isinstance(verdict, Refuted) and verdict.structure.domain == ("m0", "m1")
     assert not fo_sequent_satisfied(verdict.structure, verdict.assignment, swap)
+
+
+@pytest.mark.parametrize(
+    "goal, budget, kind",
+    [
+        ("|- (forall x. P(x)) -> P(a1)", {}, Proved),
+        ("exists x. P(x) |- forall x. P(x)", {}, Refuted),
+        # the loop gives up, and the finite refuter decides
+        ("|- (forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)", {"max_nodes": 50, "max_depth": 30}, Refuted),
+    ],
+    ids=["closed", "loop-refuted", "finitely-refuted"],
+)
+def test_decisions_leave_no_reference_cycles(goal, budget, kind):
+    # reference counting alone frees the tree and every structure checked
+    s = seq(goal)
+    decide_fo(s, **budget)  # first-call caches
+    gc.disable()
+    try:
+        gc.collect()
+        assert isinstance(decide_fo(s, **budget), kind)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_finite_refuter_checks_the_signature_once(monkeypatch):

@@ -30,3 +30,38 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def self_referencing_closures(source: str) -> list[str]:
+    """The functions nested in another function that read their own name.
+    Such a function's closure holds the function itself, a reference cycle
+    that only the cyclic collector frees, with everything the closure
+    reaches."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    outers = [node for node in ast.walk(ast.parse(source)) if isinstance(node, functions)]
+    nested = {inner for outer in outers for inner in ast.walk(outer) if inner is not outer and isinstance(inner, functions)}
+
+    def reads_itself(function) -> bool:
+        names = (node for node in ast.walk(function) if isinstance(node, ast.Name))
+        return any(name.id == function.name and isinstance(name.ctx, ast.Load) for name in names)
+
+    return [inner.name for inner in sorted(nested, key=lambda node: node.lineno) if reads_itself(inner)]
+
+
+def test_the_check_sees_a_self_referencing_closure():
+    source = (
+        "def outer(n):\n"
+        "    def walk(i):\n"
+        "        return i and walk(i - 1)\n"
+        "    def leaf(i):\n"
+        "        return outer(i)\n"
+        "    return walk(n), leaf(n)\n"
+        "def top(i):\n"
+        "    return top(i)\n"
+    )
+    assert self_referencing_closures(source) == ["walk"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
+def test_no_closure_refers_to_itself(path):
+    assert self_referencing_closures(path.read_text(encoding="utf-8")) == []

@@ -244,6 +244,14 @@ def test_walks_agree_with_the_recursive_references():
         assert bound_names(phi) == reference_bound_names(phi)
 
 
+def test_keys_share_their_pairs():
+    rng = random.Random(12)
+    shared: dict = {}
+    for _ in range(3000):
+        for pair in formula_key(random_term_formula(rng, 5)):
+            assert shared.setdefault(pair, pair) is pair
+
+
 def test_walks_do_not_recurse():
     # built directly: the parser still recurses
     phi = PredAtom("P", (FreeVar("a1"),))
