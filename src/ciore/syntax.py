@@ -1,7 +1,7 @@
 """Abstract syntax for the propositional and first-order languages.
 
 Terms and formulas are immutable and interned (one node per distinct
-term or formula, see `_interned`); free and bound variables live in disjoint
+term or formula, see `_Interned`); free and bound variables live in disjoint
 namespaces (free variables are ``a1, a2, ...``, bound variables are anything
 else, conventionally ``x, y, x1, ...``), so substitution never needs capture
 avoidance beyond the preconditions enforced here.
@@ -25,15 +25,52 @@ def is_free_var_name(name: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006):
-# equal constructions return one node, so set and dict lookups on formulas
-# resolve by identity, and no hash, key or text walks a subtree twice. The
-# tables hold every node built, and the attributes it caches, for the life
-# of the process. The cached values are shared where they repeat: one copy
-# of each free-variable set (`_FREE_SETS`) and of each (tag, name) pair of
-# a key (`_PAIRS`).
+# the metaclass `_Interned` gives each node class one table, so equal
+# constructions return one node, lookups on formulas resolve by identity, and
+# no hash, key or text walks a subtree twice. The tables hold every node and
+# the attributes it caches for the life of the process. Cached values are
+# shared where they repeat: one copy of each free-variable set (`_FREE_SETS`)
+# and of each (tag, name) pair of a key (`_PAIRS`).
 
 
-class _Node:
+class _Interned(type):
+    """Metaclass of the term and formula nodes. It makes each class an
+    immutable slotted class, its fields named by its annotations, whose
+    constructor returns the one node with the given fields. A new node is
+    validated (``__post_init__``) before it enters the table, so an invalid
+    construction leaves no entry. The stored hash is the hash of the field
+    tuple, so frozenset order is that of uninterned nodes. Equality is
+    identity, which interning makes structural."""
+
+    def __new__(meta, class_name, bases, namespace):
+        names, nodes = tuple(namespace.get("__annotations__", ())), {}
+        post_init = namespace.get("__post_init__")
+
+        def __new__(kind, *fields, **named):
+            if named:
+                fields += tuple(named.pop(name) for name in names[len(fields) :] if name in named)
+                if named:
+                    raise TypeError(f"{kind.__name__}() got unexpected keyword arguments {sorted(named)}")
+            node = nodes.get(fields)
+            if node is None:
+                if len(fields) != len(names):
+                    raise TypeError(f"{kind.__name__}() takes the fields {', '.join(names)}")
+                node = object.__new__(kind)
+                for name, value in zip(names, fields):
+                    object.__setattr__(node, name, value)
+                if post_init is not None:
+                    post_init(node)
+                object.__setattr__(node, "_hash", hash(fields))
+                node = nodes.setdefault(fields, node)  # a node another thread built first wins
+            return node
+
+        # __new__ sets the fields, and object.__init__ ignores the arguments.
+        namespace.setdefault("__slots__", names)
+        namespace.update(__match_args__=names, __new__=__new__)
+        return super().__new__(meta, class_name, bases, namespace)
+
+
+class _Node(metaclass=_Interned):
     """What every term and formula node holds besides its fields: its hash,
     set at construction, and its formula_key, free variables and text
     (`parsing.format_formula`), each set on first request. Nodes are
@@ -61,45 +98,10 @@ class _Node:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-def _interned(cls):
-    """Rebuild cls as an immutable slotted class, its fields named by its
-    annotations, whose constructor returns the one node with the given
-    fields. A new node is validated (``__post_init__``) before it enters the
-    table, so an invalid construction leaves no entry. The stored hash is
-    the hash of the field tuple, so frozenset order is that of uninterned
-    nodes. Equality is identity, which interning makes structural."""
-    names, nodes = tuple(cls.__annotations__), {}
-    post_init = getattr(cls, "__post_init__", None)
-
-    def __new__(kind, *fields, **named):
-        if named:
-            fields += tuple(named.pop(name) for name in names[len(fields) :] if name in named)
-            if named:
-                raise TypeError(f"{kind.__name__}() got unexpected keyword arguments {sorted(named)}")
-        node = nodes.get(fields)
-        if node is None:
-            if len(fields) != len(names):
-                raise TypeError(f"{kind.__name__}() takes the fields {', '.join(names)}")
-            node = object.__new__(kind)
-            for name, value in zip(names, fields):
-                object.__setattr__(node, name, value)
-            if post_init is not None:
-                post_init(node)
-            object.__setattr__(node, "_hash", hash(fields))
-            node = nodes.setdefault(fields, node)  # a node another thread built first wins
-        return node
-
-    # __new__ sets the fields, and object.__init__ ignores the arguments.
-    namespace = {key: value for key, value in vars(cls).items() if key not in ("__dict__", "__weakref__")}
-    namespace.update(__slots__=names, __match_args__=names, __new__=__new__)
-    return type(cls.__name__, cls.__bases__, namespace)
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@_interned
 class FreeVar(_Node):
     name: str
 
@@ -108,7 +110,6 @@ class FreeVar(_Node):
             raise LogicError(f"free variable names look like a1, a2, ...: {self.name!r}")
 
 
-@_interned
 class BoundVar(_Node):
     name: str
 
@@ -117,12 +118,10 @@ class BoundVar(_Node):
             raise LogicError(f"bound variable name {self.name!r} clashes with the free-variable namespace")
 
 
-@_interned
 class Const(_Node):
     name: str
 
 
-@_interned
 class FunApp(_Node):
     name: str
     args: tuple[Term, ...]
@@ -139,12 +138,10 @@ Term = Union[FreeVar, BoundVar, Const, FunApp]
 # Formulas
 
 
-@_interned
 class PropAtom(_Node):
     name: str
 
 
-@_interned
 class PredAtom(_Node):
     name: str
     args: tuple[Term, ...]
@@ -154,31 +151,26 @@ class PredAtom(_Node):
             raise LogicError(f"predicate {self.name!r} needs at least one argument")
 
 
-@_interned
 class Neg(_Node):
     body: Formula
 
 
-@_interned
 class Circ(_Node):
     """Consistency connective: marks a formula as behaving classically."""
 
     body: Formula
 
 
-@_interned
 class And(_Node):
     left: Formula
     right: Formula
 
 
-@_interned
 class Or(_Node):
     left: Formula
     right: Formula
 
 
-@_interned
 class Imp(_Node):
     left: Formula
     right: Formula
@@ -189,7 +181,6 @@ def _check_bound_name(quantifier) -> None:
         raise LogicError(f"quantified variable {quantifier.var!r} must not use the free-variable namespace")
 
 
-@_interned
 class Forall(_Node):
     var: str
     body: Formula
@@ -197,7 +188,6 @@ class Forall(_Node):
     __post_init__ = _check_bound_name
 
 
-@_interned
 class Exists(_Node):
     var: str
     body: Formula

@@ -343,6 +343,34 @@ def test_copy_deepcopy_and_pickle_return_the_interned_node():
     assert format_formula(both) == "p & q"
 
 
+NODE_CLASSES = (FreeVar, BoundVar, Const, FunApp, PropAtom, PredAtom, Neg, Circ, And, Or, Imp, Forall, Exists)
+
+
+def test_every_node_class_is_made_once_by_the_metaclass():
+    a1 = FreeVar("a1")
+    samples = [a1, BoundVar("x"), Const("c"), FunApp("f", (a1,)), p, P(a1), Neg(p), Circ(p)]
+    samples += [And(p, q), Or(p, q), Imp(p, q), Forall("x", p), Exists("x", p)]
+    assert [type(node) for node in samples] == list(NODE_CLASSES)
+    for kind, node in zip(NODE_CLASSES, samples):
+        assert type(kind) is syntax._Interned
+        assert kind.__slots__ == kind.__match_args__ == tuple(kind.__annotations__)
+        assert kind.__bases__ == (syntax._Node,)
+        assert not hasattr(node, "__dict__")
+
+
+def test_a_new_node_class_interns_without_a_decorator():
+    class Pair(syntax._Node):
+        first: int
+        second: int
+
+    assert Pair(1, 2) is Pair(1, 2) is Pair(second=2, first=1)
+    assert Pair(1, 2) is not Pair(2, 1)
+    assert repr(Pair(1, 2)) == "Pair(first=1, second=2)"
+    assert not hasattr(Pair(1, 2), "__dict__")
+    with pytest.raises(AttributeError):
+        Pair(1, 2).first = 3
+
+
 def test_quantifier_depth():
     for text, depth in [
         ("P(a1) & q", 0),
