@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -193,6 +194,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: argparse builds reference cycles
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ciore", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -182,7 +182,7 @@ class ReductionTree(NamedTuple):
 
 def _check_fo_input(s: Sequent) -> dict[str, int]:
     """The arity of each predicate of s; raises on input the prover does not take."""
-    formulas = s.ante | s.succ
+    formulas = s.sorted_ante() + s.sorted_succ()  # the first fault by formula_key, whatever the hash seed
     arities = predicate_arities(formulas)  # raises on a predicate used with two arities
     for phi in formulas:
         if any(type(f) is PropAtom for f in subformulas(phi)):

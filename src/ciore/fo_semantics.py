@@ -223,7 +223,7 @@ def falsifying_assignment(st: Structure, seq: Sequent) -> dict[str, str] | None:
     it, variables in index order and values in domain order; None if none
     does. Raises `LogicError` when the structure does not interpret the
     sequent's signature, whatever its values."""
-    st.check_signature(seq.ante | seq.succ)
+    st.check_signature(seq.sorted_ante() + seq.sorted_succ())
     return unchecked_falsifying_assignment(st, seq)
 
 

@@ -312,16 +312,16 @@ def _premises(conclusion: Sequent, side: str, deltas: Iterable[Delta], principal
     return [Sequent(ante.union(da) if da else ante, succ.union(ds) if ds else succ) for da, ds in deltas]
 
 
-def premises_from_schema(conclusion: Sequent, rule: RuleId, principal: Formula, var: str | None = None, keep_principal: bool = False) -> list[Sequent] | None:
-    """Premise sequents of the rule applied backward at the principal, with
-    the context either dropping the principal (canonical) or keeping it."""
+def premises_from_schema(conclusion: Sequent, rule: RuleId, principal: Formula, var: str | None = None) -> list[Sequent] | None:
+    """Premise sequents of the rule applied backward at the principal, the
+    principal dropped from the context."""
     schema = rule_schema(rule, principal, var)
     if schema is None:
         return None
     side, deltas = schema
     if principal not in conclusion.side(side):
         return None
-    return _premises(conclusion, side, deltas, principal, keep_principal)
+    return _premises(conclusion, side, deltas, principal, False)
 
 
 # ---------------------------------------------------------------------------

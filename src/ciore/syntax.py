@@ -309,9 +309,9 @@ def quantifier_depth(phi: Formula) -> int:
     return deepest
 
 
-def var_index(name: str) -> int:
-    """Index i of the free variable a_i; sort key of variable lists."""
-    return int(name[1:])
+def var_index(name: str) -> tuple[int, str]:
+    """Sort key of variable lists: the index i of a_i, then the name (a01 before a1)."""
+    return int(name[1:]), name
 
 
 def fresh_free_variables(taken: Collection[str]) -> Iterator[str]:

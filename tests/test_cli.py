@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -701,3 +702,57 @@ def test_exit_one_only_for_negative_answers(command, goal, as_json, nodes, depth
             if all(map(is_propositional, s.ante | s.succ)):
                 # the matrix, which shares no code with the prover, agrees
                 assert find_countermodel(s, atom_cap=99) is not None, argv
+
+
+# Inputs whose diagnostic or output followed `PYTHONHASHSEED`: goals with two
+# faults, where the one reported came from frozenset order, and free variables
+# that share an index, which tied in the variable order.
+_SEED_INPUTS = [
+    ["prove", "P(c), p |- Q(f(a1))"],
+    ["prove", "P(a1, a1), Q(a1), Q(a1, a1), P(a1) |-"],
+    ["validity", "--structure", "STRUCTURE", "Q(a1), R(a1) |- P(a1)"],
+    ["prove", "--json", "forall x. P(x), Q(a01) |- Q(a1)"],
+    ["reduction-tree", "forall x. P(x) |- P(a01) & P(a1), Q(a1)"],
+]
+
+_RUN_INPUTS = """
+import contextlib, io, json, sys
+from ciore.cli import main
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def test_answers_and_diagnostics_do_not_follow_the_hash_seed(tmp_path):
+    structure = tmp_path / "structure.json"
+    space = (("m0",),)
+    st = Structure(domain=("m0",), predicates={"P": Triple.from_values(space, {("m0",): ONE})})
+    structure.write_text(json.dumps(structure_to_json(st)))
+    inputs = [[str(structure) if arg == "STRUCTURE" else arg for arg in argv] for argv in _SEED_INPUTS]
+    outputs = {}
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        argv = [sys.executable, "-c", _RUN_INPUTS, json.dumps(inputs)]
+        outputs[seed] = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    assert len(set(outputs.values())) == 1, outputs
+    codes = [json.loads(line)[0] for line in outputs[0].splitlines()]
+    assert codes == [65, 65, 65, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["prove", "|- p | ~p"], ["validity", "|- p"], ["prove", "p &"], ["prove", "--nodes", "0", "|- p"]],
+    ids=["prove", "validity", "parse-error", "usage-error"],
+)
+def test_a_call_leaves_no_reference_cycles(capsys, argv):
+    main(argv)  # first-call caches
+    gc.disable()
+    try:
+        gc.collect()
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

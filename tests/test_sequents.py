@@ -322,9 +322,11 @@ def test_premises_from_schema_matches_the_chained_recipe():
             else:
                 conclusion, _, principal = random_prop_instance(rng, rule)
                 var = None
-            for keep in (False, True):
-                got = premises_from_schema(conclusion, rule, principal, var, keep_principal=keep)
-                assert got is not None and got == chained_premises(conclusion, rule, principal, var, keep)
+            got = premises_from_schema(conclusion, rule, principal, var)
+            assert got is not None and got == chained_premises(conclusion, rule, principal, var)
+            # the checker also takes the premises with the principal kept
+            kept = chained_premises(conclusion, rule, principal, var, keep_principal=True)
+            assert rule_instance_error(rule, conclusion, kept, principal, var) is None
             # the None cases: principal missing from the conclusion, a
             # principal of the wrong shape, a missing or bound variable
             side = RULE_TABLE[rule].side
