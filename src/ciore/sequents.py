@@ -321,7 +321,7 @@ def premises_from_schema(conclusion: Sequent, rule: RuleId, principal: Formula, 
     side, deltas = schema
     if principal not in conclusion.side(side):
         return None
-    return _premises(conclusion, side, deltas, principal, False)
+    return _premises(conclusion, side, deltas, principal, keep_principal=False)
 
 
 # ---------------------------------------------------------------------------
