@@ -23,9 +23,8 @@ from .fo_semantics import falsifying_assignment, structure_from_json
 from .matrix import DEFAULT_ATOM_CAP, find_countermodel, valuation_to_json
 from .parsing import format_sequent, parse_sequent
 from .prop_prover import decide
-from .sequents import Calculus, Sequent, proof_error
+from .sequents import Calculus, proof_error
 from .serialize import describe_verdict, proof_from_json, verdict_to_json
-from .syntax import is_propositional
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -52,10 +51,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
-
-
-def _first_order(s: Sequent) -> bool:
-    return not all(map(is_propositional, s.ante | s.succ))
 
 
 def _emit(data, as_json: bool, text: str | None = None) -> None:
@@ -92,10 +87,10 @@ def _read_json(path: str, convert):
 
 def _cmd_prove(args) -> int:
     s = parse_sequent(args.sequent)
-    if _first_order(s):
-        verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
-    else:
+    if s.propositional:
         verdict = decide(s, atom_cap=args.atom_cap)
+    else:
+        verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
     return _emit_verdict(verdict, args.json)
 
 
@@ -108,11 +103,11 @@ def _search(args):
     if args.structure:
         assignment = falsifying_assignment(_read_json(args.structure, structure_from_json), s)
         return None if assignment is None else {"assignment": assignment}
-    if _first_order(s):
-        verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
-        return None if verdict.status == "proved" else verdict
-    valuation = find_countermodel(s, atom_cap=args.atom_cap)
-    return None if valuation is None else valuation_to_json(valuation)
+    if s.propositional:
+        valuation = find_countermodel(s, atom_cap=args.atom_cap)
+        return None if valuation is None else valuation_to_json(valuation)
+    verdict = fo_prover.decide_fo(s, max_nodes=args.nodes, max_depth=args.depth)
+    return None if verdict.status == "proved" else verdict
 
 
 def _cmd_validity(args) -> int:
@@ -145,7 +140,7 @@ _CALCULI = {
 
 def _cmd_check_proof(args) -> int:
     proof = _read_json(args.file, proof_from_json)
-    default = "gqciore" if _first_order(proof.sequent) else ""
+    default = "" if proof.sequent.propositional else "gqciore"
     chosen = _CALCULI.get(args.calculus or default, [Calculus.GCIORE, Calculus.GCIORE_PRIME])
     errors = [proof_error(proof, calc, allow_cut=args.allow_cut) for calc in chosen]
     ok = any(err is None for err in errors)

@@ -26,7 +26,7 @@ from typing import NamedTuple, Union
 from .errors import InternalError, LogicError
 from .fo_semantics import Structure, Triple, enumerate_structures, fo_sequent_satisfied, unchecked_falsifying_assignment
 from .matrix import HALF, ONE, leaf_values
-from .parsing import format_formula, format_sequent
+from .parsing import format_formula, format_sequent, parse_sequent
 from .sequents import (
     EIGEN_RULES,
     LEFT,
@@ -40,23 +40,16 @@ from .sequents import (
     axiom_proof,
     check_proof,
     formula_key,
+    premise_sequents,
     rule_schema,
     rules_for,
 )
 from .syntax import (
-    BoundVar,
-    Circ,
     Const,
-    Exists,
-    Forall,
     Formula,
-    FreeVar,
     FunApp,
-    Imp,
-    PredAtom,
     PropAtom,
     fresh_free_variables,
-    iff,
     predicate_arities,
     quantifier_depth,
     subformulas,
@@ -202,7 +195,7 @@ def _phase_principals(
     A formula is pending while its mark counts fewer reductions than its
     limit: one per available variable for a REPEAT rule, one otherwise.
     Eigenvariables are drawn from fresh, which the loop shares across all
-    leaves."""
+    leaves, and appended to available as they are drawn."""
     pos, mode = _PHASE_STEP[rule]
     marks = leaf.marks
     limit = len(available) if mode == REPEAT else 1
@@ -213,6 +206,7 @@ def _phase_principals(
             var = available[marks.get((phi, rule), 0)]
         elif mode == EIGEN:
             var = next(fresh)
+            available.append(var)
         else:
             var = None
         schema = rule_schema(rule, phi, var)
@@ -283,7 +277,6 @@ def build_reduction_tree(
         if pos not in active:  # the idle phase, or no open leaf has a candidate
             continue
         rule = PHASES[pos]
-        eigen = _PHASE_STEP[rule][1] == EIGEN
         counted = node_count
         grown: list[ReductionNode] = []
         for leaf in frontier:
@@ -294,8 +287,6 @@ def build_reduction_tree(
             children = _expand_leaf(leaf, rule, reductions, stage)
             node_count += len(children)
             grown.extend(child for child in children if not child.closed)
-            if eigen:
-                available.extend(red.var for red in reductions)
             if node_count > max_nodes:
                 return ReductionTree(root, "budget", stage, node_count)
         if node_count == counted:
@@ -360,8 +351,7 @@ def _derive(node: ReductionNode, children: Iterator[ReductionNode], i: int, curr
         return _assemble(child)
     red = node.principals[i]
     subs = []
-    for add_ante, add_succ in red.options:
-        premise = Sequent(current.ante.union(add_ante), current.succ.union(add_succ))
+    for premise in premise_sequents(current, red.options):
         subs.append(_derive(node, children, i + 1, premise))
     return Proof(current, red.rule, principal=red.principal, var=red.var, premises=tuple(subs))
 
@@ -391,8 +381,8 @@ def refute_finitely(s: Sequent) -> tuple[tuple[Structure, dict[str, str]] | None
     s's predicates and come domain by domain, ``("m0",)``, ``("m0", "m1")``
     and so on, each domain in ``enumerate_structures`` order, at most
     ``REFUTER_STRUCTURES`` of them on domains of at most ``REFUTER_POINTS``
-    points."""
-    arities = predicate_arities(s.ante | s.succ)
+    points. Raises `LogicError` on input the prover does not take."""
+    arities = _check_fo_input(s)
     nesting = max(map(quantifier_depth, s.ante | s.succ), default=0)
     width = max(len(s.free_variables()) + nesting, *arities.values(), 0)
     sizes = itertools.takewhile(lambda size: size**width <= REFUTER_POINTS, itertools.count(1))
@@ -401,8 +391,6 @@ def refute_finitely(s: Sequent) -> tuple[tuple[Structure, dict[str, str]] | None
     )
     tried = size = 0
     for st in itertools.islice(structures, REFUTER_STRUCTURES):
-        if not tried:  # every structure interprets the same predicates
-            st.check_signature(s.ante | s.succ)
         tried, size = tried + 1, len(st.domain)
         assignment = unchecked_falsifying_assignment(st, s)
         if assignment is not None:
@@ -465,15 +453,16 @@ def dump_tree(tree: ReductionTree) -> str:
 
 def fo_regression_suite() -> list[tuple[str, Sequent]]:
     """Quantifier facts provable within the default budget."""
-    p_free = PredAtom("P", (FreeVar("a1"),))
-    p_bound = PredAtom("P", (BoundVar("x"),))
-    forall_p = Forall("x", p_bound)
-    exists_p = Exists("x", p_bound)
-    exists_circ_p = Exists("x", Circ(p_bound))
     items = [
-        ("exists-introduction", Imp(p_free, exists_p)),
-        ("forall-elimination", Imp(forall_p, p_free)),
-        ("consistency-exists-commute", iff(Circ(exists_p), exists_circ_p)),
-        ("consistency-forall-via-exists", iff(Circ(forall_p), exists_circ_p)),
+        ("exists-introduction", "|- P(a1) -> (exists x. P(x))"),
+        ("forall-elimination", "|- (forall x. P(x)) -> P(a1)"),
+        (
+            "consistency-exists-commute",
+            "|- (o (exists x. P(x)) -> (exists x. o P(x))) & ((exists x. o P(x)) -> o (exists x. P(x)))",
+        ),
+        (
+            "consistency-forall-via-exists",
+            "|- (o (forall x. P(x)) -> (exists x. o P(x))) & ((exists x. o P(x)) -> o (forall x. P(x)))",
+        ),
     ]
-    return [(name, Sequent.make((), (phi,))) for name, phi in items]
+    return [(name, parse_sequent(text)) for name, text in items]

@@ -300,6 +300,8 @@ def structure_from_json(data: Mapping) -> Structure:
         functions = {}
         for name, rows in data.get("functions", {}).items():
             functions[name] = {tuple(row[:-1]): row[-1] for row in rows}
+            if len(functions[name]) != len(rows):
+                raise LogicError(f"malformed structure JSON: function {name!r} lists an argument tuple twice")
         constants = dict(data.get("constants", {}))
         return Structure(domain=domain, predicates=predicates, functions=functions, constants=constants)
     except (KeyError, TypeError, AttributeError, ValueError, IndexError) as exc:

@@ -166,7 +166,7 @@ def find_countermodel(s: Sequent, atom_cap: int | None = None) -> dict[str, Trut
     taken in `formula_key` order, so the cost of a search does not follow
     the hash seed's set order."""
     names = capped_atoms(s, atom_cap)
-    if not all(syntax.is_propositional(phi) for phi in s.ante | s.succ):
+    if not s.propositional:
         raise LogicError(_PROPOSITIONAL_ONLY)
     ante, succ = s.sorted_ante(), s.sorted_succ()
     for combo in itertools.product(_POINTS, repeat=len(names)):

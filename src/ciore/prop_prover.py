@@ -31,14 +31,15 @@ from .sequents import (
     premises_from_schema,
     rules_for,
 )
-from .syntax import Formula, PropAtom, is_literal, is_propositional
+from .syntax import BINARY_TYPES, Formula, PropAtom, is_literal
 
 R = RuleId
 
 # Premise count of each weight-decreasing GCiore' rule (all but NEG_R2),
-# read off its table row applied to placeholder parts.
+# read off its table row applied to placeholder parts: two under a binary
+# connective, else one.
 _DECREASING_PREMISE_COUNT = {
-    rule: len(shape.premises(*[PropAtom("_")] * shape.premises.__code__.co_argcount))
+    rule: len(shape.premises(*[PropAtom("_")] * (2 if (shape.inner or shape.outer) in BINARY_TYPES else 1)))
     for rule, shape in RULE_TABLE.items()
     if rule in Calculus.GCIORE_PRIME.rules and rule is not R.NEG_R2
 }
@@ -101,7 +102,7 @@ def _decide(s: Sequent, marks: frozenset) -> Proof | Sequent:
 
 def decide(s: Sequent, atom_cap: int | None = None) -> Verdict:
     """Prove the sequent cut-free or refute it with a valuation."""
-    if not all(map(is_propositional, s.ante | s.succ)):
+    if not s.propositional:
         raise LogicError("the propositional prover takes quantifier-free input")
     names = capped_atoms(s, atom_cap)
 

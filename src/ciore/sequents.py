@@ -28,6 +28,7 @@ from .syntax import (
     free_variables,
     instantiate,
     is_free_var_name,
+    is_propositional,
     parts,
 )
 
@@ -50,9 +51,7 @@ class Sequent(NamedTuple):
         return Sequent(self.ante, self.succ | frozenset(formulas))
 
     def without(self, side: str, phi: Formula) -> "Sequent":
-        if side == LEFT:
-            return Sequent(self.ante - {phi}, self.succ)
-        return Sequent(self.ante, self.succ - {phi})
+        return Sequent(*_sides_without(self, side, phi))
 
     def side(self, side: str) -> frozenset[Formula]:
         return self.ante if side == LEFT else self.succ
@@ -67,8 +66,24 @@ class Sequent(NamedTuple):
     def closed_by_axiom(self) -> bool:
         return bool(self.ante & self.succ)
 
+    @property
+    def propositional(self) -> bool:
+        """True unless a formula has a quantifier or a predicate: the goal
+        is then the propositional prover's, else the first-order prover's."""
+        return all(map(is_propositional, self.ante | self.succ))
+
     def free_variables(self) -> frozenset[str]:
         return frozenset().union(*map(free_variables, self.ante | self.succ))
+
+
+Sides = tuple[frozenset[Formula], frozenset[Formula]]
+
+
+def _sides_without(s: Sequent, side: str, phi: Formula) -> Sides:
+    """The sides of s with phi dropped from one of them, as a plain pair,
+    which costs less to build than a `Sequent`."""
+    ante, succ = s
+    return (ante - {phi}, succ) if side == LEFT else (ante, succ - {phi})
 
 
 class RuleId(enum.Enum):
@@ -299,16 +314,11 @@ def rule_schema(rule: RuleId, principal: Formula, var: str | None = None) -> tup
     return shape.side, shape.premises(*parts(node))
 
 
-def _premises(conclusion: Sequent, side: str, deltas: Iterable[Delta], principal: Formula, keep_principal: bool) -> list[Sequent]:
-    """One sequent per premise: the conclusion's sides, the principal
-    dropped unless kept, joined with that premise's additions. A side with
-    no additions is shared, not copied."""
-    ante, succ = conclusion.ante, conclusion.succ
-    if not keep_principal:
-        if side == LEFT:
-            ante = ante - {principal}
-        else:
-            succ = succ - {principal}
+def premise_sequents(base: Sides, deltas: Iterable[Delta]) -> list[Sequent]:
+    """One sequent per premise: the sides of base (a `Sequent` or a pair)
+    joined with that premise's additions. A side with no additions is
+    shared, not copied."""
+    ante, succ = base
     return [Sequent(ante.union(da) if da else ante, succ.union(ds) if ds else succ) for da, ds in deltas]
 
 
@@ -319,9 +329,10 @@ def premises_from_schema(conclusion: Sequent, rule: RuleId, principal: Formula, 
     if schema is None:
         return None
     side, deltas = schema
-    if principal not in conclusion.side(side):
+    dropped = _sides_without(conclusion, side, principal)
+    if dropped == conclusion:  # the principal is not on its side
         return None
-    return _premises(conclusion, side, deltas, principal, keep_principal=False)
+    return premise_sequents(dropped, deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +377,7 @@ def rule_instance_error(
             return "cut needs its cut formula as principal"
         if len(premises) != 2:
             return "cut takes two premises"
-        want = [conclusion.with_succ(principal), conclusion.with_ante(principal)]
-        if list(premises) != want:
+        if list(premises) != premise_sequents(conclusion, (((), (principal,)), ((principal,), ()))):
             return "cut premises must share the conclusion context and move the cut formula across"
         return None
 
@@ -377,15 +387,16 @@ def rule_instance_error(
     if schema is None:
         return f"principal has the wrong shape for {rule.value}"
     side, deltas = schema
-    if principal not in conclusion.side(side):
+    dropped = _sides_without(conclusion, side, principal)
+    if dropped == conclusion:
         return "principal formula missing from the conclusion"
     if rule in EIGEN_RULES:
         assert var is not None
         if var in conclusion.free_variables():
             return f"eigenvariable {var} occurs in the conclusion"
     given = list(premises)
-    for keep in (False, True):
-        if given == _premises(conclusion, side, deltas, principal, keep):
+    for base in (dropped, conclusion):  # the principal dropped, then kept
+        if given == premise_sequents(base, deltas):
             return None
     return "premises do not match the rule schema at this principal"
 

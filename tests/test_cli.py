@@ -207,6 +207,15 @@ def test_goal_language_picks_the_prover(capsys):
     assert (code, out) == (1, "refuted by the empty valuation\n")
 
 
+@pytest.mark.parametrize("command", ["prove", "validity", "countermodel", "reduction-tree"])
+@pytest.mark.parametrize("goal", ["P(a1) |- p", "|- forall x. p"])
+def test_a_first_order_goal_with_a_propositional_atom_is_input_error(capsys, command, goal):
+    # a predicate or a quantifier sends the goal to the first-order prover,
+    # which takes no propositional atom
+    code, out, err = run(capsys, command, goal)
+    assert (code, out, err) == (65, "", "input error: the first-order prover takes predicate atoms only\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -478,6 +487,10 @@ def test_deep_input_is_decided_up_to_the_bound_and_rejected_past_it(capsys, shap
             assert code == 65 and f"nested deeper than {MAX_DEPTH} levels" in err, (shape, depth, code)
 
 
+#: A structure whose table for f lists the argument tuple ("0",) twice.
+_REPEATED_ROW = '{"domain": ["0", "1"], "predicates": {"P": {"plus": [["0"]], "minus": [["1"]], "circ": []}}, "functions": {"f": %s}}'
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -489,6 +502,8 @@ def test_deep_input_is_decided_up_to_the_bound_and_rejected_past_it(capsys, shap
         '{"domain": ["m0"], "functions": {"f": [[]]}}',
         '{"domain": ["m0"], "functions": {"f": [["m0", ["m0"]]]}}',
         '{"domain": ["m0"], "constants": {"c": ["m0"]}}',
+        pytest.param(_REPEATED_ROW % '[["0", "0"], ["0", "1"], ["1", "0"]]', id="repeated-function-row-first"),
+        pytest.param(_REPEATED_ROW % '[["0", "1"], ["1", "0"], ["0", "0"]]', id="repeated-function-row-last"),
         '{"domain": ',
         pytest.param('{"domain": ["m0"], "predicates": ' + "[" * 1500 + "]" * 1500 + "}", id="nested-too-deeply"),
     ],

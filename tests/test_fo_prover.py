@@ -19,6 +19,7 @@ from ciore.fo_prover import (
     dump_tree,
     extract_countermodel,
     fo_regression_suite,
+    refute_finitely,
 )
 from ciore.fo_semantics import Structure, fo_sequent_satisfied, fo_sequent_valid_in, structure_to_json
 from ciore.parsing import format_sequent, parse_formula, parse_sequent
@@ -251,19 +252,20 @@ def test_decisions_leave_no_reference_cycles(goal, budget, kind):
         gc.enable()
 
 
-def test_finite_refuter_checks_the_signature_once(monkeypatch):
-    # every structure it tries interprets exactly the goal's predicates
-    checked, check = [], Structure.check_signature
-
-    def counted(st, formulas):
-        checked.append(st.domain)
-        return check(st, formulas)
-
-    monkeypatch.setattr(Structure, "check_signature", counted)
+def test_finite_refuter_takes_the_signature_from_the_input_check(monkeypatch):
+    # every structure it tries interprets exactly the predicates the input
+    # check read off the goal, so no structure's signature is checked
+    checked = []
+    monkeypatch.setattr(Structure, "check_signature", lambda st, formulas: checked.append(st.domain))
     swap = seq("|- (forall x. exists y. R(x, y)) -> exists y. forall x. R(x, y)")
     verdict = decide_fo(swap, max_nodes=50, max_depth=30)
     assert isinstance(verdict, Refuted) and verdict.structure.domain == ("m0", "m1")
-    assert checked == [("m0",)]
+    assert checked == []
+    # the first-order prover's own input faults, not a structure's
+    with pytest.raises(LogicError, match="^the first-order prover does not handle constants$"):
+        refute_finitely(seq("P(c) |- P(a1)"))
+    with pytest.raises(LogicError, match="^the first-order prover takes predicate atoms only$"):
+        refute_finitely(seq("P(a1) |- p"))
 
 
 def test_finite_refuter_bounds_the_points_of_a_structure():
