@@ -45,15 +45,11 @@ from .sequents import (
     rules_for,
 )
 from .syntax import (
-    Const,
     Formula,
-    FunApp,
-    PropAtom,
     fresh_free_variables,
     predicate_arities,
     quantifier_depth,
-    subformulas,
-    terms,
+    signature,
     var_index,
 )
 
@@ -178,13 +174,13 @@ def _check_fo_input(s: Sequent) -> dict[str, int]:
     formulas = s.sorted_ante() + s.sorted_succ()  # the first fault by formula_key, whatever the hash seed
     arities = predicate_arities(formulas)  # raises on a predicate used with two arities
     for phi in formulas:
-        if any(type(f) is PropAtom for f in subformulas(phi)):
+        symbols, term_symbols, _ = signature(phi)
+        if not all(arity for _, arity in symbols):
             raise LogicError("the first-order prover takes predicate atoms only")
-        for t in terms(phi):
-            if type(t) is FunApp:
+        if term_symbols:  # the first is the first function or constant of phi's terms
+            if term_symbols[0][1]:
                 raise LogicError("the first-order prover does not handle function symbols")
-            if type(t) is Const:
-                raise LogicError("the first-order prover does not handle constants")
+            raise LogicError("the first-order prover does not handle constants")
     return arities
 
 

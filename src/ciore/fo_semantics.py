@@ -18,7 +18,7 @@ from . import syntax
 from .errors import LogicError
 from .matrix import _POINT, _VALUE, HALF, ONE, VALUE_ORDER, ZERO, Leaf, TruthValue, evaluate, falsified
 from .sequents import Sequent
-from .syntax import BoundVar, Const, Forall, Formula, FreeVar, FunApp, PredAtom, PropAtom, Term
+from .syntax import BoundVar, Const, Forall, Formula, FreeVar, FunApp, PredAtom, Term
 
 
 class _TripleFields(NamedTuple):
@@ -60,7 +60,8 @@ class Triple(_TripleFields):
 # Structures
 
 
-_SYMBOL_KINDS = {PropAtom: "propositional atom", PredAtom: "predicate", FunApp: "function", Const: "constant"}
+#: The kind of a signature's symbol, by list and by whether its arity is positive.
+_FORMULA_KINDS, _TERM_KINDS = ("propositional atom", "predicate"), ("constant", "function")
 
 
 def _check_arity(kind: str, name: str, arity: int, used: int) -> None:
@@ -126,13 +127,13 @@ class Structure(_StructureFields):
         arities |= {("function", name): self.function_arity(name) for name in self.functions}
         arities |= {("constant", name): 0 for name in self.constants}
         for phi in formulas:
-            for symbol in itertools.chain(syntax.subformulas(phi), syntax.terms(phi)):
-                kind = _SYMBOL_KINDS.get(type(symbol))
-                if kind is None:
-                    continue
-                if (kind, symbol.name) not in arities:
-                    raise LogicError(f"structure does not interpret {kind} {symbol.name!r}")
-                _check_arity(kind, symbol.name, arities[kind, symbol.name], len(getattr(symbol, "args", ())))
+            sig = syntax.signature(phi)
+            for kinds, symbols in ((_FORMULA_KINDS, sig.formulas), (_TERM_KINDS, sig.terms)):
+                for name, used in symbols:
+                    kind = kinds[used > 0]
+                    if (kind, name) not in arities:
+                        raise LogicError(f"structure does not interpret {kind} {name!r}")
+                    _check_arity(kind, name, arities[kind, name], used)
 
 
 Assignment = Mapping[str, str]
@@ -148,7 +149,7 @@ def eval_term(t: Term, st: Structure, s: Assignment) -> str:
             raise LogicError(f"{problem} {t.name}") from None
     table = st.constants if kind is Const else st.functions
     if t.name not in table:
-        raise LogicError(f"structure does not interpret {_SYMBOL_KINDS[kind]} {t.name!r}")
+        raise LogicError(f"structure does not interpret {_TERM_KINDS[kind is FunApp]} {t.name!r}")
     if kind is Const:
         return table[t.name]
     args = tuple(eval_term(a, st, s) for a in t.args)

@@ -18,10 +18,9 @@ import enum
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from . import syntax
 from .errors import AtomCapExceeded, LogicError, UsageError
 from .sequents import Sequent
-from .syntax import And, Circ, Formula, Imp, Neg, Or, PredAtom, PropAtom
+from .syntax import And, Circ, Formula, Imp, Neg, Or, PredAtom, PropAtom, signature
 
 DEFAULT_ATOM_CAP = 12
 
@@ -37,6 +36,11 @@ class TruthValue(enum.Enum):
 
     def __repr__(self) -> str:  # keeps countermodel dumps readable
         return self.value
+
+    # Enum.__hash__ is Python code that hashes the name, run on every `_POINT`
+    # lookup and countermodel table key; members are singletons, so identity
+    # serves. No code iterates a set of values, so no order depends on it.
+    __hash__ = object.__hash__
 
 
 ZERO, HALF, ONE = TruthValue.ZERO, TruthValue.HALF, TruthValue.ONE
@@ -135,7 +139,8 @@ def leaf_values(ante: frozenset[Formula]) -> dict[Formula, TruthValue]:
 
 
 def sequent_atoms(s: Sequent) -> tuple[str, ...]:
-    return tuple(sorted(frozenset().union(*map(syntax.atoms, s.ante | s.succ))))
+    """The names of the propositional atoms of s, sorted."""
+    return tuple(sorted({name for phi in s.ante | s.succ for name, arity in signature(phi).formulas if not arity}))
 
 
 def capped_atoms(s: Sequent, atom_cap: int | None) -> tuple[str, ...]:

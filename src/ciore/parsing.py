@@ -32,7 +32,7 @@ from .syntax import (
     PropAtom,
     Term,
     is_free_var_name,
-    parts,
+    store_bottom_up,
 )
 
 #: The binary connectives, loosest first: each row is a token, its
@@ -297,18 +297,7 @@ def format_formula(phi: Formula) -> str:
     try:
         return phi._text
     except AttributeError:
-        pass
-    stack = [phi]
-    while stack:
-        f = stack[-1]
-        missing = [c for c in parts(f) if not hasattr(c, "_text")]
-        if missing:
-            stack += missing
-            continue
-        stack.pop()
-        if not hasattr(f, "_text"):  # a node listed twice is formatted once
-            object.__setattr__(f, "_text", _format(f))
-    return phi._text
+        return store_bottom_up(phi, "_text", _format)
 
 
 def format_sequent(s: Sequent) -> str:

@@ -44,12 +44,6 @@ class Sequent(NamedTuple):
     def make(ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> "Sequent":
         return Sequent(frozenset(ante), frozenset(succ))
 
-    def with_ante(self, *formulas: Formula) -> "Sequent":
-        return Sequent(self.ante | frozenset(formulas), self.succ)
-
-    def with_succ(self, *formulas: Formula) -> "Sequent":
-        return Sequent(self.ante, self.succ | frozenset(formulas))
-
     def without(self, side: str, phi: Formula) -> "Sequent":
         return Sequent(*_sides_without(self, side, phi))
 
@@ -394,11 +388,13 @@ def rule_instance_error(
         assert var is not None
         if var in conclusion.free_variables():
             return f"eigenvariable {var} occurs in the conclusion"
-    given = list(premises)
-    for base in (dropped, conclusion):  # the principal dropped, then kept
-        if given == premise_sequents(base, deltas):
-            return None
-    return "premises do not match the rule schema at this principal"
+    # The principal is dropped from the premises' context or kept in it. Only
+    # NegR2 adds its principal back, and both bases give it the same
+    # premise, so the first premise tells which base to compare with.
+    kept = bool(premises) and principal in premises[0].side(side)
+    if list(premises) != premise_sequents(conclusion if kept else dropped, deltas):
+        return "premises do not match the rule schema at this principal"
+    return None
 
 
 def _first_error(proof: Proof, calculus: Calculus, rules: frozenset[RuleId], allow_cut: bool) -> str | None:

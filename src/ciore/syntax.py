@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Collection, Iterable, Iterator
-from typing import Union
+from collections.abc import Callable, Collection, Iterable, Iterator
+from typing import NamedTuple, Union
 
 from .errors import LogicError
 
@@ -27,10 +27,11 @@ def is_free_var_name(name: str) -> bool:
 # Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006):
 # the metaclass `_Interned` gives each node class one table, so equal
 # constructions return one node, lookups on formulas resolve by identity, and
-# no hash, key or text walks a subtree twice. The tables hold every node and
-# the attributes it caches for the life of the process. Cached values are
-# shared where they repeat: one copy of each free-variable set (`_FREE_SETS`)
-# and of each (tag, name) pair of a key (`_PAIRS`).
+# no hash, key, text or signature walks a subtree twice. The tables hold
+# every node and the attributes it caches for the life of the process.
+# Cached values are shared where they repeat: one copy of each free-variable
+# set (`_FREE_SETS`), of each signature (`_SIGNATURES`) and of each (tag,
+# name) pair of a key (`_PAIRS`).
 
 
 class _Interned(type):
@@ -72,12 +73,12 @@ class _Interned(type):
 
 class _Node(metaclass=_Interned):
     """What every term and formula node holds besides its fields: its hash,
-    set at construction, and its formula_key, free variables and text
-    (`parsing.format_formula`), each set on first request. Nodes are
-    immutable: the package writes the cached attributes with
+    set at construction, and its formula_key, free variables, signature
+    and text (`parsing.format_formula`), each set on first request. Nodes
+    are immutable: the package writes the cached attributes with
     ``object.__setattr__``."""
 
-    __slots__ = ("_hash", "_key", "_free", "_text")
+    __slots__ = ("_hash", "_key", "_free", "_sig", "_text")
 
     def __hash__(self):
         return self._hash
@@ -208,9 +209,10 @@ def iff(a: Formula, b: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Traversals: `parts` is the one list of a formula's immediate subformulas.
-# Every walk over formulas reads it: the preorder walk below, which every
-# structural query reads, substitution, and the printer. One more preorder
-# walk covers terms. The formula classes have no subclasses.
+# Every walk over formulas reads it: the preorder walk below, which the
+# structural queries read, the children-first walk that stores the signature
+# and the printed text, and substitution. One more preorder walk covers
+# terms. The formula classes have no subclasses.
 
 
 def parts(phi: Formula) -> tuple[Formula, ...]:
@@ -230,6 +232,24 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
         f = stack.pop()
         yield f
         stack += parts(f)[::-1]
+
+
+def store_bottom_up(phi: Formula, attr: str, compute: Callable[[Formula], object]):
+    """Store attr on phi and on every node under it that lacks it, children
+    first, each value computed from the node by compute, which reads its
+    parts' stored values; returns phi's. No node is computed twice, and
+    nothing recurses."""
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        missing = [c for c in parts(f) if not hasattr(c, attr)]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        if not hasattr(f, attr):  # a node listed twice is computed once
+            object.__setattr__(f, attr, compute(f))
+    return getattr(phi, attr)
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -253,20 +273,11 @@ def terms(phi: Formula) -> Iterator[Term]:
                     yield t
 
 
-def is_propositional(phi: Formula) -> bool:
-    return all(isinstance(f, (PropAtom, Neg, Circ, And, Or, Imp)) for f in subformulas(phi))
-
-
 def is_literal(phi: Formula) -> bool:
     """Atom or negated atom."""
     if isinstance(phi, (PropAtom, PredAtom)):
         return True
     return isinstance(phi, Neg) and isinstance(phi.body, (PropAtom, PredAtom))
-
-
-def atoms(phi: Formula) -> frozenset[str]:
-    """Names of the propositional atoms occurring in phi."""
-    return frozenset(f.name for f in subformulas(phi) if isinstance(f, PropAtom))
 
 
 #: One copy of each distinct free-variable set that nodes store; a few sets
@@ -286,13 +297,82 @@ def free_variables(phi: Formula) -> frozenset[str]:
     return free
 
 
+class Signature(NamedTuple):
+    """The symbols a formula uses, each as a (name, arity) pair listed at
+    its first occurrence in preorder: ``formulas`` holds the propositional
+    atoms (arity 0) and predicates, ``terms`` the constants (arity 0) and
+    functions, in the order of `syntax.terms`. First occurrences compose,
+    so the first symbol of a list that meets a condition is the first
+    occurrence that meets it."""
+
+    formulas: tuple[tuple[str, int], ...]
+    terms: tuple[tuple[str, int], ...]
+    quantified: bool
+
+
+#: One copy of each distinct signature that nodes store.
+_SIGNATURES: dict[Signature, Signature] = {}
+
+
+def _union(first: tuple, second: tuple) -> tuple:
+    """The symbols of first, then those of second that first lacks."""
+    return tuple(dict.fromkeys(first + second)) if first and second else first or second
+
+
+def _signature(f: Formula) -> Signature:
+    """The shared signature of f from its parts' stored signatures."""
+    kind = type(f)
+    if kind is Neg or kind is Circ:
+        return f.body._sig
+    if kind is Forall or kind is Exists:
+        body = f.body._sig
+        if body.quantified:
+            return body
+        sig = Signature(body.formulas, body.terms, True)
+    elif kind is PropAtom:
+        sig = Signature(((f.name, 0),), (), False)
+    elif kind is PredAtom:
+        used = (t for arg in f.args for t in subterms(arg) if type(t) is FunApp or type(t) is Const)
+        symbols = dict.fromkeys((t.name, len(t.args)) if type(t) is FunApp else (t.name, 0) for t in used)
+        sig = Signature(((f.name, len(f.args)),), tuple(symbols), False)
+    else:
+        left, right = f.left._sig, f.right._sig
+        if left is right:
+            return left
+        sig = Signature(
+            _union(left.formulas, right.formulas), _union(left.terms, right.terms), left.quantified or right.quantified
+        )
+    return _SIGNATURES.setdefault(sig, sig)
+
+
+def signature(phi: Formula) -> Signature:
+    """The symbols phi uses and whether it has a quantifier, computed once
+    per node."""
+    try:
+        return phi._sig
+    except AttributeError:
+        return store_bottom_up(phi, "_sig", _signature)
+
+
+def is_propositional(phi: Formula) -> bool:
+    """True unless phi has a quantifier or a predicate."""
+    symbols, _, quantified = signature(phi)
+    return not quantified and not any(arity for _, arity in symbols)
+
+
+def atoms(phi: Formula) -> frozenset[str]:
+    """Names of the propositional atoms occurring in phi."""
+    return frozenset(name for name, arity in signature(phi).formulas if not arity)
+
+
 def predicate_arities(formulas: Iterable[Formula]) -> dict[str, int]:
-    """Arity of each predicate occurring in the formulas."""
+    """Arity of each predicate occurring in the formulas; raises on the
+    first predicate occurrence, in the order given, at a second arity."""
     arities: dict[str, int] = {}
     for phi in formulas:
-        for f in subformulas(phi):
-            if type(f) is PredAtom and arities.setdefault(f.name, len(f.args)) != len(f.args):
-                raise LogicError(f"predicate {f.name!r} used with two arities")
+        for name, arity in signature(phi).formulas:
+            if arity and arities.setdefault(name, arity) != arity:
+                raise LogicError(f"predicate {name!r} used with two arities")
     return arities
 
 

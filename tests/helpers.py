@@ -52,6 +52,14 @@ def var_sorted(names) -> tuple[str, ...]:
     return tuple(sorted(names, key=var_index))
 
 
+def with_ante(s: Sequent, *formulas: Formula) -> Sequent:
+    return Sequent(s.ante | frozenset(formulas), s.succ)
+
+
+def with_succ(s: Sequent, *formulas: Formula) -> Sequent:
+    return Sequent(s.ante, s.succ | frozenset(formulas))
+
+
 # ---------------------------------------------------------------------------
 # Literal truth tables and the per-valuation oracle
 
@@ -895,11 +903,13 @@ def random_term_formula(rng: random.Random, depth: int) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Recipes the package has replaced by faster ones, kept as references: the
-# recursive formula printer, the chained premise construction and the
-# recursive proof checker with its path built at every node
+# recursive formula printer, the chained premise construction, the recursive
+# proof checker with its path built at every node, and the walks over every
+# subformula and term that the stored signature replaced
 
 from ciore.fo_prover import decide_fo  # noqa: E402
 from ciore.sequents import STRUCTURAL_RULES, Proved  # noqa: E402
+from ciore.syntax import subformulas, terms  # noqa: E402
 
 _ATOM, _UNARY, _AND, _OR, _IMP, _QUANT = 5, 4, 3, 2, 1, 0
 
@@ -961,7 +971,7 @@ def chained_premises(
     if principal not in conclusion.side(side):
         return None
     base = conclusion if keep_principal else conclusion.without(side, principal)
-    return [base.with_ante(*da).with_succ(*ds) for da, ds in deltas]
+    return [with_succ(with_ante(base, *da), *ds) for da, ds in deltas]
 
 
 def reference_proof_error(proof: Proof, calculus: Calculus, allow_cut: bool = False, _path: str = "root") -> str | None:
@@ -980,6 +990,68 @@ def reference_proof_error(proof: Proof, calculus: Calculus, allow_cut: bool = Fa
         if err is not None:
             return err
     return None
+
+
+def reference_propositional(s: Sequent) -> bool:
+    """`Sequent.propositional`: no formula has a quantifier or a predicate."""
+    allowed = (PropAtom, Neg, Circ, And, Or, Imp)
+    return all(isinstance(f, allowed) for phi in s.ante | s.succ for f in subformulas(phi))
+
+
+def reference_sequent_atoms(s: Sequent) -> tuple[str, ...]:
+    """`matrix.sequent_atoms`: the propositional atom names of s, sorted."""
+    return tuple(sorted({f.name for phi in s.ante | s.succ for f in subformulas(phi) if isinstance(f, PropAtom)}))
+
+
+def reference_predicate_arities(formulas) -> dict[str, int]:
+    """`syntax.predicate_arities`, raising at the first predicate occurrence
+    at a second arity."""
+    arities: dict[str, int] = {}
+    for phi in formulas:
+        for f in subformulas(phi):
+            if type(f) is PredAtom and arities.setdefault(f.name, len(f.args)) != len(f.args):
+                raise LogicError(f"predicate {f.name!r} used with two arities")
+    return arities
+
+
+def reference_check_fo_input(s: Sequent) -> dict[str, int]:
+    """`fo_prover._check_fo_input`: the arities, then per formula in
+    formula_key order a propositional atom, then the first function or
+    constant among its terms."""
+    formulas = s.sorted_ante() + s.sorted_succ()
+    arities = reference_predicate_arities(formulas)
+    for phi in formulas:
+        if any(type(f) is PropAtom for f in subformulas(phi)):
+            raise LogicError("the first-order prover takes predicate atoms only")
+        for t in terms(phi):
+            if type(t) is FunApp:
+                raise LogicError("the first-order prover does not handle function symbols")
+            if type(t) is Const:
+                raise LogicError("the first-order prover does not handle constants")
+    return arities
+
+
+_SYMBOL_KINDS = {PropAtom: "propositional atom", PredAtom: "predicate", FunApp: "function", Const: "constant"}
+
+
+def reference_check_signature(st: Structure, formulas) -> None:
+    """`Structure.check_signature`: every symbol occurrence, per formula its
+    subformulas in preorder and then its terms."""
+    arities = {("predicate", name): st.predicate_arity(name) for name in st.predicates}
+    arities |= {("function", name): st.function_arity(name) for name in st.functions}
+    arities |= {("constant", name): 0 for name in st.constants}
+    for phi in formulas:
+        for symbol in itertools.chain(subformulas(phi), terms(phi)):
+            kind = _SYMBOL_KINDS.get(type(symbol))
+            if kind is None:
+                continue
+            if (kind, symbol.name) not in arities:
+                raise LogicError(f"structure does not interpret {kind} {symbol.name!r}")
+            used = len(getattr(symbol, "args", ()))
+            if arities[kind, symbol.name] != used:
+                raise LogicError(
+                    f"{kind} {symbol.name!r} has arity {arities[kind, symbol.name]} in the structure, used with {used} arguments"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -1046,8 +1118,8 @@ def _insert_cut(rng: random.Random, proof: Proof, nodes) -> Proof | None:
     s = node.sequent
     phi = rng.choice(_formula_pool(node))
     premises = (
-        Proof(s.with_succ(phi), _R.WEAK_R, premises=(node,)),
-        Proof(s.with_ante(phi), _R.WEAK_L, premises=(node,)),
+        Proof(with_succ(s, phi), _R.WEAK_R, premises=(node,)),
+        Proof(with_ante(s, phi), _R.WEAK_L, premises=(node,)),
     )
     if rng.random() < 0.25:
         premises = premises[::-1]
@@ -1227,12 +1299,12 @@ def _expand_quantifier_intro(rule: DerivedRuleId, conclusion: Sequent, premises:
     # Splice the hypothesis in through a context-sharing cut on the premise
     # implication, then introduce the quantifier and the implication.
     a, b = given.left, given.right
-    n1 = Proof(hyp.sequent.with_ante(a), _R.WEAK_L, premises=(hyp,))
-    n2 = Proof(n1.sequent.with_succ(b), _R.WEAK_R, premises=(n1,))
+    n1 = Proof(with_ante(hyp.sequent, a), _R.WEAK_L, premises=(hyp,))
+    n2 = Proof(with_succ(n1.sequent, b), _R.WEAK_R, premises=(n1,))
     ax_a = axiom(a)
-    n3 = Proof(ax_a.sequent.with_succ(b), _R.WEAK_R, premises=(ax_a,))
+    n3 = Proof(with_succ(ax_a.sequent, b), _R.WEAK_R, premises=(ax_a,))
     ax_b = axiom(b)
-    n4 = Proof(ax_b.sequent.with_ante(a), _R.WEAK_L, premises=(ax_b,))
+    n4 = Proof(with_ante(ax_b.sequent, a), _R.WEAK_L, premises=(ax_b,))
     n5 = Proof(Sequent.make((a, given), (b,)), _R.IMP_L, principal=given, premises=(n3, n4))
     n6 = Proof(Sequent.make((a,), (b,)), _R.CUT, principal=given, premises=(n2, n5))
     if rule is DerivedRuleId.FORALL_INTRO:
@@ -1261,7 +1333,7 @@ def expand_derived_rule(rule: DerivedRuleId, conclusion: Sequent, premises: Sequ
             if not isinstance(cand, Neg):
                 continue
             delta = conclusion.succ - {cand}
-            if first.sequent in (Sequent(conclusion.ante, delta | {cand.body}), conclusion.with_succ(cand.body)):
+            if first.sequent in (Sequent(conclusion.ante, delta | {cand.body}), with_succ(conclusion, cand.body)):
                 return second
         raise _schema_mismatch("first premise does not fit any negated succedent formula")
     return _expand_quantifier_intro(rule, conclusion, premises)

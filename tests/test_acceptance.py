@@ -60,6 +60,8 @@ from helpers import (
     sides_upto,
     theorem_suite,
     var_sorted,
+    with_ante,
+    with_succ,
 )
 
 seq = parse_sequent
@@ -181,8 +183,8 @@ def test_criterion_5_cut_elimination():
             continue
         done += 1
         cut_formula = random_formula(rng, ("p", "q", "r"), 2)
-        left = Proof(s.with_succ(cut_formula), RuleId.WEAKEN, premises=(verdict.proof,))
-        right = Proof(s.with_ante(cut_formula), RuleId.WEAKEN, premises=(verdict.proof,))
+        left = Proof(with_succ(s, cut_formula), RuleId.WEAKEN, premises=(verdict.proof,))
+        right = Proof(with_ante(s, cut_formula), RuleId.WEAKEN, premises=(verdict.proof,))
         wrapped = Proof(s, RuleId.CUT, principal=cut_formula, premises=(left, right))
         assert check_proof(wrapped, Calculus.GCIORE_PRIME, allow_cut=True)
         rebuilt = eliminate_cut(wrapped)

@@ -27,7 +27,7 @@ from ciore.sequents import (
 )
 from ciore.syntax import And, Circ, Formula, PropAtom, iff
 
-from helpers import contradiction_scan, eliminate_cut, proof_respects_gsub, sequent_weight, theorem_suite
+from helpers import contradiction_scan, eliminate_cut, proof_respects_gsub, sequent_weight, theorem_suite, with_ante, with_succ
 
 seq = parse_sequent
 p, q = PropAtom("p"), PropAtom("q")
@@ -140,8 +140,8 @@ def test_neg_r2_on_negated_consistency_terminates():
 
 def _wrap_in_cut(proof: Proof, cut_formula) -> Proof:
     s = proof.sequent
-    left = Proof(s.with_succ(cut_formula), RuleId.WEAKEN, premises=(proof,))
-    right = Proof(s.with_ante(cut_formula), RuleId.WEAKEN, premises=(proof,))
+    left = Proof(with_succ(s, cut_formula), RuleId.WEAKEN, premises=(proof,))
+    right = Proof(with_ante(s, cut_formula), RuleId.WEAKEN, premises=(proof,))
     return Proof(s, RuleId.CUT, principal=cut_formula, premises=(left, right))
 
 

@@ -309,6 +309,22 @@ def test_rule_instance_error_messages():
     assert check_rule_instance(R.FORALL_L, conclusion, [premise], forall_p, var="a1")
 
 
+def test_rule_instances_drop_or_keep_the_principal():
+    conclusion = seq("r, p | q |- s")
+    dropped = [seq("r, p |- s"), seq("r, q |- s")]
+    kept = [seq("r, p | q, p |- s"), seq("r, p | q, q |- s")]
+    for premises in (dropped, kept):
+        assert rule_instance_error(R.OR_L, conclusion, premises, Or(p, q)) is None
+    # one base serves every premise, and each premise must fit it
+    mixed = [[dropped[0], kept[1]], [kept[0], dropped[1]]]
+    off = [[dropped[0], seq("r, q |- s, p")], [kept[0], seq("p | q, q |- s")], dropped[:1], []]
+    for wrong in mixed + off:
+        assert rule_instance_error(R.OR_L, conclusion, wrong, Or(p, q)) == "premises do not match the rule schema at this principal"
+    # NegR2 adds its principal back, so its premise fits both bases
+    assert rule_instance_error(R.NEG_R2, seq("r |- ~p"), [seq("r, p |- ~p")], Neg(p)) is None
+    assert rule_instance_error(R.NEG_R2, seq("r |- ~p"), [seq("r, p |-")], Neg(p)) is not None
+
+
 # ---------------------------------------------------------------------------
 # One sequent per premise, and a path built only for the failing node
 
@@ -324,6 +340,7 @@ def test_premises_from_schema_matches_the_chained_recipe():
                 var = None
             got = premises_from_schema(conclusion, rule, principal, var)
             assert got is not None and got == chained_premises(conclusion, rule, principal, var)
+            assert rule_instance_error(rule, conclusion, got, principal, var) is None
             # the checker also takes the premises with the principal kept
             kept = chained_premises(conclusion, rule, principal, var, keep_principal=True)
             assert rule_instance_error(rule, conclusion, kept, principal, var) is None
