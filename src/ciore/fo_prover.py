@@ -9,11 +9,12 @@ Each node indexes its candidate formulas by phase, so a stage reads one
 bucket per open leaf, and a stage no open leaf has a candidate for is
 passed over at once while still counted.
 A tree whose leaves all share a formula across sides compiles to a cut-free
-proof; a branch that a full cycle of stages leaves untouched yields a
-candidate countermodel, which is only reported after it verifiably
-falsifies the goal. When the loop runs out of budget or stalls, ``decide_fo``
-tries the first ``REFUTER_STRUCTURES`` finite structures on growing domains
-(MACE-style) before it answers ``Unknown``.
+proof; a leaf that is saturated when it is made (every candidate formula
+reduced up to its limit) yields a candidate countermodel, which is only
+reported after it verifiably falsifies the goal. When the loop runs out of
+budget or stalls, ``decide_fo`` tries the first ``REFUTER_STRUCTURES``
+finite structures on growing domains (MACE-style) before it answers
+``Unknown``.
 """
 
 from __future__ import annotations
@@ -166,6 +167,7 @@ class ReductionTree(NamedTuple):
     status: str  # "closed" | "refuted" | "stalled" | "budget"
     stages: int
     node_count: int
+    arities: dict[str, int]  # the goal's predicates, as the input check read them
     countermodel: tuple[Structure, dict[str, str]] | None = None  # set when refuted
 
 
@@ -182,6 +184,19 @@ def _check_fo_input(s: Sequent) -> dict[str, int]:
                 raise LogicError("the first-order prover does not handle function symbols")
             raise LogicError("the first-order prover does not handle constants")
     return arities
+
+
+def _saturated(leaf: ReductionNode, available: list[str]) -> bool:
+    """Every formula of leaf's candidate index is reduced up to its limit,
+    the one `_phase_principals` applies."""
+    marks = leaf.marks
+    for pos, formulas in leaf.candidates.items():
+        rule = PHASES[pos]
+        limit = len(available) if _PHASE_STEP[rule][1] == REPEAT else 1
+        for phi in formulas:
+            if marks.get((phi, rule), 0) < limit:
+                return False
+    return True
 
 
 def _phase_principals(
@@ -231,43 +246,48 @@ def build_reduction_tree(
     max_nodes: int = DEFAULT_MAX_NODES,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> ReductionTree:
-    """Grow the staged reduction tree until it closes, a saturated branch
-    refutes the goal, nothing can change anymore, or the budget runs out."""
+    """Grow the staged reduction tree until it closes, a saturated leaf
+    refutes the goal, nothing can change anymore, or the budget runs out.
+    Each open leaf is checked once, when it is made: the root before stage 1,
+    each new leaf at the end of the stage that made it. If it is saturated,
+    its countermodel is extracted, and a verified one ends the loop at that
+    stage. No later check could find more: extraction reads only the leaf's
+    sequent, and a leaf that is not saturated when made only gains pending
+    formulas as ``available`` grows, so a later phase expands it."""
     arities = _check_fo_input(s)
     root = ReductionNode(sequent=s, created_at_stage=0, candidates=_indexed({}, s.ante, s.succ))
     occurring = sorted(s.free_variables(), key=var_index)
     available: list[str] = occurring if occurring else ["a1"]
     fresh = fresh_free_variables(frozenset(available))  # every name it yields is appended to available
 
+    def countermodel_of(leaves: Iterable[ReductionNode]) -> tuple[Structure, dict[str, str]] | None:
+        for leaf in leaves:
+            if _saturated(leaf, available):
+                countermodel = extract_countermodel(leaf.sequent, s, arities)
+                if countermodel is not None:
+                    return countermodel
+        return None
+
     # The open leaves, left to right; eigenvariables are handed out in this order.
     frontier = [] if root.closed else [root]
+    countermodel = countermodel_of(frontier)
+    if countermodel is not None:
+        return ReductionTree(root, "refuted", 0, 1, arities, countermodel)
     # Recomputed only when the frontier changes: the phase positions some
-    # open leaf has candidates for, the newest leaf's stage, and the stages
-    # that made leaves, oldest first.
+    # open leaf has candidates for, and the newest leaf's stage.
     active = set(root.candidates)
     newest = 0
-    grew_at = collections.deque([0])
     node_count = 1
     stage = 0
     while True:
         if not frontier:
-            return ReductionTree(root, "closed", stage, node_count)
-
-        # A leaf ends its first idle cycle exactly one cycle after the stage
-        # that made it, so its countermodel is extracted once.
-        if grew_at and stage - grew_at[0] == _CYCLE:
-            grew_at.popleft()
-            for leaf in frontier:
-                if stage - leaf.created_at_stage == _CYCLE:
-                    countermodel = extract_countermodel(leaf.sequent, s, arities)
-                    if countermodel is not None:
-                        return ReductionTree(root, "refuted", stage, node_count, countermodel)
+            return ReductionTree(root, "closed", stage, node_count, arities)
         if stage - newest >= _CYCLE:
-            return ReductionTree(root, "stalled", stage, node_count)
+            return ReductionTree(root, "stalled", stage, node_count, arities)
 
         stage += 1
         if stage > max_depth or node_count > max_nodes:
-            return ReductionTree(root, "budget", stage, node_count)
+            return ReductionTree(root, "budget", stage, node_count, arities)
 
         pos = stage % _CYCLE
         if pos not in active:  # the idle phase, or no open leaf has a candidate
@@ -284,13 +304,15 @@ def build_reduction_tree(
             node_count += len(children)
             grown.extend(child for child in children if not child.closed)
             if node_count > max_nodes:
-                return ReductionTree(root, "budget", stage, node_count)
+                return ReductionTree(root, "budget", stage, node_count, arities)
         if node_count == counted:
             continue
         frontier = grown
+        countermodel = countermodel_of(leaf for leaf in frontier if leaf.created_at_stage == stage)
+        if countermodel is not None:
+            return ReductionTree(root, "refuted", stage, node_count, arities, countermodel)
         active = set().union(*(leaf.candidates for leaf in frontier))
         newest = max((leaf.created_at_stage for leaf in frontier), default=stage)
-        grew_at.append(stage)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +400,11 @@ def refute_finitely(s: Sequent) -> tuple[tuple[Structure, dict[str, str]] | None
     and so on, each domain in ``enumerate_structures`` order, at most
     ``REFUTER_STRUCTURES`` of them on domains of at most ``REFUTER_POINTS``
     points. Raises `LogicError` on input the prover does not take."""
-    arities = _check_fo_input(s)
+    return _refute(s, _check_fo_input(s))
+
+
+def _refute(s: Sequent, arities: dict[str, int]) -> tuple[tuple[Structure, dict[str, str]] | None, int, int]:
+    """`refute_finitely` on input already checked, whose arities are given."""
     nesting = max(map(quantifier_depth, s.ante | s.succ), default=0)
     width = max(len(s.free_variables()) + nesting, *arities.values(), 0)
     sizes = itertools.takewhile(lambda size: size**width <= REFUTER_POINTS, itertools.count(1))
@@ -406,7 +432,7 @@ def decide_fo(s: Sequent, max_nodes: int = DEFAULT_MAX_NODES, max_depth: int = D
     if tree.status == "refuted":
         assert tree.countermodel is not None
         return Refuted(*tree.countermodel)
-    countermodel, tried, size = refute_finitely(s)
+    countermodel, tried, size = _refute(s, tree.arities)  # the tree checked the input
     if countermodel is not None:
         if fo_sequent_satisfied(*countermodel, s):
             raise InternalError("finite countermodel failed checking")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ciore import fo_prover
 from ciore.errors import LogicError
 from ciore.fo_prover import (
     PHASES,
@@ -67,12 +68,65 @@ def test_tree_develops_open_branch():
     assert not fo_sequent_satisfied(*tree.countermodel, s)
 
 
+def test_saturated_root_is_refuted_before_stage_1():
+    tree = build_reduction_tree(seq("|- P(a1)"))
+    assert (tree.status, tree.stages, tree.node_count) == ("refuted", 0, 1)
+
+
+def test_leaf_is_refuted_at_the_stage_that_made_it():
+    # ForallR (stage 19) and ExistsL (stage 20) make the one saturated leaf
+    tree = build_reduction_tree(seq("exists x. P(x) |- forall x. P(x)"))
+    assert (tree.status, tree.stages, tree.node_count) == ("refuted", 20, 3)
+
+
+def _seeded_goals(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        pool = ["a1", "a2", "a3"][: rng.randint(1, 3)]
+        yield Sequent.make((), (random_fo_formula(rng, {"P": 1, "R": 2}, pool, 3),))
+
+
+def test_each_leaf_is_extracted_at_most_once(monkeypatch):
+    extracted = []
+    extract = fo_prover.extract_countermodel
+    monkeypatch.setattr(
+        fo_prover, "extract_countermodel", lambda leaf, goal, arities: extracted.append(leaf) or extract(leaf, goal, arities)
+    )
+    total = 0
+    for goal in _seeded_goals(707, 150):
+        extracted.clear()
+        tree = build_reduction_tree(goal, max_nodes=200, max_depth=200)
+        sequents = {id(node.sequent) for node in _nodes(tree.root)}
+        assert len({id(leaf) for leaf in extracted}) == len(extracted), format_sequent(goal)
+        assert {id(leaf) for leaf in extracted} <= sequents, format_sequent(goal)
+        total += len(extracted)
+    assert total > 100
+
+
+def test_refuted_tree_stops_at_the_stage_that_made_its_leaf():
+    refuted = 0
+    for goal in _seeded_goals(808, 150):
+        tree = build_reduction_tree(goal, max_nodes=200, max_depth=200)
+        if tree.status != "refuted":
+            continue
+        nodes = list(_nodes(tree.root))
+        assert max(node.created_at_stage for node in nodes) == tree.stages, format_sequent(goal)
+        assert any(
+            not node.children
+            and node.created_at_stage == tree.stages
+            and extract_countermodel(node.sequent, goal, tree.arities) == tree.countermodel
+            for node in nodes
+        ), format_sequent(goal)
+        refuted += 1
+    assert refuted > 100
+
+
 def test_frontier_runs_left_to_right():
     # eigenvariables are handed out in leaf order: the left branch gets a2
     tree = build_reduction_tree(seq("(exists x. P(x)) | (exists y. R(y, y)) |-"))
     assert dump_tree(tree) == "\n".join(
         [
-            "status=refuted stages=47 nodes=5",
+            "status=refuted stages=20 nodes=5",
             "k=start (exists x. P(x)) | (exists y. R(y, y)) |-",
             "  k=OrL (exists x. P(x)) | (exists y. R(y, y)), exists x. P(x) |-",
             "    k=ExistsL P(a2), (exists x. P(x)) | (exists y. R(y, y)), exists x. P(x) |- "
@@ -266,6 +320,19 @@ def test_finite_refuter_takes_the_signature_from_the_input_check(monkeypatch):
         refute_finitely(seq("P(c) |- P(a1)"))
     with pytest.raises(LogicError, match="^the first-order prover takes predicate atoms only$"):
         refute_finitely(seq("P(a1) |- p"))
+
+
+def test_decide_fo_checks_its_input_once(monkeypatch):
+    # the stage loop gives up on this goal, and the finite refuter takes the
+    # arities the loop's input check read
+    swap = seq("forall x. exists y. R(x,y) |- exists y. forall x. R(x,y)")
+    assert build_reduction_tree(swap, max_nodes=200, max_depth=200).status == "budget"
+    checked = []
+    check = fo_prover._check_fo_input
+    monkeypatch.setattr(fo_prover, "_check_fo_input", lambda s: checked.append(s) or check(s))
+    verdict = decide_fo(swap, max_nodes=200, max_depth=200)
+    assert isinstance(verdict, Refuted) and not fo_sequent_satisfied(verdict.structure, verdict.assignment, swap)
+    assert checked == [swap]
 
 
 def test_finite_refuter_bounds_the_points_of_a_structure():

@@ -35,7 +35,7 @@ def _records() -> list:
         Proved(proof),
         RuleShape(*RULE_TABLE[RuleId.OR_L]),
         fo_prover.PrincipalReduction(Neg(p), RuleId.NEG_NEG_L, None, (((p,), ()),)),
-        fo_prover.ReductionTree(ROOT, "refuted", 1, 1, (_structure(), {"a1": "m0"})),
+        fo_prover.ReductionTree(ROOT, "refuted", 1, 1, {"P": 1}, (_structure(), {"a1": "m0"})),
         prop_prover.Refuted({"p": ZERO, "q": HALF}),
         fo_prover.Refuted(_structure(), {"a1": "m1"}),
         fo_prover.Unknown("search budget"),
