@@ -1,20 +1,19 @@
 """Bounded saturation prover for the first-order calculus.
 
 The search tree grows in stages that cycle through ``PHASES``: the 26 rules
-of the rule table the search applies, one per connective shape and side,
-then one idle stage. Sequents only ever grow along a branch; formulas
-already reduced are remembered by marks, and the left quantifier
-instantiation rules come back to a formula once per available variable.
-Each node indexes its candidate formulas by phase, so a stage reads one
-bucket per open leaf, and a stage no open leaf has a candidate for is
-passed over at once while still counted.
+of the rule table the search applies, one per connective shape and side.
+Sequents only ever grow along a branch; formulas already reduced are
+remembered by marks, and the left quantifier instantiation rules come back
+to a formula once per available variable. Each node indexes its candidate
+formulas by phase, so a stage reads one bucket per open leaf, and a stage no
+open leaf has a candidate for is passed over at once while still counted.
 A tree whose leaves all share a formula across sides compiles to a cut-free
 proof; a leaf that is saturated when it is made (every candidate formula
 reduced up to its limit) yields a candidate countermodel, which is only
-reported after it verifiably falsifies the goal. When the loop runs out of
-budget or stalls, ``decide_fo`` tries the first ``REFUTER_STRUCTURES``
-finite structures on growing domains (MACE-style) before it answers
-``Unknown``.
+reported after it verifiably falsifies the goal. The search stalls when a
+full cycle of stages reduces nothing. When the loop runs out of budget or
+stalls, ``decide_fo`` tries the first ``REFUTER_STRUCTURES`` finite
+structures on growing domains (MACE-style) before it answers ``Unknown``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple, Union
 
-from .errors import InternalError, LogicError
+from .errors import InternalError, LogicError, UsageError
 from .fo_semantics import Structure, Triple, enumerate_structures, fo_sequent_satisfied, unchecked_falsifying_assignment
 from .matrix import HALF, ONE, leaf_values
 from .parsing import format_formula, format_sequent, parse_sequent
@@ -68,10 +67,10 @@ DEFAULT_MAX_DEPTH = 400
 REFUTER_STRUCTURES = 64
 REFUTER_POINTS = 64
 
-#: Cyclic stage order; stage k applies PHASES[k % 27], and None is the idle
-#: stage that closes each cycle. A phase reduces exactly the formulas on its
-#: rule's side that the rule table assigns that rule (``rules_for``).
-PHASES: tuple[RuleId | None, ...] = (
+#: Cyclic stage order; stage k applies PHASES[k % 26]. A phase reduces exactly
+#: the formulas on its rule's side that the rule table assigns that rule
+#: (``rules_for``).
+PHASES: tuple[RuleId, ...] = (
     R.CIRC_L,
     R.CIRC_R,
     R.NEG_R,
@@ -98,9 +97,7 @@ PHASES: tuple[RuleId | None, ...] = (
     R.CIRC_FORALL_R,
     R.CIRC_EXISTS_L,
     R.CIRC_EXISTS_R,
-    None,
 )
-_CYCLE = len(PHASES)
 
 ONCE, REPEAT, EIGEN = "once", "repeat", "eigen"
 
@@ -110,7 +107,6 @@ ONCE, REPEAT, EIGEN = "once", "repeat", "eigen"
 _PHASE_STEP: dict[RuleId, tuple[int, str]] = {
     rule: (pos, EIGEN if rule in EIGEN_RULES else REPEAT if rule in QUANTIFIER_RULES else ONCE)
     for pos, rule in enumerate(PHASES)
-    if rule is not None
 }
 
 #: A phase's candidate index: phase position -> the formulas on that phase
@@ -247,13 +243,17 @@ def build_reduction_tree(
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> ReductionTree:
     """Grow the staged reduction tree until it closes, a saturated leaf
-    refutes the goal, nothing can change anymore, or the budget runs out.
-    Each open leaf is checked once, when it is made: the root before stage 1,
-    each new leaf at the end of the stage that made it. If it is saturated,
-    its countermodel is extracted, and a verified one ends the loop at that
-    stage. No later check could find more: extraction reads only the leaf's
-    sequent, and a leaf that is not saturated when made only gains pending
-    formulas as ``available`` grows, so a later phase expands it."""
+    refutes the goal, a full cycle of stages makes no node (``stalled``), or
+    the budget runs out. Each open leaf is checked once, when it is made: if
+    it is saturated, its countermodel is extracted, and a verified one ends
+    the loop at that stage. Extraction reads only the leaf's sequent, and a
+    leaf not saturated when made has formulas pending, which a later phase
+    reduces. ``available`` grows only when an eigenvariable rule makes a
+    node, so after a full cycle that makes no node no leaf has anything
+    pending. Raises `UsageError` for a budget below 1."""
+    for name, budget in (("node", max_nodes), ("stage", max_depth)):
+        if budget < 1:
+            raise UsageError(f"the {name} budget must be a positive integer, got {budget}")
     arities = _check_fo_input(s)
     root = ReductionNode(sequent=s, created_at_stage=0, candidates=_indexed({}, s.ante, s.succ))
     occurring = sorted(s.free_variables(), key=var_index)
@@ -270,31 +270,29 @@ def build_reduction_tree(
 
     # The open leaves, left to right; eigenvariables are handed out in this order.
     frontier = [] if root.closed else [root]
-    countermodel = countermodel_of(frontier)
-    if countermodel is not None:
-        return ReductionTree(root, "refuted", 0, 1, arities, countermodel)
-    # Recomputed only when the frontier changes: the phase positions some
-    # open leaf has candidates for, and the newest leaf's stage.
+    made = frontier  # the open leaves the last stage that made nodes made; at first the root
+    # Recomputed only when the frontier changes: the phase positions some open leaf has candidates for.
     active = set(root.candidates)
-    newest = 0
-    node_count = 1
-    stage = 0
+    node_count, stage, idle = 1, 0, 0  # idle: the stages since the last one that made a node
     while True:
-        if not frontier:
-            return ReductionTree(root, "closed", stage, node_count, arities)
-        if stage - newest >= _CYCLE:
+        if not idle:  # before stage 1, or after a stage that made nodes
+            countermodel = countermodel_of(made)
+            if countermodel is not None:
+                return ReductionTree(root, "refuted", stage, node_count, arities, countermodel)
+            if not frontier:
+                return ReductionTree(root, "closed", stage, node_count, arities)
+        elif idle == len(PHASES):
             return ReductionTree(root, "stalled", stage, node_count, arities)
 
         stage += 1
-        if stage > max_depth or node_count > max_nodes:
+        if stage > max_depth:
             return ReductionTree(root, "budget", stage, node_count, arities)
 
-        pos = stage % _CYCLE
-        if pos not in active:  # the idle phase, or no open leaf has a candidate
+        pos = stage % len(PHASES)
+        idle += 1
+        if pos not in active:  # no open leaf has a candidate
             continue
-        rule = PHASES[pos]
-        counted = node_count
-        grown: list[ReductionNode] = []
+        rule, made, grown = PHASES[pos], [], []
         for leaf in frontier:
             reductions = pos in leaf.candidates and _phase_principals(leaf, rule, available, fresh)
             if not reductions:
@@ -302,17 +300,15 @@ def build_reduction_tree(
                 continue
             children = _expand_leaf(leaf, rule, reductions, stage)
             node_count += len(children)
-            grown.extend(child for child in children if not child.closed)
             if node_count > max_nodes:
                 return ReductionTree(root, "budget", stage, node_count, arities)
-        if node_count == counted:
-            continue
-        frontier = grown
-        countermodel = countermodel_of(leaf for leaf in frontier if leaf.created_at_stage == stage)
-        if countermodel is not None:
-            return ReductionTree(root, "refuted", stage, node_count, arities, countermodel)
-        active = set().union(*(leaf.candidates for leaf in frontier))
-        newest = max((leaf.created_at_stage for leaf in frontier), default=stage)
+            opened = [child for child in children if not child.closed]
+            made += opened
+            grown += opened
+            idle = 0
+        if not idle:
+            frontier = grown
+            active = set().union(*(leaf.candidates for leaf in frontier))
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,14 @@ def test_readme_flag_table_matches_the_parser():
     assert documented == taken
 
 
+def test_readme_unknown_example_is_what_its_command_prints(capsys):
+    example, command = re.search(
+        r'`(\{"status": "unknown".*?\})`\n\(`(prove --json [^`]*)`', _README.read_text(), re.S
+    ).groups()
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 2 and json.loads(out) == json.loads(example.replace("\n", " "))
+
+
 def _closed_reader_exit(argv: list[str], read: int) -> tuple[int, str]:
     """The exit code and standard error of the command line when the reader
     of its standard output closes the pipe after `read` bytes."""

@@ -59,7 +59,7 @@ from ciore.syntax import formula_key, var_index
 
 PINNED = {
     "falsifying_assignments": "3c7a5e434888a0c0846a9714c0873ba2a3b3aafca6a0157b3aa23f8ce6e48cc6",
-    "fo_trees": "5f209b9fb760f4bce021185ceaef972bbaf5622c9804a88044b193ded1f0f236",
+    "fo_trees": "d6a093c4d4469c28bc2bf9547e943328cb3214866ee2ac534b7113e890b36499",
     "fo_verdicts": "5a580eff575096a4672f0e13291409b84a1a2a07761c400a832cb6a2dda179a1",
     "parse_outcomes": "e806aa4a92e5b33cdfa537da3f547b636d51e2a954da714cca352e32a868c717",
     "proof_errors": "cc5cc56242d879aa0c9cb3ed78570d1f6ea0abd06b3a65d9d10f38262afc97b7",
