@@ -1,25 +1,28 @@
 """Bounded saturation prover for the first-order calculus.
 
-The search tree grows in stages that cycle through ``PHASES``: the 26 rules
-of the rule table the search applies, one per connective shape and side.
-Sequents only ever grow along a branch; formulas already reduced are
-remembered by marks, and the left quantifier instantiation rules come back
-to a formula once per available variable. Each node indexes its candidate
-formulas by phase, so a stage reads one bucket per open leaf, and a stage no
-open leaf has a candidate for is passed over at once while still counted.
-A tree whose leaves all share a formula across sides compiles to a cut-free
-proof; a leaf that is saturated when it is made (every candidate formula
-reduced up to its limit) yields a candidate countermodel, which is only
-reported after it verifiably falsifies the goal. The search stalls when a
-full cycle of stages reduces nothing. When the loop runs out of budget or
-stalls, ``decide_fo`` tries the first ``REFUTER_STRUCTURES`` finite
-structures on growing domains (MACE-style) before it answers ``Unknown``.
+The search grows the tree one branch at a time, depth first, and each leaf
+follows its own cycle of stages through ``PHASES``, the 26 rules of the rule
+table the search applies, one per connective shape and side: a leaf made at
+stage k goes on at stage k + 1, and stage j applies PHASES[j % 26]. Sequents
+only ever grow along a branch; formulas already reduced are remembered by
+marks, and the left quantifier instantiation rules come back to a formula
+once per available variable. Each node indexes its candidate formulas by
+phase, so a leaf passes over the phases it has no candidate for at once,
+while still counting their stages. A tree whose leaves all share a formula
+across sides compiles to a cut-free proof; a leaf that is saturated when it
+is made (every candidate formula reduced up to its limit) yields a candidate
+countermodel, which is only reported after it verifiably falsifies the goal.
+The search stalls when every open leaf is stuck at every drawn variable.
+When the loop runs out of budget or stalls, ``decide_fo`` tries the first
+``REFUTER_STRUCTURES`` finite structures on growing domains (MACE-style)
+before it answers ``Unknown``.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple, Union
 
@@ -161,7 +164,7 @@ class ReductionNode:
 class ReductionTree(NamedTuple):
     root: ReductionNode
     status: str  # "closed" | "refuted" | "stalled" | "budget"
-    stages: int
+    stages: int  # the deepest stage any branch reached
     node_count: int
     arities: dict[str, int]  # the goal's predicates, as the input check read them
     countermodel: tuple[Structure, dict[str, str]] | None = None  # set when refuted
@@ -242,15 +245,19 @@ def build_reduction_tree(
     max_nodes: int = DEFAULT_MAX_NODES,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> ReductionTree:
-    """Grow the staged reduction tree until it closes, a saturated leaf
-    refutes the goal, a full cycle of stages makes no node (``stalled``), or
-    the budget runs out. Each open leaf is checked once, when it is made: if
-    it is saturated, its countermodel is extracted, and a verified one ends
-    the loop at that stage. Extraction reads only the leaf's sequent, and a
-    leaf not saturated when made has formulas pending, which a later phase
-    reduces. ``available`` grows only when an eigenvariable rule makes a
-    node, so after a full cycle that makes no node no leaf has anything
-    pending. Raises `UsageError` for a budget below 1."""
+    """Grow the reduction tree depth first until it closes, a saturated leaf
+    refutes the goal, every open leaf is stuck (``stalled``), or the budget
+    runs out. The leaf on top of the stack goes through its own stages from
+    created_at_stage + 1 until a phase reduces something; its open children
+    go on the stack, the leftmost on top, and are checked once, when made: a
+    saturated one's countermodel is extracted, and a verified one ends the
+    loop (a leaf not saturated when made has a reduction pending in its
+    cycle). A leaf whose full cycle reduces nothing is set aside with
+    len(available); it goes back on the stack when the stack is empty and a
+    variable has been drawn since, so a stalled tree's open leaves have
+    nothing pending at any drawn variable. The search ends ``budget`` when a
+    branch needs a stage past max_depth or before an expansion would make
+    more than max_nodes nodes. Raises `UsageError` for a budget below 1."""
     for name, budget in (("node", max_nodes), ("stage", max_depth)):
         if budget < 1:
             raise UsageError(f"the {name} budget must be a positive integer, got {budget}")
@@ -268,47 +275,38 @@ def build_reduction_tree(
                     return countermodel
         return None
 
-    # The open leaves, left to right; eigenvariables are handed out in this order.
-    frontier = [] if root.closed else [root]
-    made = frontier  # the open leaves the last stage that made nodes made; at first the root
-    # Recomputed only when the frontier changes: the phase positions some open leaf has candidates for.
-    active = set(root.candidates)
-    node_count, stage, idle = 1, 0, 0  # idle: the stages since the last one that made a node
+    opened = [] if root.closed else [root]  # the open leaves the last expansion made; at first the root
+    stack: list[ReductionNode] = []  # the open leaves to develop, the leftmost on top
+    stuck: list[tuple[ReductionNode, int]] = []  # leaves a full cycle left as they were, with len(available) then
+    node_count, deepest = 1, 0
     while True:
-        if not idle:  # before stage 1, or after a stage that made nodes
-            countermodel = countermodel_of(made)
-            if countermodel is not None:
-                return ReductionTree(root, "refuted", stage, node_count, arities, countermodel)
-            if not frontier:
-                return ReductionTree(root, "closed", stage, node_count, arities)
-        elif idle == len(PHASES):
-            return ReductionTree(root, "stalled", stage, node_count, arities)
+        countermodel = countermodel_of(opened)
+        if countermodel is not None:
+            return ReductionTree(root, "refuted", deepest, node_count, arities, countermodel)
+        stack += reversed(opened)
+        if not stack:  # back to the stuck leaves that have not seen every drawn variable
+            stack = [leaf for leaf, seen in reversed(stuck) if seen < len(available)]
+            if not stack:
+                return ReductionTree(root, "stalled" if stuck else "closed", deepest, node_count, arities)
+            stuck = [(leaf, seen) for leaf, seen in stuck if seen == len(available)]
 
-        stage += 1
-        if stage > max_depth:
-            return ReductionTree(root, "budget", stage, node_count, arities)
-
-        pos = stage % len(PHASES)
-        idle += 1
-        if pos not in active:  # no open leaf has a candidate
-            continue
-        rule, made, grown = PHASES[pos], [], []
-        for leaf in frontier:
-            reductions = pos in leaf.candidates and _phase_principals(leaf, rule, available, fresh)
-            if not reductions:
-                grown.append(leaf)
-                continue
-            children = _expand_leaf(leaf, rule, reductions, stage)
-            node_count += len(children)
-            if node_count > max_nodes:
+        leaf, opened = stack.pop(), []
+        for stage in range(leaf.created_at_stage + 1, leaf.created_at_stage + len(PHASES) + 1):
+            if stage > max_depth:
                 return ReductionTree(root, "budget", stage, node_count, arities)
-            opened = [child for child in children if not child.closed]
-            made += opened
-            grown += opened
-            idle = 0
-        if not idle:
-            frontier = grown
-            active = set().union(*(leaf.candidates for leaf in frontier))
+            pos = stage % len(PHASES)
+            reductions = pos in leaf.candidates and _phase_principals(leaf, PHASES[pos], available, fresh)
+            if reductions:
+                break
+        deepest = max(deepest, stage)
+        if not reductions:
+            stuck.append((leaf, len(available)))
+            continue
+        if node_count + math.prod(len(red.options) for red in reductions) > max_nodes:
+            return ReductionTree(root, "budget", deepest, node_count, arities)
+        children = _expand_leaf(leaf, PHASES[pos], reductions, stage)
+        node_count += len(children)
+        opened = [child for child in children if not child.closed]
 
 
 # ---------------------------------------------------------------------------

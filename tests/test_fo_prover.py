@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import random
@@ -8,6 +9,7 @@ import pytest
 from ciore import fo_prover
 from ciore.errors import LogicError, UsageError
 from ciore.fo_prover import (
+    DEFAULT_MAX_DEPTH,
     PHASES,
     REFUTER_STRUCTURES,
     Proved,
@@ -40,7 +42,7 @@ from ciore.sequents import (
     rules_for,
 )
 from ciore.serialize import proof_to_json, verdict_to_json
-from ciore.syntax import fresh_free_variables, predicate_arities
+from ciore.syntax import Exists, Forall, Neg, bind, free_variables, fresh_free_variables, predicate_arities
 
 from helpers import (
     PROP_LOGICAL_RULES,
@@ -114,62 +116,61 @@ def test_each_leaf_is_extracted_at_most_once(monkeypatch):
     assert total > 100
 
 
+def _made_the_countermodel(node, goal, tree) -> bool:
+    """node's last expansion made a leaf whose extraction is tree's
+    countermodel, and none of the children it made was expanded."""
+    children = node.children or [node]  # the root, when it is refuted before stage 1
+    return all(not child.children for child in children) and any(
+        not child.closed and extract_countermodel(child.sequent, goal, tree.arities) == tree.countermodel
+        for child in children
+    )
+
+
 def test_refuted_tree_stops_at_the_stage_that_made_its_leaf():
+    # the loop ends right after the expansion that made the countermodel's
+    # leaf; stages counts the deepest stage any branch reached
     refuted = 0
     for goal in _seeded_goals(808, 150):
         tree = build_reduction_tree(goal, max_nodes=200, max_depth=200)
         if tree.status != "refuted":
             continue
         nodes = list(_nodes(tree.root))
-        assert max(node.created_at_stage for node in nodes) == tree.stages, format_sequent(goal)
-        assert any(
-            not node.children
-            and node.created_at_stage == tree.stages
-            and extract_countermodel(node.sequent, goal, tree.arities) == tree.countermodel
-            for node in nodes
-        ), format_sequent(goal)
+        assert max(node.created_at_stage for node in nodes) <= tree.stages, format_sequent(goal)
+        assert any(_made_the_countermodel(node, goal, tree) for node in nodes), format_sequent(goal)
         refuted += 1
     assert refuted > 100
 
 
-def test_frontier_runs_left_to_right():
-    # eigenvariables are handed out in leaf order: the left branch gets a2
+def test_branches_grow_depth_first_from_the_left():
+    # the left OrL branch is developed first and refutes the goal at stage
+    # 20, so the right OrL leaf is never expanded and draws no eigenvariable
     tree = build_reduction_tree(seq("(exists x. P(x)) | (exists y. R(y, y)) |-"))
     assert dump_tree(tree) == "\n".join(
         [
-            "status=refuted stages=20 nodes=5",
+            "status=refuted stages=20 nodes=4",
             "k=start (exists x. P(x)) | (exists y. R(y, y)) |-",
             "  k=OrL (exists x. P(x)) | (exists y. R(y, y)), exists x. P(x) |-",
             "    k=ExistsL P(a2), (exists x. P(x)) | (exists y. R(y, y)), exists x. P(x) |- "
             "[open; marks: ExistsL:exists x. P(x); OrL:(exists x. P(x)) | (exists y. R(y, y))]",
-            "  k=OrL (exists x. P(x)) | (exists y. R(y, y)), exists y. R(y, y) |-",
-            "    k=ExistsL R(a3, a3), (exists x. P(x)) | (exists y. R(y, y)), exists y. R(y, y) |- "
-            "[open; marks: ExistsL:exists y. R(y, y); OrL:(exists x. P(x)) | (exists y. R(y, y))]",
+            "  k=OrL (exists x. P(x)) | (exists y. R(y, y)), exists y. R(y, y) |- "
+            "[open; marks: OrL:(exists x. P(x)) | (exists y. R(y, y))]",
         ]
     )
 
 
 def test_eigenvariables_skip_the_goals_variables():
     # the goal has a2 and a4: eigenvariables fill the gaps first, then go on
-    # past a4, in frontier order (left branch before right) at each stage
-    tree = build_reduction_tree(seq("P(a2), (exists x. P(x)) | (exists y. Q(y)) |- forall z. R(z, a4)"))
-    expanded = []
-
-    def walk(node):
-        if node.children:
-            expanded.append(node)
-        for child in node.children:
-            walk(child)
-
-    walk(tree.root)
-    expanded.sort(key=lambda node: node.children[0].created_at_stage)  # stable: left to right within a stage
-    handed_out = [
-        (red.rule, red.var) for node in expanded for red in node.principals if red.rule in (RuleId.FORALL_R, RuleId.EXISTS_L)
-    ]
+    # past a4, in the order branches are developed (the left branch first);
+    # neither branch can be refuted, so both are developed
+    tree = build_reduction_tree(
+        seq("P(a2), ~(forall x. S(x)), forall x. S(x), (exists x. P(x)) | (exists y. Q(y)) |- forall z. R(z, a4)")
+    )
+    assert tree.status == "stalled"
+    handed_out = [(red.rule, red.var) for node in _nodes(tree.root) for red in node.principals if red.rule in EIGEN_RULES]
     assert handed_out == [
         (RuleId.FORALL_R, "a1"),
-        (RuleId.FORALL_R, "a3"),
-        (RuleId.EXISTS_L, "a5"),
+        (RuleId.EXISTS_L, "a3"),
+        (RuleId.FORALL_R, "a5"),
         (RuleId.EXISTS_L, "a6"),
     ]
 
@@ -202,18 +203,54 @@ def test_candidate_index_matches_the_rule_table():
     assert checked > 1000
 
 
+_SLOW_GOAL = "|- exists x2. forall x1. ~(P(x1) & P(x2) -> P(x2))"
+
+
 @pytest.mark.parametrize(
     "max_nodes, stages, nodes, digest",
-    [(2000, 171, 2003, "a263ae3e736c866d"), (5000, 177, 5001, "3c1d07816a7a6b94")],
-    ids=["2000-nodes", "5000-nodes"],
+    [(50, 229, 50, "d1d1e076a2eb3944"), (80, 343, 79, "8af02032dbb5a3eb")],
+    ids=["50-nodes", "80-nodes"],
 )
 def test_slow_goal_trees_are_pinned(max_nodes, stages, nodes, digest):
-    # the slowest known random goal, cut at smaller node budgets: the loop's
-    # shortcuts (candidate index, skipped stages no open leaf has a
-    # candidate for, variable cursors) must keep these trees byte for byte
-    tree = build_reduction_tree(seq("|- exists x2. forall x1. ~(P(x1) & P(x2) -> P(x2))"), max_nodes=max_nodes)
+    # the slowest known random goal, cut by the node budget before the stage
+    # budget: the loop's shortcuts (candidate index, phases a leaf has no
+    # candidate for passed over, variable cursors) must keep these trees byte
+    # for byte, and no expansion may take the tree past its node budget
+    tree = build_reduction_tree(seq(_SLOW_GOAL), max_nodes=max_nodes)
     assert (tree.status, tree.stages, tree.node_count) == ("budget", stages, nodes)
     assert hashlib.sha256(dump_tree(tree).encode()).hexdigest()[:16] == digest
+
+
+def test_slow_goal_ends_at_the_stage_budget_with_few_nodes():
+    # at the CLI defaults one branch reaches stage 401 with 95 nodes made;
+    # a loop that grew every open leaf at every stage made 20,001
+    s = seq(_SLOW_GOAL)
+    tree = build_reduction_tree(s)
+    assert (tree.status, tree.stages) == ("budget", DEFAULT_MAX_DEPTH + 1)
+    assert tree.node_count < 200
+    verdict = decide_fo(s)
+    assert isinstance(verdict, Refuted) and not fo_sequent_satisfied(verdict.structure, verdict.assignment, s)
+
+
+_CAP_WITNESS = "|- exists x3. forall x2. exists x1. o R(x3, x2) & (R(x1, x2) | P(x1)) & (R(x2, x1) & R(x1, x2))"
+
+
+@pytest.mark.parametrize("max_nodes", [200, 1000])
+def test_node_budget_is_never_exceeded(max_nodes):
+    # one expansion of this goal makes many children at once; the loop must
+    # stop before it rather than overshoot the budget
+    tree = build_reduction_tree(seq(_CAP_WITNESS), max_nodes=max_nodes)
+    assert tree.status == "budget" and tree.node_count <= max_nodes
+
+
+def test_small_budgets_bound_every_tree():
+    # at 15 nodes, an expansion of several of these trees would overshoot
+    statuses = collections.Counter()
+    for goal in _seeded_goals(909, 300):
+        tree = build_reduction_tree(goal, max_nodes=15, max_depth=60)
+        assert tree.node_count <= 15 and tree.stages <= 61, format_sequent(goal)
+        statuses[tree.status] += 1
+    assert statuses["budget"] > 20 and statuses["refuted"] > 100, statuses
 
 
 def test_tree_rejects_constants_functions_prop_atoms():
@@ -510,9 +547,9 @@ def _drawn_variables(tree) -> list[str]:
 @pytest.mark.parametrize(
     "goal, nodes, stages",
     [
-        # the closed ExistsL branch draws a2 after the open leaf was made, so
-        # the open leaf still has ForallL to apply at a2
-        ("~(forall x. P(x)), forall x. P(x), ~~(S(a1) | exists y. T(a1)) |- T(a1)", 7, 96),
+        # the closed ExistsL branch draws a2 after the left leaf got stuck, so
+        # that leaf goes back on the stack and applies ForallL at a2
+        ("~(forall x. P(x)), forall x. P(x), ~~(S(a1) | exists y. T(a1)) |- T(a1)", 7, 70),
         ("~(forall x. P(x)), forall x. P(x) |-", 2, 44),
         ("~(forall x. P(x)), forall x. P(x) |- ~P(a1)", 3, 44),
         ("~(exists x. P(x)), exists x. P(x) |- ~P(a1)", 3, 46),
@@ -520,14 +557,56 @@ def _drawn_variables(tree) -> list[str]:
     ids=["drawn-on-a-closed-branch", "bare-witness", "forall-witness", "exists-witness"],
 )
 def test_stalled_tree_has_nothing_pending(goal, nodes, stages):
-    # a search stalls only after a full cycle of stages that made no node,
-    # and then no open leaf has a reduction left at any variable drawn
+    # a search stalls only when every open leaf has gone a full cycle of its
+    # own stages without a reduction, and then no open leaf has a reduction
+    # left at any variable drawn
     tree = build_reduction_tree(seq(goal))
     assert (tree.status, tree.node_count, tree.stages) == ("stalled", nodes, stages)
     drawn = _drawn_variables(tree)
     open_leaves = [node for node in _nodes(tree.root) if not node.children and not node.closed]
     assert open_leaves and all(_saturated(leaf, drawn) for leaf in open_leaves)
-    assert all(node.created_at_stage <= stages - len(PHASES) for node in _nodes(tree.root))
+    assert all(leaf.created_at_stage <= stages - len(PHASES) for leaf in open_leaves)
+
+
+def _pushed_back(tree) -> bool:
+    """Some node was expanded at a variable drawn on a branch to its right.
+    Branches are developed leftmost first, so that node was set aside and
+    put back on the stack after the variable was drawn."""
+    nodes = list(_nodes(tree.root))
+    position = {id(node): i for i, node in enumerate(nodes)}  # preorder
+    end = {}  # one past the preorder position of a node's last descendant
+    for node in reversed(nodes):
+        end[id(node)] = end[id(node.children[-1])] if node.children else position[id(node)] + 1
+    drawn_at = {red.var: position[id(node)] for node in nodes for red in node.principals if red.rule in EIGEN_RULES}
+    return any(
+        drawn_at.get(red.var, -1) >= end[id(node)]
+        for node in nodes
+        for red in node.principals
+        if red.rule not in EIGEN_RULES
+    )
+
+
+def test_stalled_trees_of_the_swap_family_have_nothing_pending():
+    # goals ~(Qz. phi), Qz. phi, G |- D: no rule reduces the negated
+    # quantifier on the left, and the atom recipe cannot read a countermodel
+    # off a leaf that holds both, so most of these trees stall
+    rng = random.Random(4242)
+    statuses, pushed_back = collections.Counter(), 0
+    for _ in range(200):
+        pool = ["a1", "a2"][: rng.randint(1, 2)]
+        phi = random_fo_formula(rng, {"P": 1, "R": 2}, pool + ["a9"], 2, 0)
+        quantifier = rng.choice((Forall, Exists))
+        bound = bind(phi, "a9", "z", quantifier) if "a9" in free_variables(phi) else quantifier("z", phi)
+        side = lambda: [random_fo_formula(rng, {"P": 1, "R": 2}, pool, 2) for _ in range(rng.randint(0, 1))]
+        goal = Sequent.make([Neg(bound), bound, *side()], side())
+        tree = build_reduction_tree(goal, max_nodes=300, max_depth=200)
+        statuses[tree.status] += 1
+        if tree.status == "stalled":
+            drawn = _drawn_variables(tree)
+            open_leaves = [node for node in _nodes(tree.root) if not node.children and not node.closed]
+            assert open_leaves and all(_saturated(leaf, drawn) for leaf in open_leaves), format_sequent(goal)
+            pushed_back += _pushed_back(tree)
+    assert statuses["stalled"] > 100 and pushed_back >= 1, (statuses, pushed_back)
 
 
 def test_open_leaf_gets_the_instance_at_a_variable_drawn_on_a_closed_branch():

@@ -59,8 +59,8 @@ from ciore.syntax import formula_key, var_index
 
 PINNED = {
     "falsifying_assignments": "3c7a5e434888a0c0846a9714c0873ba2a3b3aafca6a0157b3aa23f8ce6e48cc6",
-    "fo_trees": "d6a093c4d4469c28bc2bf9547e943328cb3214866ee2ac534b7113e890b36499",
-    "fo_verdicts": "5a580eff575096a4672f0e13291409b84a1a2a07761c400a832cb6a2dda179a1",
+    "fo_trees": "995d9ecc841f3b50c6ed45b2acd233376b6e602a95da96492d914217305fb0a6",
+    "fo_verdicts": "d5dd07e440f36eab45bd8b538d4843bf125f2d42fa97f51eee3ac8119bc37b67",
     "parse_outcomes": "e806aa4a92e5b33cdfa537da3f547b636d51e2a954da714cca352e32a868c717",
     "proof_errors": "cc5cc56242d879aa0c9cb3ed78570d1f6ea0abd06b3a65d9d10f38262afc97b7",
     "prop_verdicts": "ad5f2c9e562fd1dad9b745eedcbf7049fe2c3b7172cb2d461fa3c3cd90805f35",
