@@ -252,10 +252,10 @@ def build_reduction_tree(
     go on the stack, the leftmost on top, and are checked once, when made: a
     saturated one's countermodel is extracted, and a verified one ends the
     loop (a leaf not saturated when made has a reduction pending in its
-    cycle). A leaf whose full cycle reduces nothing is set aside with
-    len(available); it goes back on the stack when the stack is empty and a
-    variable has been drawn since, so a stalled tree's open leaves have
-    nothing pending at any drawn variable. The search ends ``budget`` when a
+    cycle). A leaf whose full cycle reduces nothing is set aside; when the
+    stack is empty, the set-aside leaves go back on it if a variable has been
+    drawn since they last did, so a stalled tree's open leaves have nothing
+    pending at any drawn variable. The search ends ``budget`` when a
     branch needs a stage past max_depth or before an expansion would make
     more than max_nodes nodes. Raises `UsageError` for a budget below 1."""
     for name, budget in (("node", max_nodes), ("stage", max_depth)):
@@ -277,18 +277,17 @@ def build_reduction_tree(
 
     opened = [] if root.closed else [root]  # the open leaves the last expansion made; at first the root
     stack: list[ReductionNode] = []  # the open leaves to develop, the leftmost on top
-    stuck: list[tuple[ReductionNode, int]] = []  # leaves a full cycle left as they were, with len(available) then
-    node_count, deepest = 1, 0
+    stuck: list[ReductionNode] = []  # leaves a full cycle left as they were, since the stack was last refilled
+    node_count, deepest, seen = 1, 0, len(available)  # seen: len(available) at the start or the last refill
     while True:
         countermodel = countermodel_of(opened)
         if countermodel is not None:
             return ReductionTree(root, "refuted", deepest, node_count, arities, countermodel)
         stack += reversed(opened)
-        if not stack:  # back to the stuck leaves that have not seen every drawn variable
-            stack = [leaf for leaf, seen in reversed(stuck) if seen < len(available)]
-            if not stack:
+        if not stack:  # back to the stuck leaves, if a variable was drawn since they were last put back
+            if not stuck or seen == len(available):
                 return ReductionTree(root, "stalled" if stuck else "closed", deepest, node_count, arities)
-            stuck = [(leaf, seen) for leaf, seen in stuck if seen == len(available)]
+            stack, stuck, seen = stuck[::-1], [], len(available)
 
         leaf, opened = stack.pop(), []
         for stage in range(leaf.created_at_stage + 1, leaf.created_at_stage + len(PHASES) + 1):
@@ -300,7 +299,7 @@ def build_reduction_tree(
                 break
         deepest = max(deepest, stage)
         if not reductions:
-            stuck.append((leaf, len(available)))
+            stuck.append(leaf)
             continue
         if node_count + math.prod(len(red.options) for red in reductions) > max_nodes:
             return ReductionTree(root, "budget", deepest, node_count, arities)

@@ -27,7 +27,7 @@ from ciore.fo_prover import (
     refute_finitely,
 )
 from ciore.fo_semantics import Structure, fo_sequent_satisfied, fo_sequent_valid_in, structure_to_json
-from ciore.parsing import format_sequent, parse_formula, parse_sequent
+from ciore.parsing import format_formula, format_sequent, parse_formula, parse_sequent
 from ciore.prop_prover import decide
 from ciore.randgen import random_fo_formula, random_sequent
 from ciore.sequents import (
@@ -116,27 +116,33 @@ def test_each_leaf_is_extracted_at_most_once(monkeypatch):
     assert total > 100
 
 
-def _made_the_countermodel(node, goal, tree) -> bool:
-    """node's last expansion made a leaf whose extraction is tree's
-    countermodel, and none of the children it made was expanded."""
-    children = node.children or [node]  # the root, when it is refuted before stage 1
-    return all(not child.children for child in children) and any(
-        not child.closed and extract_countermodel(child.sequent, goal, tree.arities) == tree.countermodel
-        for child in children
-    )
-
-
-def test_refuted_tree_stops_at_the_stage_that_made_its_leaf():
+def test_refuted_tree_stops_at_the_stage_that_made_its_leaf(monkeypatch):
     # the loop ends right after the expansion that made the countermodel's
-    # leaf; stages counts the deepest stage any branch reached
+    # leaf, or before stage 1 when the root is that leaf; stages counts the
+    # deepest stage any branch reached
+    expansions = []  # (stage, children) of each expansion, in order
+    expand = fo_prover._expand_leaf
+
+    def recorded(leaf, rule, reductions, stage):
+        expansions.append((stage, expand(leaf, rule, reductions, stage)))
+        return expansions[-1][1]
+
+    monkeypatch.setattr(fo_prover, "_expand_leaf", recorded)
     refuted = 0
     for goal in _seeded_goals(808, 150):
+        expansions.clear()
         tree = build_reduction_tree(goal, max_nodes=200, max_depth=200)
         if tree.status != "refuted":
             continue
-        nodes = list(_nodes(tree.root))
-        assert max(node.created_at_stage for node in nodes) <= tree.stages, format_sequent(goal)
-        assert any(_made_the_countermodel(node, goal, tree) for node in nodes), format_sequent(goal)
+        stage, made = expansions[-1] if expansions else (0, [tree.root])
+        assert any(
+            not leaf.closed
+            and leaf.created_at_stage == stage
+            and extract_countermodel(leaf.sequent, goal, tree.arities) == tree.countermodel
+            for leaf in made
+        ), format_sequent(goal)
+        assert max(node.created_at_stage for node in _nodes(tree.root)) <= tree.stages, format_sequent(goal)
+        assert tree.stages >= stage and (expansions or tree.stages == 0), format_sequent(goal)
         refuted += 1
     assert refuted > 100
 
@@ -206,19 +212,38 @@ def test_candidate_index_matches_the_rule_table():
 _SLOW_GOAL = "|- exists x2. forall x1. ~(P(x1) & P(x2) -> P(x2))"
 
 
+def _tree_digest(tree) -> str:
+    """A digest of every node in preorder: its phase, stage, closed flag,
+    the formulas it adds to its parent's sequent and its principals. These
+    determine `dump_tree`, which repeats each node's whole sequent and so
+    grows with the square of a long branch (44 MB at 2,000 nodes below)."""
+    h = hashlib.sha256(f"{tree.status} {tree.stages} {tree.node_count}".encode())
+    stack = [(tree.root, Sequent.make((), ()))]
+    while stack:
+        node, parent = stack.pop()
+        added = (node.sequent.ante - parent.ante, node.sequent.succ - parent.succ)
+        line = [node.phase.value if node.phase else "start", str(node.created_at_stage), str(node.closed)]
+        line += sorted(map(format_formula, added[0])) + ["|-"] + sorted(map(format_formula, added[1]))
+        line += [f"{red.rule.value}:{format_formula(red.principal)}:{red.var}" for red in node.principals]
+        h.update(("\n" + " ".join(line)).encode())
+        stack += [(child, node.sequent) for child in reversed(node.children)]
+    return h.hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
     "max_nodes, stages, nodes, digest",
-    [(50, 229, 50, "d1d1e076a2eb3944"), (80, 343, 79, "8af02032dbb5a3eb")],
-    ids=["50-nodes", "80-nodes"],
+    [(2000, 7477, 1999, "e8e506293e8e9b60"), (5000, 18621, 5000, "12af2a9ef2be731f")],
+    ids=["2000-nodes", "5000-nodes"],
 )
 def test_slow_goal_trees_are_pinned(max_nodes, stages, nodes, digest):
-    # the slowest known random goal, cut by the node budget before the stage
-    # budget: the loop's shortcuts (candidate index, phases a leaf has no
-    # candidate for passed over, variable cursors) must keep these trees byte
-    # for byte, and no expansion may take the tree past its node budget
-    tree = build_reduction_tree(seq(_SLOW_GOAL), max_nodes=max_nodes)
+    # the slowest known random goal, with a stage budget the node budget
+    # ends the tree before: the loop's shortcuts (candidate index, phases a
+    # leaf has no candidate for passed over, variable cursors) must keep
+    # these trees node for node, and no expansion may take the tree past its
+    # node budget
+    tree = build_reduction_tree(seq(_SLOW_GOAL), max_nodes=max_nodes, max_depth=20_000)
     assert (tree.status, tree.stages, tree.node_count) == ("budget", stages, nodes)
-    assert hashlib.sha256(dump_tree(tree).encode()).hexdigest()[:16] == digest
+    assert _tree_digest(tree) == digest
 
 
 def test_slow_goal_ends_at_the_stage_budget_with_few_nodes():
@@ -230,6 +255,20 @@ def test_slow_goal_ends_at_the_stage_budget_with_few_nodes():
     assert tree.node_count < 200
     verdict = decide_fo(s)
     assert isinstance(verdict, Refuted) and not fo_sequent_satisfied(verdict.structure, verdict.assignment, s)
+
+
+def test_a_branch_at_the_stage_budget_ends_the_search():
+    # the left OrL branch never saturates (every ExistsL instance is a new
+    # ForallL instance), so it reaches the stage budget first and the right
+    # branch, which saturates into a countermodel at stage 20, is never
+    # developed; with the disjuncts swapped the loop refutes the goal there.
+    # A loop that grew every open leaf at every stage refuted both.
+    endless, finite = "forall x. exists y. R(x, y)", "exists y. P(y)"
+    tree = build_reduction_tree(seq(f"({endless}) | ({finite}) |-"), max_nodes=200, max_depth=200)
+    assert (tree.status, tree.stages) == ("budget", 201)
+    assert not tree.root.children[1].children
+    tree = build_reduction_tree(seq(f"({finite}) | ({endless}) |-"), max_nodes=200, max_depth=200)
+    assert (tree.status, tree.stages, tree.node_count) == ("refuted", 20, 4)
 
 
 _CAP_WITNESS = "|- exists x3. forall x2. exists x1. o R(x3, x2) & (R(x1, x2) | P(x1)) & (R(x2, x1) & R(x1, x2))"
